@@ -22,13 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .diagram import (
     DiagramType,
     InconsistentDiagramError,
     WeightedDiagram,
-    add_free_leaf,
+    add_leaf,
     canonical_order,
     is_consistent,
     require_valid,
@@ -42,6 +42,7 @@ __all__ = [
     "geq",
     "check_geq_witness",
     "class_representatives",
+    "adjacency_verdict",
     "linear_adjacent",
 ]
 
@@ -55,14 +56,6 @@ class SubdiagramEmbedding:
     @cached_property
     def mapping(self) -> Mapping[int, int]:
         return dict(self.pairs)
-
-    @cached_property
-    def source_subset(self) -> frozenset[int]:
-        return frozenset(v for v, _ in self.pairs)
-
-    @cached_property
-    def target_subset(self) -> frozenset[int]:
-        return frozenset(u for _, u in self.pairs)
 
 
 @dataclass(frozen=True)
@@ -128,22 +121,19 @@ def geq(upper: WeightedDiagram, lower: WeightedDiagram) -> GeqWitness | None:
     order = canonical_order(lower)
     upper_position = {u: i for i, u in enumerate(canonical_order(upper))}
     ord_nu = lower.orders
-    count = len(order)
 
     image: dict[int, int] = {}
     used: set[int] = set()
     kappa: dict[int, int] = {}
     ord_kappa: dict[int, int] = {}
 
-    def attempt(index: int) -> bool:
-        if index == count:
-            return True
-        v = order[index]
-        v_targets = lo.prox_targets[v]
-        candidates: list[int | None] = []
+    def candidates(v: int) -> list[int | None]:
+        """Images to try for ``v`` given the choices so far, then exclusion."""
+        out: list[int | None] = []
         if v == lo.root:
-            candidates.append(up.root)
+            out.append(up.root)
         else:
+            v_targets = lo.prox_targets[v]
             parent_image = image.get(lo.parent[v])
             if parent_image is not None:
                 for u in sorted(up.children[parent_image], key=upper_position.__getitem__):
@@ -154,35 +144,41 @@ def geq(upper: WeightedDiagram, lower: WeightedDiagram) -> GeqWitness | None:
                         continue
                     if len(v_targets) == 2 and image.get(v_targets[1]) != u_targets[1]:
                         continue
-                    candidates.append(u)
-        candidates.append(None)
-        for choice in candidates:
+                    out.append(u)
+        out.append(None)
+        return out
+
+    # depth-first search with an explicit stack: one iterator of untried
+    # choices per decided vertex of ``order``
+    pending = [iter(candidates(order[0]))]
+    while pending:
+        v = order[len(pending) - 1]
+        if v in kappa:  # a deeper vertex ran out of choices: undo this one
+            used.discard(image.pop(v, None))
+            del kappa[v], ord_kappa[v]
+        v_targets = lo.prox_targets[v]
+        for choice in pending[-1]:
             value = upper.nu[choice] if choice is not None else 0
             ord_value = value + sum(ord_kappa[t] for t in v_targets)
-            if ord_nu[v] > ord_value:
-                continue
-            if choice is not None:
-                image[v] = choice
-                used.add(choice)
-            kappa[v] = value
-            ord_kappa[v] = ord_value
-            if attempt(index + 1):
-                return True
-            if choice is not None:
-                del image[v]
-                used.discard(choice)
-            del kappa[v]
-            del ord_kappa[v]
-        return False
-
-    if not attempt(0):
-        return None
-    return GeqWitness(
-        embedding=SubdiagramEmbedding(pairs=tuple(sorted(image.items()))),
-        kappa=tuple(sorted(kappa.items())),
-        ord_nu=tuple(sorted(ord_nu.items())),
-        ord_kappa=tuple(sorted(ord_kappa.items())),
-    )
+            if ord_nu[v] <= ord_value:
+                break
+        else:
+            pending.pop()
+            continue
+        if choice is not None:
+            image[v] = choice
+            used.add(choice)
+        kappa[v] = value
+        ord_kappa[v] = ord_value
+        if len(pending) == len(order):
+            return GeqWitness(
+                embedding=SubdiagramEmbedding(pairs=tuple(sorted(image.items()))),
+                kappa=tuple(sorted(kappa.items())),
+                ord_nu=tuple(sorted(ord_nu.items())),
+                ord_kappa=tuple(sorted(ord_kappa.items())),
+            )
+        pending.append(iter(candidates(order[len(pending)])))
+    return None
 
 
 def check_geq_witness(
@@ -268,7 +264,7 @@ def class_representatives(
             for at in current.diagram.vertices:
                 if current.excess[at] < 1:
                     continue
-                grown = add_free_leaf(current, at, 1)
+                grown = add_leaf(current, at, 1)
                 grown_key = grown.key
                 if grown_key not in next_level:
                     next_level[grown_key] = grown
@@ -293,8 +289,18 @@ def linear_adjacent(
         extra_bound = len(target.representative)
     if extra_bound < 0:
         raise ValueError(f"extra_bound must be nonnegative, got {extra_bound}")
-    lower = target.representative
-    for representative in class_representatives(source, extra_bound):
+    return adjacency_verdict(
+        class_representatives(source, extra_bound), target.representative, extra_bound
+    )
+
+
+def adjacency_verdict(
+    representatives: Iterable[WeightedDiagram], lower: WeightedDiagram, extra_bound: int
+) -> AdjacencyVerdict:
+    """Verdict from the first of ``representatives`` (consistent members of
+    one class with at most ``extra_bound`` added vertices, drawn lazily)
+    that dominates ``lower``; negative up to the bound when none does."""
+    for representative in representatives:
         witness = geq(representative, lower)
         if witness is not None:
             return AdjacencyVerdict(

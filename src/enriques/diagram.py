@@ -26,7 +26,9 @@ diagrams describe the same topological type precisely when they differ in
 free vertices of weight one (or removable free vertices of weight zero).
 Each such equivalence class contains a unique *minimal* diagram, computed
 here by :func:`minimalize`, and is identified by the relabelling-invariant
-:func:`canonical_key` of that minimal member.
+:func:`canonical_key` of that minimal member.  Keys and canonical orders
+come from one routine, :func:`canonical_form`, which the bounded
+enumeration shares.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "DiagramError",
@@ -60,10 +62,11 @@ __all__ = [
     "is_complete",
     "is_minimal",
     "minimalize",
+    "canonical_form",
     "canonical_key",
     "canonical_order",
     "require_valid",
-    "add_free_leaf",
+    "add_leaf",
     "remove_vertices",
     "relabel",
     "diagram_type",
@@ -184,6 +187,11 @@ class ProximityDiagram:
             stack.extend(reversed(self.children.get(v, ())))
         return tuple(order)
 
+    @cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        """Axiom violations, found once by :func:`validate_axioms`."""
+        return tuple(validate_axioms(self))
+
     def require_vertex(self, v: int) -> None:
         if v not in self.children:
             raise UnknownVertexError(f"unknown vertex id {v!r}")
@@ -239,8 +247,47 @@ class WeightedDiagram:
         return out
 
     @cached_property
+    def record(self) -> tuple[tuple[int, int, int], ...]:
+        """The diagram as :func:`canonical_form` reads it, one ``(parent,
+        second, weight)`` entry per vertex of ``diagram.preorder``, targets
+        given by preorder position.  Raises :class:`InvalidDiagramError` for
+        a vertex not below the root or a satellite whose second target is
+        not one of its parent's targets."""
+        d = self.diagram
+        if d.root in d.parent or len(d.preorder) != len(d.vertices):
+            raise InvalidDiagramError(d.violations)
+        position = {v: i for i, v in enumerate(d.preorder)}
+        out = [(-1, -1, self.nu[d.root])]
+        for v in d.preorder[1:]:
+            parent = d.parent[v]
+            targets = d.prox_targets[v]
+            if len(targets) > 1 and targets[1] not in d.prox_targets[parent]:
+                raise InvalidDiagramError(d.violations)
+            second = position[targets[1]] if len(targets) > 1 else -1
+            out.append((position[parent], second, self.nu[v]))
+        return tuple(out)
+
+    @cached_property
+    def _canonical(self) -> tuple[str, tuple[int, ...]]:
+        key, children = canonical_form(self.record)
+        preorder = self.diagram.preorder
+        order: list[int] = []
+        stack = [0]
+        while stack:
+            i = stack.pop()
+            order.append(preorder[i])
+            stack.extend(reversed(children[i]))
+        return key, tuple(order)
+
+    @property
     def key(self) -> str:
-        return _canonical_key(self)
+        """Canonical key, see :func:`canonical_key`."""
+        return self._canonical[0]
+
+    @property
+    def canonical_order(self) -> tuple[int, ...]:
+        """Vertex ids in canonical order, see :func:`canonical_order`."""
+        return self._canonical[1]
 
     def __len__(self) -> int:
         return len(self.diagram.vertices)
@@ -364,9 +411,9 @@ def _sorted_violations(violations: list[Violation]) -> list[Violation]:
 
 
 def require_valid(d: ProximityDiagram) -> None:
-    violations = validate_axioms(d)
-    if violations:
-        raise InvalidDiagramError(violations)
+    """Raise :class:`InvalidDiagramError` unless ``d`` satisfies the axioms."""
+    if d.violations:
+        raise InvalidDiagramError(d.violations)
 
 
 def classify(d: ProximityDiagram, v: int) -> VertexKind:
@@ -501,8 +548,15 @@ def remove_vertices(w: WeightedDiagram, drop: Iterable[int]) -> WeightedDiagram:
     return weighted_diagram(proximity_diagram(d.root, parent, prox), nu)
 
 
-def add_free_leaf(w: WeightedDiagram, at: int, weight: int) -> WeightedDiagram:
-    """Attach a new final free vertex of the given weight, proximate only to ``at``."""
+def add_leaf(
+    w: WeightedDiagram, at: int, weight: int, second: int | None = None
+) -> WeightedDiagram:
+    """Attach a new final vertex of the given weight below ``at``.
+
+    The new vertex takes the next unused id and is proximate to ``at``
+    and, when ``second`` is given, to ``second`` as well, which makes it
+    a satellite; otherwise it is free.
+    """
     d = w.diagram
     d.require_vertex(at)
     new = max(d.vertices) + 1
@@ -510,6 +564,9 @@ def add_free_leaf(w: WeightedDiagram, at: int, weight: int) -> WeightedDiagram:
     parent[new] = at
     prox = list(d.proximity)
     prox.append((new, at))
+    if second is not None:
+        d.require_vertex(second)
+        prox.append((new, second))
     nu = dict(w.nu)
     nu[new] = weight
     return weighted_diagram(proximity_diagram(d.root, parent, prox), nu)
@@ -545,36 +602,39 @@ def minimalize(w: WeightedDiagram) -> WeightedDiagram:
 # canonical form
 # ---------------------------------------------------------------------------
 
-def _prox_code(d: ProximityDiagram, v: int) -> str:
-    """Positional code of v's proximity: root, free, or which target of the
-    parent the second proximity points at (its predecessor or its own second
-    target)."""
-    if v == d.root:
-        return "r"
-    targets = d.prox_targets[v]
-    if len(targets) == 1:
-        return "f"
-    parent = targets[0]
-    second = targets[1]
-    parent_targets = d.prox_targets[parent]
-    if second == parent_targets[0]:
-        return "a"
-    if len(parent_targets) == 2 and second == parent_targets[1]:
-        return "b"
-    raise InvalidDiagramError(
-        [Violation(4, (v,), f"satellite {v} targets a vertex its parent is not proximate to")]
-    )
+def canonical_form(
+    record: Sequence[tuple[int, int, int]],
+) -> tuple[str, list[list[int]]]:
+    """Canonical key of a diagram record, and every vertex's children in key order.
 
-
-def _canonical_key(w: WeightedDiagram) -> str:
-    d = w.diagram
-    nu = w.nu
-
-    def key(v: int) -> str:
-        parts = sorted(key(c) for c in d.children[v])
-        return f"({nu[v]}{_prox_code(d, v)}{''.join(parts)})"
-
-    return key(d.root)
+    ``record[i]`` is ``(parent, second, weight)`` for vertex ``i``: the
+    index of its parent, below ``i`` (``-1`` for the root at index 0), the
+    index of its second proximity target, one of the parent's own targets
+    (``-1`` for none), and its weight.  Subtree codes are built bottom-up
+    as in the Aho-Hopcroft-Ullman tree encoding: a vertex's weight, its
+    letter (``r`` root, ``f`` free, ``a``/``b`` a satellite whose second
+    target is the parent's first/second target) and its children's codes
+    in sorted order, all in parentheses.  The key is the root's code;
+    siblings with equal codes keep their index order.
+    """
+    children: list[list[int]] = [[] for _ in record]
+    for i in range(1, len(record)):
+        children[record[i][0]].append(i)
+    codes = [""] * len(record)
+    for i in range(len(record) - 1, -1, -1):
+        parent, second, weight = record[i]
+        if parent < 0:
+            letter = "r"
+        elif second < 0:
+            letter = "f"
+        else:
+            letter = "a" if second == record[parent][0] else "b"
+        kids = children[i]
+        kids.sort(key=codes.__getitem__)
+        codes[i] = f"({weight}{letter}{''.join([codes[c] for c in kids])})"
+        for c in kids:
+            codes[c] = ""  # a chain would otherwise hold quadratically many characters
+    return codes[0], children
 
 
 def canonical_key(w: WeightedDiagram) -> str:
@@ -582,36 +642,18 @@ def canonical_key(w: WeightedDiagram) -> str:
 
     Two weighted diagrams have equal keys exactly when some bijection of
     their vertices preserves the root, the parent map, the proximity
-    relation and the weights.  Children are encoded recursively and sorted,
-    and a satellite's second proximity target is recorded by its position
-    among the parent's own targets, so the key never mentions vertex ids.
+    relation and the weights.  The key is :func:`canonical_form` of the
+    diagram's record: sibling subtrees appear sorted by code, and a
+    satellite's second proximity target is recorded by its position among
+    the parent's own targets, so the key never mentions vertex ids.
     """
     return w.key
 
 
 def canonical_order(w: WeightedDiagram) -> tuple[int, ...]:
-    """Vertices in canonical traversal order (root first, children by key)."""
-    d = w.diagram
-
-    subtree: dict[int, str] = {}
-    nu = w.nu
-
-    def key(v: int) -> str:
-        parts = sorted(key(c) for c in d.children[v])
-        s = f"({nu[v]}{_prox_code(d, v)}{''.join(parts)})"
-        subtree[v] = s
-        return s
-
-    key(d.root)
-    order: list[int] = []
-
-    def walk(v: int) -> None:
-        order.append(v)
-        for c in sorted(d.children[v], key=lambda c: (subtree[c], c)):
-            walk(c)
-
-    walk(d.root)
-    return tuple(order)
+    """Vertices in canonical traversal order (root first, children by key,
+    equal subtrees by vertex id); computed once per diagram."""
+    return w.canonical_order
 
 
 def relabel(w: WeightedDiagram, mapping: Mapping[int, int]) -> WeightedDiagram:

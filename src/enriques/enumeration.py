@@ -10,8 +10,8 @@ all consistent diagrams within the bounds and yields the minimal ones.
 
 Internally a diagram is a tuple of ``(parent, second_target, weight)``
 triples indexed by vertex, root at index 0, with ``-1`` marking absent
-entries.  Isomorphic duplicates are folded by the same canonical key as
-:func:`enriques.diagram.canonical_key`.
+entries: the record form read by :func:`enriques.diagram.canonical_form`,
+which folds isomorphic duplicates here and computes every canonical key.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from typing import Iterator
 from .diagram import (
     DiagramError,
     WeightedDiagram,
+    canonical_form,
     proximity_diagram,
     weighted_diagram,
 )
@@ -37,26 +38,6 @@ _Rec = tuple[int, int, int]
 
 class EnumerationLimitError(DiagramError):
     """The candidate cap was reached before the bounds were exhausted."""
-
-
-def _lean_key(rec: tuple[_Rec, ...]) -> str:
-    children: dict[int, list[int]] = {i: [] for i in range(len(rec))}
-    for i in range(1, len(rec)):
-        children[rec[i][0]].append(i)
-
-    def code(i: int) -> str:
-        parent, second, _ = rec[i]
-        if parent < 0:
-            return "r"
-        if second < 0:
-            return "f"
-        return "a" if second == rec[parent][0] else "b"
-
-    def key(i: int) -> str:
-        parts = sorted(key(c) for c in children[i])
-        return f"({rec[i][2]}{code(i)}{''.join(parts)})"
-
-    return key(0)
 
 
 def _excess(rec: tuple[_Rec, ...]) -> list[int]:
@@ -125,7 +106,7 @@ def enumerate_minimal_diagrams(
     level: dict[str, tuple[_Rec, ...]] = {}
     for weight in range(1, max_weight + 1):
         rec: tuple[_Rec, ...] = (((-1, -1, weight)),)
-        level[_lean_key(rec)] = rec
+        level[canonical_form(rec)[0]] = rec
     seen = len(level)
     if seen > max_candidates:
         raise EnumerationLimitError(
@@ -154,7 +135,7 @@ def enumerate_minimal_diagrams(
                         cap = min(cap, excess[second])
                     for weight in range(1, min(max_weight, cap) + 1):
                         child = rec + ((parent, second, weight),)
-                        key = _lean_key(child)
+                        key = canonical_form(child)[0]
                         if key not in next_level:
                             next_level[key] = child
                             seen += 1

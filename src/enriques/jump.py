@@ -24,11 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from math import gcd
 
-from .adjacency import AdjacencyVerdict, GeqWitness, class_representatives, geq
+from .adjacency import GeqWitness, adjacency_verdict, class_representatives, geq
 from .diagram import (
     DiagramError,
     WeightedDiagram,
-    add_free_leaf,
+    add_leaf,
     diagram_type,
     is_minimal,
     milnor_number,
@@ -36,11 +36,11 @@ from .diagram import (
     remove_vertices,
     single_vertex,
     weighted_diagram,
-    proximity_diagram,
 )
 from .enumeration import enumerate_minimal_diagrams
 from .quasihomogeneous import (
     QuasihomogeneousSpec,
+    bamboo_chain,
     bamboo_invariants,
     is_bamboo,
     minimal_diagram,
@@ -64,8 +64,9 @@ class JumpReport:
     ``lambda_lin`` = ``mu_D`` - ``mu_E``; ``E_D`` is the constructed
     adjacent diagram and ``adjacency_witness`` proves that
     ``representative`` (the minimal diagram plus one free weight-1 vertex
-    at the chain end) dominates it.  ``maximality`` is filled in only by
-    :func:`verify_maximality`.  ``semi`` marks input declared as the
+    at the chain end) dominates it.  The report leaves maximality
+    unverified; :func:`verify_maximality` checks it separately and returns
+    a :class:`MaximalityReport`.  ``semi`` marks input declared as the
     quasihomogeneous initial part of a semi-quasihomogeneous germ; the
     jump is unchanged because both germs share one diagram type.
     """
@@ -81,7 +82,6 @@ class JumpReport:
     lambda_lin: int
     representative: WeightedDiagram
     adjacency_witness: GeqWitness
-    maximality: "MaximalityReport | None" = None
     semi: bool = False
 
 
@@ -111,14 +111,6 @@ class MaximalityReport:
     contradictions: tuple[tuple[str, int], ...] = ()
 
 
-def _chain(w: WeightedDiagram) -> list[int]:
-    d = w.diagram
-    chain = [d.root]
-    while d.children[chain[-1]]:
-        chain.append(d.children[chain[-1]][0])
-    return chain
-
-
 def construct_adjacent_diagram(D: WeightedDiagram) -> WeightedDiagram:
     """Minimal diagram of an adjacent type exactly one jump below ``D``.
 
@@ -136,7 +128,7 @@ def construct_adjacent_diagram(D: WeightedDiagram) -> WeightedDiagram:
         raise DiagramError("adjacent-diagram construction requires a minimal diagram")
     if not is_bamboo(D):
         raise DiagramError("adjacent-diagram construction requires a bamboo")
-    chain = _chain(D)
+    chain = bamboo_chain(D)
     end = chain[-1]
     d = D.nu[end]
     t = len(chain)
@@ -149,14 +141,13 @@ def construct_adjacent_diagram(D: WeightedDiagram) -> WeightedDiagram:
         result = single_vertex(1)
     elif d == 2:
         lowered = _set_weight(D, end, 1)
-        result = minimalize(_attach(lowered, parent=end, weight=1, targets=(end, chain[-2])))
+        result = minimalize(add_leaf(lowered, end, 1, second=chain[-2]))
     else:
         lowered = _set_weight(D, end, d - 1)
-        grown = add_free_leaf(lowered, end, 2)
-        u = max(grown.diagram.vertices)
-        previous = u
+        grown = add_leaf(lowered, end, 2)
+        previous = max(grown.diagram.vertices)
         for _ in range(d - 3):
-            grown = _attach(grown, parent=previous, weight=1, targets=(previous, end))
+            grown = add_leaf(grown, previous, 1, second=end)
             previous = max(grown.diagram.vertices)
         result = minimalize(grown)
 
@@ -169,21 +160,6 @@ def _set_weight(w: WeightedDiagram, at: int, weight: int) -> WeightedDiagram:
     nu = dict(w.nu)
     nu[at] = weight
     return weighted_diagram(w.diagram, nu)
-
-
-def _attach(
-    w: WeightedDiagram, parent: int, weight: int, targets: tuple[int, int]
-) -> WeightedDiagram:
-    d = w.diagram
-    new = max(d.vertices) + 1
-    parent_map = dict(d.parent_edges)
-    parent_map[new] = parent
-    prox = list(d.proximity)
-    for target in targets:
-        prox.append((new, target))
-    nu = dict(w.nu)
-    nu[new] = weight
-    return weighted_diagram(proximity_diagram(d.root, parent_map, prox), nu)
 
 
 def expected_jump(d: int, w: int) -> int:
@@ -228,7 +204,7 @@ def lambda_lin(spec: QuasihomogeneousSpec) -> JumpReport:
             f"jump computations disagree for {spec}: "
             f"mu drop {drop}, profile form {profile}, exponent form {closed}"
         )
-    representative = add_free_leaf(D_min, _chain(D_min)[-1], 1)
+    representative = add_leaf(D_min, bamboo_chain(D_min)[-1], 1)
     witness = geq(representative, E)
     if witness is None:
         raise RuntimeError(f"no adjacency witness for {spec} against its own E_D")
@@ -299,7 +275,7 @@ def verify_maximality(
     source = diagram_type(D_min)
     representatives = list(class_representatives(source, extra_bound))
 
-    attained = _adjacent_with(representatives, report.E_D, extra_bound)
+    attained = adjacency_verdict(representatives, report.E_D, extra_bound)
     examined = 0
     refuted = 0
     contradictions: list[tuple[str, int]] = []
@@ -310,7 +286,7 @@ def verify_maximality(
         if mu_candidate <= threshold:
             continue
         examined += 1
-        verdict = _adjacent_with(representatives, candidate, extra_bound)
+        verdict = adjacency_verdict(representatives, candidate, extra_bound)
         if verdict.holds:
             contradictions.append((candidate.key, mu_candidate))
         else:
@@ -335,19 +311,3 @@ def verify_maximality(
         attained_max_mu=report.mu_E if attained.holds else None,
         contradictions=tuple(contradictions),
     )
-
-
-def _adjacent_with(
-    representatives: list[WeightedDiagram], target_minimal: WeightedDiagram, bound: int
-) -> AdjacencyVerdict:
-    """linear_adjacent against a minimal target, reusing prebuilt representatives."""
-    for representative in representatives:
-        witness = geq(representative, target_minimal)
-        if witness is not None:
-            return AdjacencyVerdict(
-                holds=True,
-                extra_vertex_bound=bound,
-                representative=representative,
-                witness=witness,
-            )
-    return AdjacencyVerdict(holds=False, extra_vertex_bound=bound)

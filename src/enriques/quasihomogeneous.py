@@ -28,7 +28,7 @@ from math import gcd
 from .diagram import (
     DiagramError,
     WeightedDiagram,
-    add_free_leaf,
+    add_leaf,
     classify,
     is_complete,
     is_minimal,
@@ -51,6 +51,7 @@ __all__ = [
     "build_enriques_diagram",
     "minimal_diagram",
     "is_bamboo",
+    "bamboo_chain",
     "bamboo_invariants",
     "check_Q_membership",
 ]
@@ -385,11 +386,11 @@ def build_enriques_diagram(spec: QuasihomogeneousSpec) -> WeightedDiagram:
 
     result = weighted_diagram(proximity_diagram(0, parent, prox), nu)
     for _ in range(inv.d_tilde):
-        result = add_free_leaf(result, end, 1)
+        result = add_leaf(result, end, 1)
     if spec.k:
-        result = add_free_leaf(result, x_axis, 1)
+        result = add_leaf(result, x_axis, 1)
     if spec.l:
-        result = add_free_leaf(result, 0, 1)
+        result = add_leaf(result, 0, 1)
 
     # An axis through a simple chain end leaves the walk one blow-up ahead
     # of the actual cluster; peel final simple points sitting on free
@@ -427,6 +428,15 @@ def is_bamboo(w: WeightedDiagram) -> bool:
     return all(len(children) <= 1 for children in w.diagram.children.values())
 
 
+def bamboo_chain(w: WeightedDiagram) -> list[int]:
+    """Vertices of a bamboo from the root to the end of the chain."""
+    d = w.diagram
+    chain = [d.root]
+    while d.children[chain[-1]]:
+        chain.append(d.children[chain[-1]][0])
+    return chain
+
+
 def bamboo_invariants(w: WeightedDiagram) -> tuple[int, int, int]:
     """Profile (d, t, w) of a minimal bamboo: end weight, length, end shape.
 
@@ -435,15 +445,12 @@ def bamboo_invariants(w: WeightedDiagram) -> tuple[int, int, int]:
     """
     if not is_bamboo(w):
         raise DiagramError("diagram is not a bamboo")
-    d = w.diagram
-    chain = [d.root]
-    while d.children[chain[-1]]:
-        chain.append(d.children[chain[-1]][0])
+    chain = bamboo_chain(w)
     end = chain[-1]
     depth = len(chain)
     if depth == 1:
         shape = 0
-    elif len(d.prox_targets[end]) == 2:
+    elif len(w.diagram.prox_targets[end]) == 2:
         shape = 2
     else:
         shape = 1
@@ -492,11 +499,9 @@ def check_Q_membership(w: WeightedDiagram) -> QMembershipReport:
         return QMembershipReport(
             is_bamboo=False, d=None, t=None, constraints_hold=None, spec=None
         )
-    d_end, t, _ = bamboo_invariants(w)
     diag = w.diagram
-    chain = [diag.root]
-    while diag.children[chain[-1]]:
-        chain.append(diag.children[chain[-1]][0])
+    chain = bamboo_chain(w)
+    d_end, t = w.nu[chain[-1]], len(chain)
     first_satellite = None
     for index, v in enumerate(chain):
         if len(diag.prox_targets[v]) == 2:

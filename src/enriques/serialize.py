@@ -178,8 +178,10 @@ def witness_to_dict(
 
 
 def jump_report_to_dict(report: JumpReport) -> dict[str, Any]:
-    """Jump report as a JSON-ready dict in the frozen key order."""
-    maximality = report.maximality
+    """Jump report as a JSON-ready dict in the frozen key order.
+
+    A jump report carries no maximality verdict, so that block is constant.
+    """
     out: dict[str, Any] = {
         "spec": [report.spec.k, report.spec.l, report.spec.p, report.spec.q],
         "d": report.d,
@@ -192,10 +194,10 @@ def jump_report_to_dict(report: JumpReport) -> dict[str, Any]:
             report.representative, report.E_D, report.adjacency_witness
         ),
         "maximality": {
-            "status": maximality.status if maximality else "unverified",
-            "max_vertices": maximality.max_vertices if maximality else None,
-            "max_weight": maximality.max_weight if maximality else None,
-            "extra_bound": maximality.extra_bound if maximality else None,
+            "status": "unverified",
+            "max_vertices": None,
+            "max_weight": None,
+            "extra_bound": None,
         },
     }
     if report.semi:

@@ -10,7 +10,7 @@ import time
 
 from enriques import (
     QuasihomogeneousSpec,
-    add_free_leaf,
+    add_leaf,
     build_enriques_diagram,
     canonical_key,
     check_geq_witness,
@@ -87,7 +87,7 @@ def test_criterion_4_adjacency_witnesses():
         m = minimal_diagram(spec)
         r = lambda_lin(spec)
         end = next(v for v in m.diagram.vertices if not m.diagram.children[v])
-        representative = add_free_leaf(m, end, 1)
+        representative = add_leaf(m, end, 1)
         assert canonical_key(representative) == canonical_key(r.representative), spec
         witness = geq(representative, r.E_D)
         assert witness is not None, spec

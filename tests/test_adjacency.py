@@ -11,7 +11,7 @@ from enriques import (
     InvalidDiagramError,
     QuasihomogeneousSpec,
     SubdiagramEmbedding,
-    add_free_leaf,
+    add_leaf,
     canonical_key,
     check_geq_witness,
     construct_adjacent_diagram,
@@ -58,7 +58,7 @@ def test_geq_needs_the_extra_free_vertex():
     m = minimal_diagram(QuasihomogeneousSpec(0, 0, 6, 9))
     e = construct_adjacent_diagram(m)
     assert geq(m, e) is None
-    grown = add_free_leaf(m, 2, 1)
+    grown = add_leaf(m, 2, 1)
     witness = geq(grown, e)
     assert witness is not None
     assert witness.embedding.pairs == ((0, 0), (1, 1), (2, 2), (3, 3))
@@ -127,7 +127,7 @@ def test_geq_respects_satellite_second_targets():
 def fresh_case():
     m = minimal_diagram(QuasihomogeneousSpec(0, 0, 6, 9))
     e = construct_adjacent_diagram(m)
-    grown = add_free_leaf(m, 2, 1)
+    grown = add_leaf(m, 2, 1)
     return grown, e, geq(grown, e)
 
 

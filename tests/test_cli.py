@@ -1,6 +1,7 @@
 """Command line interface: golden outputs, exit codes, round trips."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -244,6 +245,17 @@ def test_domain_error_exits_one(capsys):
     assert "below the minimal diagram size" in err
 
 
+def test_long_chain_succeeds(capsys):
+    # the minimal chain of x^2+y^5001 has 2,502 vertices, deeper than the
+    # interpreter's recursion limit
+    code, out, err = invoke(capsys, "diagram", "--format", "json", "x^2+y^5001")
+    assert code == 0, err
+    assert len(json.loads(out)["vertices"]) == 2502
+    for argv in (("jump", "x^2+y^5001"), ("mu", "--check", "x^2+y^5001")):
+        code, _, err = invoke(capsys, *argv)
+        assert code == 0, (argv, err)
+
+
 def test_unknown_command_exits_two(capsys):
     code, _, _ = invoke(capsys, "frobnicate")
     assert code == 2
@@ -264,10 +276,14 @@ def test_no_command_exits_two(capsys):
 
 
 def test_console_script_entry_point():
+    # the child process imports the same enriques as this one
+    src = str(pathlib.Path(enriques.cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-m", "enriques.cli", "info", "0,0,2,3"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert out.returncode == 0
     assert "mu 2" in out.stdout

@@ -8,7 +8,7 @@ from enriques import (
     InvalidDiagramError,
     Kind,
     UnknownVertexError,
-    add_free_leaf,
+    add_leaf,
     canonical_key,
     canonical_order,
     classify,
@@ -159,7 +159,7 @@ def test_milnor_numbers():
 
 
 def test_milnor_number_of_adjacent_shape():
-    w = add_free_leaf(leaning_bamboo([6, 3, 2]), 2, 2)
+    w = add_leaf(leaning_bamboo([6, 3, 2]), 2, 2)
     assert milnor_number(w) == 37
 
 
@@ -264,7 +264,7 @@ def test_remove_vertices_protects_root():
 
 
 def test_add_free_leaf_allocates_fresh_id():
-    w = add_free_leaf(cusp_minimal(), 2, 1)
+    w = add_leaf(cusp_minimal(), 2, 1)
     assert 3 in w.diagram.vertices
     assert w.diagram.parent[3] == 2
     assert w.diagram.prox_targets[3] == (2,)
@@ -273,13 +273,13 @@ def test_add_free_leaf_allocates_fresh_id():
 
 def test_add_free_leaf_preserves_mu():
     w = cusp_minimal()
-    assert milnor_number(add_free_leaf(w, 2, 1)) == milnor_number(w)
-    assert milnor_number(add_free_leaf(w, 2, 0)) == milnor_number(w)
+    assert milnor_number(add_leaf(w, 2, 1)) == milnor_number(w)
+    assert milnor_number(add_leaf(w, 2, 0)) == milnor_number(w)
 
 
 def test_add_free_leaf_unknown_parent():
     with pytest.raises(UnknownVertexError):
-        add_free_leaf(single_vertex(1), 5, 1)
+        add_leaf(single_vertex(1), 5, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,19 @@
 """Bounded enumeration of minimal diagrams up to isomorphism."""
 
+import hashlib
+
 import pytest
 
 from enriques import (
     EnumerationLimitError,
+    InvalidDiagramError,
     canonical_key,
     enumerate_minimal_diagrams,
     is_minimal,
     validate_axioms,
 )
+from enriques.cli import run
+from helpers import wd
 
 
 def keys(max_vertices, max_weight, **kw):
@@ -100,3 +105,29 @@ def test_monotone_in_bounds():
     small = set(keys(3, 2))
     assert small <= set(keys(4, 2))
     assert small <= set(keys(3, 3))
+
+
+def test_enumerate_output_is_pinned_byte_for_byte(capsys):
+    # digests of `enriques enumerate --max-vertices 7 --max-weight 6` in
+    # both formats; they pin every canonical key and canonical order
+    expected = {
+        "text": "24e71367626be4fa322d00de63a0c8a9946c929bff3b8c4ef72e428f336d626a",
+        "json": "37d139ac23063be1a6301e82d7c738e7790d92eaab4ecd4342874f5eab74fd92",
+    }
+    for fmt, digest in expected.items():
+        assert run(["enumerate", "--max-vertices", "7", "--max-weight", "6", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 3891
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
+def test_canonical_key_rejects_foreign_second_target():
+    # satellite 3 leans on the root, but its parent 2 is proximate only to 1
+    w = wd(
+        0,
+        {1: 0, 2: 1, 3: 2},
+        [(1, 0), (2, 1), (3, 2), (3, 0)],
+        {0: 3, 1: 2, 2: 1, 3: 1},
+    )
+    with pytest.raises(InvalidDiagramError):
+        canonical_key(w)

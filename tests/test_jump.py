@@ -130,7 +130,6 @@ def test_lambda_lin_main_example():
     assert report.mu_D == 40 and report.mu_E == 37
     assert report.lambda_lin == 3
     assert len(report.representative) == 4
-    assert report.maximality is None
     assert not report.semi
     assert check_geq_witness(report.representative, report.E_D, report.adjacency_witness)
 

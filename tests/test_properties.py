@@ -8,7 +8,7 @@ import random
 
 from enriques import (
     QuasihomogeneousSpec,
-    add_free_leaf,
+    add_leaf,
     canonical_key,
     canonical_order,
     check_geq_witness,
@@ -52,11 +52,11 @@ def test_mu_is_invariant_under_leaf_addition_and_minimalization():
         assert milnor_number(minimalize(w)) == mu, f"case {case}"
         spots = [v for v in w.diagram.vertices if w.excess[v] >= 1]
         if spots:
-            grown = add_free_leaf(w, rng.choice(spots), 1)
+            grown = add_leaf(w, rng.choice(spots), 1)
             assert is_consistent(grown), f"case {case}"
             assert milnor_number(grown) == mu, f"case {case}"
         anywhere = rng.choice(w.diagram.vertices)
-        assert milnor_number(add_free_leaf(w, anywhere, 0)) == mu, f"case {case}"
+        assert milnor_number(add_leaf(w, anywhere, 0)) == mu, f"case {case}"
 
 
 def test_canonical_key_matches_independent_isomorphism_checker():

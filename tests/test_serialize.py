@@ -1,14 +1,13 @@
 """JSON, DOT and text emission, plus the structured report objects."""
 
 import json
-from dataclasses import replace
 
 import pytest
 
 from enriques import (
     DiagramError,
     QuasihomogeneousSpec,
-    add_free_leaf,
+    add_leaf,
     canonical_key,
     construct_adjacent_diagram,
     diagram_from_dict,
@@ -24,7 +23,6 @@ from enriques import (
     minimal_diagram,
     relabel,
     single_vertex,
-    verify_maximality,
     witness_to_dict,
 )
 from helpers import cusp_minimal
@@ -131,7 +129,7 @@ def test_text_output_and_indent():
 def test_witness_dict_arrays_follow_lower_canonical_ids():
     m = minimal_diagram(QuasihomogeneousSpec(0, 0, 6, 9))
     e = construct_adjacent_diagram(m)
-    grown = add_free_leaf(m, 2, 1)
+    grown = add_leaf(m, 2, 1)
     data = witness_to_dict(grown, e, geq(grown, e))
     assert data["embedding"] == [[0, 0], [1, 1], [2, 2], [3, 3]]
     assert data["kappa"] == [6, 3, 3, 1]
@@ -155,18 +153,6 @@ def test_jump_report_dict_key_order():
         "max_vertices": None,
         "max_weight": None,
         "extra_bound": None,
-    }
-
-
-def test_jump_report_dict_with_maximality():
-    spec = QuasihomogeneousSpec(0, 0, 2, 3)
-    report = replace(lambda_lin(spec), maximality=verify_maximality(spec))
-    data = jump_report_to_dict(report)
-    assert data["maximality"] == {
-        "status": "verified",
-        "max_vertices": 7,
-        "max_weight": 4,
-        "extra_bound": 2,
     }
 
 
