@@ -178,11 +178,18 @@ class ProximityDiagram:
 
     @cached_property
     def preorder(self) -> tuple[int, ...]:
-        """Vertices root first, each parent before its children."""
+        """Vertices root first, each parent before its children.
+
+        Visits each vertex at most once; a parent map that leads back to a
+        visited vertex raises :class:`InvalidDiagramError`."""
         order: list[int] = []
+        seen: set[int] = set()
         stack = [self.root]
         while stack:
             v = stack.pop()
+            if v in seen:
+                raise InvalidDiagramError(self.violations)
+            seen.add(v)
             order.append(v)
             stack.extend(reversed(self.children.get(v, ())))
         return tuple(order)
@@ -629,11 +636,19 @@ def canonical_form(
             letter = "f"
         else:
             letter = "a" if second == record[parent][0] else "b"
+        # a used child code is cleared: a chain would otherwise hold
+        # quadratically many characters
         kids = children[i]
-        kids.sort(key=codes.__getitem__)
-        codes[i] = f"({weight}{letter}{''.join([codes[c] for c in kids])})"
-        for c in kids:
-            codes[c] = ""  # a chain would otherwise hold quadratically many characters
+        if not kids:
+            codes[i] = f"({weight}{letter})"
+        elif len(kids) == 1:
+            codes[i] = f"({weight}{letter}{codes[kids[0]]})"
+            codes[kids[0]] = ""
+        else:
+            kids.sort(key=codes.__getitem__)
+            codes[i] = f"({weight}{letter}{''.join([codes[c] for c in kids])})"
+            for c in kids:
+                codes[c] = ""
     return codes[0], children
 
 

@@ -12,6 +12,11 @@ Internally a diagram is a tuple of ``(parent, second_target, weight)``
 triples indexed by vertex, root at index 0, with ``-1`` marking absent
 entries: the record form read by :func:`enriques.diagram.canonical_form`,
 which folds isomorphic duplicates here and computes every canonical key.
+Yielded diagrams that differ only in weights share one
+:class:`~enriques.diagram.ProximityDiagram` per enumeration call, built
+once per record shape (its ``(parent, second_target)`` pairs), so the
+proximity structure's cached facts, axiom violations included, are
+computed once per shape rather than once per diagram.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from typing import Iterator
 
 from .diagram import (
     DiagramError,
+    ProximityDiagram,
     WeightedDiagram,
     canonical_form,
     proximity_diagram,
@@ -64,15 +70,22 @@ def _is_minimal_rec(rec: tuple[_Rec, ...]) -> bool:
     return True
 
 
-def _to_weighted(rec: tuple[_Rec, ...]) -> WeightedDiagram:
-    parent = {i: rec[i][0] for i in range(1, len(rec))}
-    prox = []
-    for i in range(1, len(rec)):
-        prox.append((i, rec[i][0]))
-        if rec[i][1] >= 0:
-            prox.append((i, rec[i][1]))
-    nu = {i: rec[i][2] for i in range(len(rec))}
-    return weighted_diagram(proximity_diagram(0, parent, prox), nu)
+def _to_weighted(
+    rec: tuple[_Rec, ...], shapes: dict[tuple[tuple[int, int], ...], ProximityDiagram]
+) -> WeightedDiagram:
+    """The record as a weighted diagram whose proximity structure is the one
+    ``shapes`` holds for the record's ``(parent, second)`` pairs."""
+    shape = tuple((parent, second) for parent, second, _ in rec)
+    diagram = shapes.get(shape)
+    if diagram is None:
+        parent = {i: shape[i][0] for i in range(1, len(shape))}
+        prox = []
+        for i in range(1, len(shape)):
+            prox.append((i, shape[i][0]))
+            if shape[i][1] >= 0:
+                prox.append((i, shape[i][1]))
+        diagram = shapes[shape] = proximity_diagram(0, parent, prox)
+    return weighted_diagram(diagram, {i: rec[i][2] for i in range(len(rec))})
 
 
 def enumerate_minimal_diagrams(
@@ -113,22 +126,21 @@ def enumerate_minimal_diagrams(
             f"enumeration exceeded the cap of {max_candidates} candidate diagrams"
         )
 
+    # weighted diagrams of one shape share its cached proximity facts
+    shapes: dict[tuple[tuple[int, int], ...], ProximityDiagram] = {}
     for key in sorted(level):
-        yield _to_weighted(level[key])
+        yield _to_weighted(level[key], shapes)
 
     for _ in range(max_vertices - 1):
         next_level: dict[str, tuple[_Rec, ...]] = {}
         for rec in level.values():
             excess = _excess(rec)
-            n = len(rec)
-            for parent in range(n):
+            satellite_pairs = {(p, s) for p, s, _ in rec if s >= 0}
+            for parent in range(len(rec)):
                 targets = [rec[parent][0], rec[parent][1]]
                 seconds = [-1] + [t for t in targets if t >= 0]
                 for second in seconds:
-                    if second >= 0 and any(
-                        rec[j][0] == parent and rec[j][1] == second
-                        for j in range(1, n)
-                    ):
+                    if (parent, second) in satellite_pairs:
                         continue  # a vertex proximate to both already exists
                     cap = excess[parent]
                     if second >= 0:
@@ -147,4 +159,4 @@ def enumerate_minimal_diagrams(
         level = next_level
         for key in sorted(level):
             if _is_minimal_rec(level[key]):
-                yield _to_weighted(level[key])
+                yield _to_weighted(level[key], shapes)

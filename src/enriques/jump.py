@@ -95,7 +95,10 @@ class MaximalityReport:
     all (each such finding is listed with its canonical key and Milnor
     number); "unverified" when nothing was refutable but attainment could
     not be certified within the bound.  A verified report only means no
-    counterexample exists within the stated bounds.
+    counterexample exists within the stated bounds.  ``refuted`` counts
+    every refuted candidate; ``refuted_by_root`` counts those among them
+    that the root-weight stage of :func:`verify_maximality` refuted
+    without a domination search.
     """
 
     spec: QuasihomogeneousSpec
@@ -109,6 +112,7 @@ class MaximalityReport:
     refuted: int
     attained_max_mu: int | None
     contradictions: tuple[tuple[str, int], ...] = ()
+    refuted_by_root: int = 0
 
 
 def construct_adjacent_diagram(D: WeightedDiagram) -> WeightedDiagram:
@@ -251,6 +255,21 @@ def verify_maximality(
     Finally the bound must be attained: the constructed adjacent diagram
     itself is certified adjacent, making ``mu_D - lambda_lin`` the exact
     maximum over adjacent types within bounds.
+
+    Candidates are refuted in two stages.  The first, the root-weight
+    stage, rests on this lemma: no class representative dominates a
+    candidate whose root weight exceeds that of ``D_min``.  Proof: every
+    representative is ``D_min`` with free leaves added, and adding a leaf
+    never changes an existing weight, so each representative's root
+    weight is ``D_min``'s root weight ``r``.  A domination witness maps the
+    lower root to the upper root or excludes it, so the transported value
+    at the candidate's root is ``r`` or 0; the root is proximate to
+    nothing, so its value in the candidate is its weight, which exceeds
+    ``r``.  The inequality fails at the root.  Such candidates are counted
+    as examined and refuted (and in ``refuted_by_root``) without a search;
+    they cannot be ``D_min`` itself, so their canonical key is never
+    needed.  Every other candidate goes to the second stage, the bounded
+    domination search of :func:`~enriques.adjacency.adjacency_verdict`.
     """
     report = lambda_lin(spec)
     D_min = report.D_min
@@ -276,16 +295,23 @@ def verify_maximality(
     representatives = list(class_representatives(source, extra_bound))
 
     attained = adjacency_verdict(representatives, report.E_D, extra_bound)
+    root_weight = D_min.nu[D_min.root]
     examined = 0
     refuted = 0
+    refuted_by_root = 0
     contradictions: list[tuple[str, int]] = []
     for candidate in enumerate_minimal_diagrams(max_vertices, max_weight):
-        if candidate.key == D_min.key:
+        heavy_root = candidate.nu[candidate.root] > root_weight
+        if not heavy_root and candidate.key == D_min.key:
             continue
         mu_candidate = milnor_number(candidate)
         if mu_candidate <= threshold:
             continue
         examined += 1
+        if heavy_root:
+            refuted += 1
+            refuted_by_root += 1
+            continue
         verdict = adjacency_verdict(representatives, candidate, extra_bound)
         if verdict.holds:
             contradictions.append((candidate.key, mu_candidate))
@@ -310,4 +336,5 @@ def verify_maximality(
         refuted=refuted,
         attained_max_mu=report.mu_E if attained.holds else None,
         contradictions=tuple(contradictions),
+        refuted_by_root=refuted_by_root,
     )

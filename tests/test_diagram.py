@@ -144,6 +144,13 @@ def test_order_of_values_accumulates_over_both_targets():
     assert order_of_values(w) == {0: 6, 1: 9, 2: 18}
 
 
+def test_order_of_values_rejects_root_on_a_parent_cycle():
+    # the root's parent is its own child: the preorder walk would cycle
+    w = weighted_diagram(proximity_diagram(0, {0: 1, 1: 0}, [(1, 0)]), {0: 2, 1: 1})
+    with pytest.raises(InvalidDiagramError):
+        order_of_values(w)
+
+
 def test_excesses_cusp():
     w = cusp_minimal()
     assert excesses(w) == {0: 0, 1: 0, 2: 1}

@@ -121,6 +121,13 @@ def test_enumerate_output_is_pinned_byte_for_byte(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
 
 
+def test_diagrams_of_one_shape_share_one_proximity_structure():
+    yielded = list(enumerate_minimal_diagrams(6, 4))
+    shapes = {(w.diagram.parent_edges, w.diagram.proximity) for w in yielded}
+    assert len({id(w.diagram) for w in yielded}) == len(shapes) < len(yielded)
+    assert all(w.diagram.violations == () for w in yielded)
+
+
 def test_canonical_key_rejects_foreign_second_target():
     # satellite 3 leans on the root, but its parent 2 is proximate only to 1
     w = wd(

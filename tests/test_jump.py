@@ -2,14 +2,19 @@
 
 import pytest
 
+import enriques.jump
 from enriques import (
+    AdjacencyVerdict,
     DiagramError,
     QuasihomogeneousSpec,
     canonical_key,
     check_geq_witness,
+    class_representatives,
     construct_adjacent_diagram,
     diagram_type,
+    enumerate_minimal_diagrams,
     expected_jump,
+    geq,
     is_minimal,
     lambda_lin,
     lambda_lin_semi,
@@ -224,7 +229,60 @@ def test_verify_maximality_node():
     assert report.status == "verified"
     assert (report.max_vertices, report.max_weight) == (5, 5)
     assert report.mu_D == 4 and report.lambda_lin == 1
+    assert report.examined == report.refuted == 332
     assert report.attained_max_mu == 3
+
+
+@pytest.mark.parametrize("spec,count", [((1, 1, 2, 2), 780), ((0, 0, 2, 5), 472)])
+def test_verify_maximality_pinned_counts(spec, count):
+    report = verify_maximality(QuasihomogeneousSpec(*spec))
+    assert report.status == "verified"
+    assert report.examined == report.refuted == count
+
+
+def test_root_stage_refutations_are_sound():
+    # lemma: a candidate whose root outweighs D_min's is dominated by no
+    # class representative, since every representative keeps D_min's root
+    spec = QuasihomogeneousSpec(0, 0, 2, 3)
+    report = verify_maximality(spec)
+    assert report.refuted_by_root == 315
+    assert verify_maximality(QuasihomogeneousSpec(1, 1, 1, 1)).refuted_by_root == 300
+
+    jump = lambda_lin(spec)
+    root_weight = jump.D_min.nu[jump.D_min.root]
+    threshold = jump.mu_D - jump.lambda_lin
+    heavy = [
+        candidate
+        for candidate in enumerate_minimal_diagrams(report.max_vertices, report.max_weight)
+        if candidate.nu[candidate.root] > root_weight
+        and milnor_number(candidate) > threshold
+    ]
+    assert len(heavy) == report.refuted_by_root
+    representatives = list(class_representatives(diagram_type(jump.D_min), 2))
+    assert len(representatives) > 1
+    for candidate in heavy:
+        for representative in representatives:
+            assert geq(representative, candidate) is None
+
+
+def test_root_stage_routes_only_light_candidates_to_the_search(monkeypatch):
+    lowers = []
+
+    def always_adjacent(representatives, lower, extra_bound):
+        lowers.append(lower)
+        return AdjacencyVerdict(holds=True, extra_vertex_bound=extra_bound)
+
+    monkeypatch.setattr(enriques.jump, "adjacency_verdict", always_adjacent)
+    report = verify_maximality(QuasihomogeneousSpec(0, 0, 2, 3))
+    assert report.status == "contradiction"
+    assert report.examined == 325
+    assert report.refuted == report.refuted_by_root == 315
+    assert len(report.contradictions) == 10
+    # E_D for attainment, then the ten candidates whose root weight is at most 2
+    assert len(lowers) == 11
+    assert lowers[0].key == lambda_lin(QuasihomogeneousSpec(0, 0, 2, 3)).E_D.key
+    assert all(lower.nu[lower.root] <= 2 for lower in lowers)
+    assert [key for key, _ in report.contradictions] == [lower.key for lower in lowers[1:]]
 
 
 def test_verify_maximality_bound_validation():
