@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import permutations
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -396,12 +397,12 @@ def validate_axioms(d: ProximityDiagram) -> list[Violation]:
                             f"parent {p} of satellite {v} is not proximate to {other}",
                         )
                     )
+    sharing: dict[tuple[int, int], list[int]] = {}  # pair -> vertices proximate to both
+    for u in vertices:
+        for pair in permutations(set(prox_targets[u]), 2):
+            sharing.setdefault(pair, []).append(u)
     for source, target in d.proximity:
-        both = [
-            u
-            for u in vertices
-            if (u, source) in prox_set and (u, target) in prox_set
-        ]
+        both = sharing.get((source, target), [])
         if len(both) > 1:
             violations.append(
                 Violation(

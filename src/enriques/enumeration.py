@@ -21,7 +21,6 @@ computed once per shape rather than once per diagram.
 
 from __future__ import annotations
 
-import os
 from typing import Iterator
 
 from .diagram import (
@@ -36,7 +35,6 @@ from .diagram import (
 __all__ = ["EnumerationLimitError", "enumerate_minimal_diagrams", "DEFAULT_MAX_CANDIDATES"]
 
 DEFAULT_MAX_CANDIDATES = 1_000_000
-_ENV_CAP = "ENRIQUES_MAX_CANDIDATES"
 
 # vertex record: (parent index, second proximity target index, weight)
 _Rec = tuple[int, int, int]
@@ -92,7 +90,7 @@ def enumerate_minimal_diagrams(
     max_vertices: int,
     max_weight: int,
     *,
-    max_candidates: int | None = None,
+    max_candidates: int = DEFAULT_MAX_CANDIDATES,
 ) -> Iterator[WeightedDiagram]:
     """Yield every minimal diagram within the bounds, once per isomorphism class.
 
@@ -103,16 +101,13 @@ def enumerate_minimal_diagrams(
     diagrams are dense with root 0.
 
     ``max_candidates`` caps the number of distinct diagrams (minimal or
-    not) the walk may hold; when omitted, the ``ENRIQUES_MAX_CANDIDATES``
-    environment variable applies, then a built-in default.  Exceeding the
-    cap raises :class:`EnumerationLimitError`.
+    not) the walk may hold; exceeding the cap raises
+    :class:`EnumerationLimitError`.
     """
     if max_vertices < 1:
         raise ValueError(f"max_vertices must be positive, got {max_vertices}")
     if max_weight < 1:
         raise ValueError(f"max_weight must be positive, got {max_weight}")
-    if max_candidates is None:
-        max_candidates = int(os.environ.get(_ENV_CAP, DEFAULT_MAX_CANDIDATES))
     if max_candidates < 1:
         raise ValueError(f"max_candidates must be positive, got {max_candidates}")
 

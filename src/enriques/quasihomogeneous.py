@@ -8,11 +8,12 @@ plain ``"k,l,p,q"`` form and polynomial syntax such as ``"x*y*(x^2+y^3)"``.
 
 :func:`build_enriques_diagram` produces the complete weighted diagram of
 the germ by simulating the resolution: a subtractive Euclid walk on the
-normalised exponent pair drives a chain of infinitely near points, and the
-axis branches contribute one extra free point each.  The result is checked
-on the spot against the Milnor number formula of Milnor and Orlik
-(:func:`milnor_orlik`), so a bug here fails fast instead of poisoning
-downstream computations.
+normalised exponent pair drives a chain of infinitely near points (stopping
+at the root for the node y(x + y^q)), gcd(p, q) simple points finish the
+chain and the axis branches contribute one extra free point each, all
+constructed as one diagram.  The result is checked on the spot against the
+Milnor number formula of Milnor and Orlik (:func:`milnor_orlik`), so a bug
+here fails fast instead of poisoning downstream computations.
 
 :func:`check_Q_membership` answers the inverse question: given a minimal
 weighted diagram, does it arise from some germ of this family?
@@ -28,16 +29,12 @@ from math import gcd
 from .diagram import (
     DiagramError,
     WeightedDiagram,
-    add_leaf,
-    classify,
     is_complete,
     is_minimal,
     milnor_number,
     minimalize,
     proximity_diagram,
-    remove_vertices,
     weighted_diagram,
-    Kind,
 )
 
 __all__ = [
@@ -343,21 +340,29 @@ def build_enriques_diagram(spec: QuasihomogeneousSpec) -> WeightedDiagram:
     passes through the chain vertex and bumps the weight by one.  The chain
     vertex of a state is proximate to the most recent vertices of the two
     sides, which makes it free while one side is fresh and a satellite once
-    both carry vertices.  After the walk, gcd(p, q) free simple points
-    finish the non-axis branches, and each active axis contributes one
-    final simple point on its own side.
+    both carry vertices.  The walk, then gcd(p, q) free simple points on the
+    chain end and one final simple point per active axis (the x axis on its
+    last chain vertex, the y axis on the root) fill one set of maps, and
+    the diagram is constructed once.
+
+    For ``p == 1`` and ``k == 0`` the walk stops at the root: y(x + y^q)
+    is a node, and walking on would leave surplus final free simple points
+    on free simple points.  No other germ has one: axis leaves sit on the
+    root or on an x-axis vertex of weight at least two, so only an end leaf
+    on a free end of weight one can be surplus; the end is free only if
+    r = 1, and has weight gcd(p, q) + k = 1 only if p = 1 and k = 0.
 
     The result is verified to be complete and to have the Milnor number
     predicted by :func:`milnor_orlik`; any mismatch raises RuntimeError.
     """
     inv = derived_invariants(spec)
     a, b = inv.r, inv.s
+    node = spec.p == 1 and not spec.k
     side_a: int | None = None  # newest vertex on the x side
     side_b: int | None = None  # newest vertex on the y side
     parent: dict[int, int] = {}
     prox: list[tuple[int, int]] = []
     nu: dict[int, int] = {}
-    prev: int | None = None
     x_axis = 0
     while True:
         vertex = len(nu)
@@ -368,12 +373,12 @@ def build_enriques_diagram(spec: QuasihomogeneousSpec) -> WeightedDiagram:
         if side_b is None:
             weight += spec.l
         nu[vertex] = weight
-        if prev is not None:
-            parent[vertex] = prev
+        if vertex:
+            parent[vertex] = vertex - 1
             for target in (side_a, side_b):
                 if target is not None:
                     prox.append((vertex, target))
-        if a == b:
+        if a == b or node:
             end = vertex
             break
         if a < b:
@@ -382,34 +387,13 @@ def build_enriques_diagram(spec: QuasihomogeneousSpec) -> WeightedDiagram:
         else:
             a -= b
             side_a = vertex
-        prev = vertex
 
+    for at in [end] * inv.d_tilde + [x_axis] * spec.k + [0] * spec.l:
+        vertex = len(nu)
+        parent[vertex] = at
+        prox.append((vertex, at))
+        nu[vertex] = 1
     result = weighted_diagram(proximity_diagram(0, parent, prox), nu)
-    for _ in range(inv.d_tilde):
-        result = add_leaf(result, end, 1)
-    if spec.k:
-        result = add_leaf(result, x_axis, 1)
-    if spec.l:
-        result = add_leaf(result, 0, 1)
-
-    # An axis through a simple chain end leaves the walk one blow-up ahead
-    # of the actual cluster; peel final simple points sitting on free
-    # simple points until the completeness predicate can hold.
-    while True:
-        d = result.diagram
-        drop = None
-        for v in d.vertices:
-            if v == d.root or d.children[v] or len(d.prox_targets[v]) != 1:
-                continue
-            if result.nu[v] != 1:
-                continue
-            target = d.prox_targets[v][0]
-            if result.nu[target] == 1 and classify(d, target).kind is Kind.FREE:
-                drop = v
-                break
-        if drop is None:
-            break
-        result = remove_vertices(result, [drop])
 
     if not is_complete(result):
         raise RuntimeError(f"constructed diagram for {spec} is not complete")

@@ -256,6 +256,17 @@ def test_long_chain_succeeds(capsys):
         assert code == 0, (argv, err)
 
 
+def test_large_germs_succeed(capsys):
+    # the node's complete diagram has 3 vertices, the ordinary 5,000-fold
+    # point's 5,001 (one root and its 5,000 free leaves)
+    for spec, mu, size in (("y*(x+y^5000)", 1, 3), ("x^5000+y^5000", 24990001, 5001)):
+        code, out, err = invoke(capsys, "mu", spec)
+        assert (code, out) == (0, f"{mu}\n"), err
+        code, out, err = invoke(capsys, "diagram", "--complete", "--format", "json", spec)
+        assert code == 0, err
+        assert len(json.loads(out)["vertices"]) == size
+
+
 def test_unknown_command_exits_two(capsys):
     code, _, _ = invoke(capsys, "frobnicate")
     assert code == 2

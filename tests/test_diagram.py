@@ -1,5 +1,8 @@
 """Axioms, invariants and surgery on weighted Enriques diagrams."""
 
+import random
+import time
+
 import pytest
 
 from enriques import (
@@ -8,6 +11,7 @@ from enriques import (
     InvalidDiagramError,
     Kind,
     UnknownVertexError,
+    Violation,
     add_leaf,
     canonical_key,
     canonical_order,
@@ -94,6 +98,45 @@ def test_axiom5_no_two_vertices_share_a_proximity_pair():
     )
     vs = validate_axioms(d)
     assert [(v.axiom, v.vertices) for v in vs] == [(5, (0, 1, 2, 3))]
+
+
+def axiom5_reference(d):
+    """Axiom 5 by its definition: for each proximity pair, scan every vertex."""
+    prox = set(d.proximity)
+    out = []
+    for source, target in d.proximity:
+        both = [u for u in d.vertices if (u, source) in prox and (u, target) in prox]
+        if len(both) > 1:
+            message = f"{len(both)} vertices proximate to both {target} and {source}"
+            out.append(Violation(5, (target, source, *sorted(both)), message))
+    return sorted(out, key=lambda v: v.vertices)
+
+
+def test_axiom5_matches_its_quadratic_definition():
+    rng = random.Random(5)
+    violating = 0
+    for _ in range(3000):
+        n = rng.randint(2, 9)
+        parent = {i: rng.randrange(i) for i in range(1, n)}
+        prox = set()
+        for i in range(1, n):
+            if rng.random() < 0.9:
+                prox.add((i, parent[i]))
+            for j in rng.sample(range(n), rng.randint(0, 2)):
+                if j != i:
+                    prox.add((i, j))
+        d = proximity_diagram(0, parent, prox)
+        expected = axiom5_reference(d)
+        assert [v for v in validate_axioms(d) if v.axiom == 5] == expected
+        violating += bool(expected)
+    assert violating > 100
+
+
+def test_validate_axioms_is_fast_on_a_long_chain():
+    d = leaning_bamboo([1] * 20000).diagram
+    started = time.perf_counter()
+    assert validate_axioms(d) == []
+    assert time.perf_counter() - started < 5
 
 
 def test_consecutive_satellites_on_the_same_far_target_are_legal():

@@ -84,14 +84,6 @@ def test_candidate_cap_raises():
         list(enumerate_minimal_diagrams(6, 4, max_candidates=50))
 
 
-def test_candidate_cap_from_environment(monkeypatch):
-    monkeypatch.setenv("ENRIQUES_MAX_CANDIDATES", "50")
-    with pytest.raises(EnumerationLimitError):
-        list(enumerate_minimal_diagrams(6, 4))
-    monkeypatch.setenv("ENRIQUES_MAX_CANDIDATES", "1000000")
-    assert len(keys(3, 2)) == 5
-
-
 def test_argument_validation():
     with pytest.raises(ValueError):
         list(enumerate_minimal_diagrams(0, 2))

@@ -1,7 +1,12 @@
 """Parsing, derived invariants, diagram construction and Q membership."""
 
+import hashlib
+import json
+
 import pytest
 
+import enriques.diagram
+import enriques.quasihomogeneous
 from enriques import (
     DiagramError,
     QuasihomogeneousSpec,
@@ -10,16 +15,21 @@ from enriques import (
     canonical_key,
     check_Q_membership,
     derived_invariants,
+    diagram_to_json,
     is_complete,
     is_minimal,
+    jump_report_to_dict,
+    lambda_lin,
     milnor_number,
     milnor_orlik,
     minimal_diagram,
     parse_spec,
     single_vertex,
+    weighted_diagram,
 )
 from enriques.quasihomogeneous import bamboo_invariants, is_bamboo
 from helpers import leaning_bamboo, wd
+from test_acceptance import all_specs
 
 
 # ---------------------------------------------------------------------------
@@ -243,3 +253,38 @@ def test_round_trip_membership_over_a_spec_sweep():
         rep = check_Q_membership(minimal_diagram(sp))
         assert rep.in_Q
         assert minimal_diagram(rep.spec).key == minimal_diagram(sp).key
+
+
+def test_complete_diagrams_and_jump_reports_are_pinned():
+    # SHA-256 of the complete diagrams' JSON and of the jump reports over
+    # the 1,830 germs with q <= 30, recorded before the builder was
+    # rewritten as a single construction
+    diagrams = hashlib.sha256()
+    reports = hashlib.sha256()
+    for spec in all_specs(30):
+        diagrams.update(diagram_to_json(build_enriques_diagram(spec)).encode())
+        report = json.dumps(jump_report_to_dict(lambda_lin(spec)), indent=2) + "\n"
+        reports.update(report.encode())
+    assert diagrams.hexdigest() == (
+        "e1083217ee8dee5cae9fd82d348a051027a9a2bbaf2327f112a5faf95c60255e"
+    )
+    assert reports.hexdigest() == (
+        "d518a3139209de5b1fb98f828ff2125f1bd3d2de153a959ce05a3f5f9283bb0e"
+    )
+
+
+def test_build_constructs_one_diagram(monkeypatch):
+    # every weighted diagram is made through weighted_diagram; count the
+    # calls from both modules that the builder could reach
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return weighted_diagram(*args)
+
+    monkeypatch.setattr(enriques.quasihomogeneous, "weighted_diagram", counting)
+    monkeypatch.setattr(enriques.diagram, "weighted_diagram", counting)
+    for k, l, p, q in [(0, 0, 6, 9), (1, 1, 4, 6), (0, 1, 1, 9), (0, 0, 30, 30)]:
+        calls.clear()
+        build_enriques_diagram(QuasihomogeneousSpec(k, l, p, q))
+        assert len(calls) == 1, (k, l, p, q)
