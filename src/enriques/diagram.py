@@ -583,27 +583,26 @@ def add_leaf(
 def minimalize(w: WeightedDiagram) -> WeightedDiagram:
     """The unique minimal diagram equivalent to ``w``.
 
-    Repeatedly removes final free vertices of weight zero and final free
-    vertices of weight one (a final vertex has nothing proximate to it, so
-    no satellite can pin it down).  Removal can expose new removable
-    leaves; iterate to the fixed point.  The Milnor number is preserved.
+    Class moves remove final free vertices of weight zero or one until none
+    is left; each removal can expose another.  One reverse-preorder pass
+    finds that fixed point's whole removable set: a non-root free vertex of
+    weight zero or one is removable exactly when all its children are,
+    because a satellite proximate to ``v`` is a descendant of ``v`` and is
+    never removable, so ``v`` becomes final exactly when every child is
+    removed.  The set is dropped by one :func:`remove_vertices` (``w`` is
+    returned when it is empty).  The Milnor number is preserved.
     """
     if not is_consistent(w):
         raise InconsistentDiagramError("minimalize requires a consistent diagram")
-    current = w
-    while True:
-        d = current.diagram
-        removable = [
-            v
-            for v in d.vertices
-            if v != d.root
-            and not d.children[v]
-            and len(d.prox_targets[v]) == 1
-            and current.nu[v] in (0, 1)
-        ]
-        if not removable:
-            return current
-        current = remove_vertices(current, removable)
+    d = w.diagram
+    if len(d.preorder) != len(d.vertices):
+        raise InvalidDiagramError(d.violations)
+    removable: set[int] = set()
+    for v in reversed(d.preorder[1:]):
+        free_and_light = len(d.prox_targets[v]) == 1 and w.nu[v] in (0, 1)
+        if free_and_light and removable.issuperset(d.children[v]):
+            removable.add(v)
+    return remove_vertices(w, removable) if removable else w
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,7 @@ from .diagram import (
     is_minimal,
     milnor_number,
     minimalize,
-    remove_vertices,
-    single_vertex,
+    proximity_diagram,
     weighted_diagram,
 )
 from .enumeration import enumerate_minimal_diagrams
@@ -125,8 +124,9 @@ def construct_adjacent_diagram(D: WeightedDiagram) -> WeightedDiagram:
     simply becomes the weight-1 single vertex); for ``d >= 3`` lower the
     end to ``d - 1``, attach a free vertex of weight 2, and below it a
     run of ``d - 3`` weight-1 vertices each proximate to its parent and
-    to the chain end.  The result is minimalized, and is always of a
-    different type than ``D``.
+    to the chain end.  The edit is made on copies of ``D``'s maps, new
+    vertices taking the ids after ``D``'s largest, and the one diagram it
+    gives is minimalized; the result is always of a different type than ``D``.
     """
     if not is_minimal(D):
         raise DiagramError("adjacent-diagram construction requires a minimal diagram")
@@ -139,31 +139,28 @@ def construct_adjacent_diagram(D: WeightedDiagram) -> WeightedDiagram:
     if d * t <= 1:
         raise DiagramError("the one-vertex weight-1 diagram has no adjacent diagram")
 
+    parent = dict(D.diagram.parent)
+    prox = list(D.diagram.proximity)
+    nu = dict(D.nu)
     if d == 1:
-        result = minimalize(remove_vertices(D, [end]))
-    elif d == 2 and t == 1:
-        result = single_vertex(1)
-    elif d == 2:
-        lowered = _set_weight(D, end, 1)
-        result = minimalize(add_leaf(lowered, end, 1, second=chain[-2]))
+        del parent[end], nu[end]
+        prox = [pair for pair in prox if pair[0] != end]
     else:
-        lowered = _set_weight(D, end, d - 1)
-        grown = add_leaf(lowered, end, 2)
-        previous = max(grown.diagram.vertices)
-        for _ in range(d - 3):
-            grown = add_leaf(grown, previous, 1, second=end)
-            previous = max(grown.diagram.vertices)
-        result = minimalize(grown)
+        nu[end] = d - 1
+        if d == 2:
+            run = [(chain[-2], 1)] if t > 1 else []
+        else:
+            run = [(None, 2)] + [(end, 1)] * (d - 3)
+        at = end
+        for new, (second, weight) in enumerate(run, max(D.diagram.vertices) + 1):
+            parent[new], nu[new] = at, weight
+            prox.extend((new, target) for target in (at, second) if target is not None)
+            at = new
+    result = minimalize(weighted_diagram(proximity_diagram(D.root, parent, prox), nu))
 
     if result.key == D.key:
         raise RuntimeError("adjacent-diagram surgery failed to change the type")
     return result
-
-
-def _set_weight(w: WeightedDiagram, at: int, weight: int) -> WeightedDiagram:
-    nu = dict(w.nu)
-    nu[at] = weight
-    return weighted_diagram(w.diagram, nu)
 
 
 def expected_jump(d: int, w: int) -> int:

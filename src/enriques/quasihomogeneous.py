@@ -283,14 +283,11 @@ def _parse_polynomial(text: str) -> tuple[int, int, int, int]:
 
 
 def _euclid_states(r: int, s: int) -> int:
-    a, b = r, s
-    count = 1
-    while a != b:
-        if a < b:
-            b -= a
-        else:
-            a -= b
-        count += 1
+    """States of the subtractive Euclid walk on (r, s): the partial quotients' sum."""
+    count = 0
+    while r:
+        count += s // r
+        r, s = s % r, r
     return count
 
 
@@ -473,9 +470,9 @@ def check_Q_membership(w: WeightedDiagram) -> QMembershipReport:
     satellite, zero elsewhere before the end), but membership itself is
     decided by reconstruction alone: the root weight of a germ's minimal
     diagram always equals p + k + l, so only four (k, l) choices and one
-    bounded exponent q remain, and each candidate germ's minimal diagram
-    is rebuilt and compared by canonical key.  The certifying germ is the
-    first match in (p, q, k, l) order.
+    bounded exponent q remain.  Only a candidate with ``w``'s Milnor number
+    (as a match must have) is rebuilt and compared by canonical key, and
+    the certifying germ is the first match in (p, q, k, l) order.
     """
     if not is_minimal(w):
         raise DiagramError("membership test requires a minimal diagram")
@@ -511,9 +508,10 @@ def check_Q_membership(w: WeightedDiagram) -> QMembershipReport:
             for q in range(p, max(total, p) + 1):
                 candidates.append((p, q, k, l))
     spec = None
+    mu = milnor_number(w)
     for p, q, k, l in sorted(candidates):
         candidate = QuasihomogeneousSpec(k, l, p, q)
-        if minimal_diagram(candidate).key == w.key:
+        if milnor_orlik(candidate) == mu and minimal_diagram(candidate).key == w.key:
             spec = candidate
             break
     return QMembershipReport(

@@ -74,7 +74,7 @@ def diagram_to_dict(w: WeightedDiagram) -> dict[str, Any]:
 
 
 def diagram_from_dict(data: Mapping[str, Any]) -> WeightedDiagram:
-    """Rebuild a diagram from the JSON schema; validates the axioms."""
+    """Rebuild a diagram from the JSON schema, with int ids and weights; validates the axioms."""
     try:
         root = data["root"]
         rows = data["vertices"]
@@ -85,21 +85,27 @@ def diagram_from_dict(data: Mapping[str, Any]) -> WeightedDiagram:
     nu: dict[int, int] = {}
     try:
         for row in rows:
-            vid = int(row["id"])
+            vid = _integer(row["id"], "vertex id")
             if vid in nu:
                 raise DiagramError(f"duplicate vertex id {vid}")
-            nu[vid] = int(row["weight"])
+            nu[vid] = _integer(row["weight"], "weight")
             if row["parent"] is not None:
-                parent[vid] = int(row["parent"])
+                parent[vid] = _integer(row["parent"], "parent")
             for target in row["proximate_to"]:
-                prox.append((vid, int(target)))
-    except (KeyError, TypeError, ValueError) as exc:
+                prox.append((vid, _integer(target, "proximity target")))
+    except (KeyError, TypeError) as exc:
         raise DiagramError(f"malformed vertex row: {exc}") from None
-    if root not in nu:
+    if _integer(root, "root") not in nu:
         raise DiagramError(f"root {root!r} is not among the vertex ids")
     diagram = proximity_diagram(root, parent, prox)
     require_valid(diagram)
     return weighted_diagram(diagram, nu)
+
+
+def _integer(value: Any, what: str) -> int:
+    if type(value) is not int:
+        raise DiagramError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def diagram_to_json(w: WeightedDiagram) -> str:

@@ -110,6 +110,14 @@ def test_info_output(capsys):
     )
 
 
+def test_info_on_a_huge_exponent(capsys):
+    # the chain length is read off the partial quotients; no diagram is built
+    code, out, _ = invoke(capsys, "info", "0,0,2,2000000000001")
+    assert code == 0
+    assert "t 1000000000002\n" in out
+    assert out.endswith("mu 2000000000000\n")
+
+
 def test_mu_with_oracle_check(capsys):
     code, out, _ = invoke(capsys, "mu", "--check", "0,0,2,3")
     assert code == 0
@@ -265,6 +273,11 @@ def test_large_germs_succeed(capsys):
         code, out, err = invoke(capsys, "diagram", "--complete", "--format", "json", spec)
         assert code == 0, err
         assert len(json.loads(out)["vertices"]) == size
+    # the adjacent diagrams grow runs of 4,997 and 2,999 satellites
+    for spec, lambda_lin in (("x^5000+y^5000", 4998), ("x*y*(x^3000+y^3000)", 3000)):
+        code, out, err = invoke(capsys, "jump", "--format", "json", spec)
+        assert code == 0, err
+        assert json.loads(out)["lambda_lin"] == lambda_lin
 
 
 def test_unknown_command_exits_two(capsys):

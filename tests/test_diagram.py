@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+import enriques.diagram
 from enriques import (
     DiagramError,
     InconsistentDiagramError,
@@ -33,7 +34,14 @@ from enriques import (
     validate_axioms,
     weighted_diagram,
 )
-from helpers import cusp_complete, cusp_minimal, isomorphic, leaning_bamboo, wd
+from helpers import (
+    cusp_complete,
+    cusp_minimal,
+    isomorphic,
+    leaning_bamboo,
+    random_consistent,
+    wd,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +302,76 @@ def test_weight_zero_satellite_class_has_no_minimal_member():
     m = minimalize(w)
     assert canonical_key(m) == canonical_key(w)
     assert not is_minimal(m)
+
+
+def fixed_point_minimalize(w):
+    """minimalize by its definition: peel final free weight-0/1 vertices
+    one layer per rebuild until none is left."""
+    current = w
+    while True:
+        d = current.diagram
+        removable = [
+            v
+            for v in d.vertices
+            if v != d.root
+            and not d.children[v]
+            and len(d.prox_targets[v]) == 1
+            and current.nu[v] in (0, 1)
+        ]
+        if not removable:
+            return current
+        current = remove_vertices(current, removable)
+
+
+def test_minimalize_matches_the_fixed_point_definition():
+    rng = random.Random(11)
+    shrank = 0
+    for _ in range(3000):
+        w = random_consistent(rng, max_vertices=10)
+        expected = fixed_point_minimalize(w)
+        assert minimalize(w) == expected
+        shrank += len(expected) < len(w)
+    assert shrank > 1000
+
+
+def test_minimalize_returns_its_input_when_nothing_is_removable():
+    w = leaning_bamboo([2, 1, 1])
+    assert minimalize(w) is w
+
+
+def test_minimalize_removes_a_long_free_chain_in_one_construction(monkeypatch):
+    # a free weight-1 chain collapses to its root; peeling it one layer per
+    # rebuild would make 19,999 diagrams
+    n = 20000
+    w = wd(
+        0,
+        {v: v - 1 for v in range(1, n)},
+        [(v, v - 1) for v in range(1, n)],
+        dict.fromkeys(range(n), 1),
+    )
+    expected = single_vertex(1)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        if len(calls) > 1:
+            raise AssertionError("minimalize constructed more than one diagram")
+        return weighted_diagram(*args)
+
+    monkeypatch.setattr(enriques.diagram, "weighted_diagram", counting)
+    started = time.perf_counter()
+    m = minimalize(w)
+    assert time.perf_counter() - started < 5
+    assert len(calls) == 1
+    assert m == expected
+
+
+def test_minimalize_rejects_a_vertex_off_the_root():
+    # vertex 2 has no parent, so the preorder walk from the root misses it
+    w = wd(0, {1: 2}, [(1, 2)], {0: 1, 1: 1, 2: 1})
+    assert is_consistent(w)
+    with pytest.raises(InvalidDiagramError):
+        minimalize(w)
 
 
 # ---------------------------------------------------------------------------

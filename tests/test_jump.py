@@ -2,11 +2,13 @@
 
 import pytest
 
+import enriques.diagram
 import enriques.jump
 from enriques import (
     AdjacencyVerdict,
     DiagramError,
     QuasihomogeneousSpec,
+    add_leaf,
     canonical_key,
     check_geq_witness,
     class_representatives,
@@ -21,11 +23,16 @@ from enriques import (
     milnor_number,
     milnor_orlik,
     minimal_diagram,
+    minimalize,
+    remove_vertices,
     single_vertex,
     total_excess,
     verify_maximality,
+    weighted_diagram,
 )
+from enriques.quasihomogeneous import bamboo_chain
 from helpers import cusp_minimal, leaning_bamboo, wd
+from test_acceptance import all_specs
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +106,55 @@ def test_adjacent_works_outside_q():
     e = construct_adjacent_diagram(m)
     assert is_minimal(e)
     assert milnor_number(m) - milnor_number(e) == expected_jump(3, 2)
+
+
+def adjacent_by_leaves(D):
+    """The surgery of construct_adjacent_diagram made one add_leaf rebuild
+    per new vertex, for comparison."""
+    chain = bamboo_chain(D)
+    end = chain[-1]
+    d = D.nu[end]
+    if d == 1:
+        return minimalize(remove_vertices(D, [end]))
+    if d == 2 and len(chain) == 1:
+        return single_vertex(1)
+    lowered = weighted_diagram(D.diagram, {**D.nu, end: d - 1})
+    if d == 2:
+        return minimalize(add_leaf(lowered, end, 1, second=chain[-2]))
+    grown = add_leaf(lowered, end, 2)
+    for _ in range(d - 3):
+        grown = add_leaf(grown, max(grown.diagram.vertices), 1, second=end)
+    return minimalize(grown)
+
+
+def test_adjacent_matches_the_leaf_by_leaf_surgery():
+    # equal as objects, vertex ids included
+    for spec in all_specs(30):
+        D = minimal_diagram(spec)
+        assert construct_adjacent_diagram(D) == adjacent_by_leaves(D), spec
+
+
+def test_adjacent_diagram_is_constructed_once(monkeypatch):
+    # one construction for the surgery and at most one removal in
+    # minimalize; a rebuild per new vertex would make 29 for x^30+y^30
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        if len(calls) > 2:
+            raise AssertionError("the surgery constructed more than two diagrams")
+        return weighted_diagram(*args)
+
+    sources = [
+        minimal_diagram(QuasihomogeneousSpec(*spec))
+        for spec in [(0, 0, 30, 30), (0, 0, 2, 3), (0, 0, 4, 6), (0, 0, 6, 9), (1, 1, 3, 5)]
+    ] + [single_vertex(2), leaning_bamboo([8, 3, 3])]
+    monkeypatch.setattr(enriques.jump, "weighted_diagram", counting)
+    monkeypatch.setattr(enriques.diagram, "weighted_diagram", counting)
+    for D in sources:
+        calls.clear()
+        construct_adjacent_diagram(D)
+        assert 1 <= len(calls) <= 2
 
 
 # ---------------------------------------------------------------------------

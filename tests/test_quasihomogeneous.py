@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from math import gcd
 
 import pytest
 
@@ -16,6 +17,7 @@ from enriques import (
     check_Q_membership,
     derived_invariants,
     diagram_to_json,
+    enumerate_minimal_diagrams,
     is_complete,
     is_minimal,
     jump_report_to_dict,
@@ -124,6 +126,31 @@ def test_invariant_table(spec, d, t, w, mu):
     inv = derived_invariants(sp)
     assert (inv.d, inv.t, inv.w) == (d, t, w)
     assert milnor_orlik(sp) == mu
+
+
+def subtractive_euclid_states(r, s):
+    """States of the Euclid walk on (r, s) by its definition: subtract the
+    smaller from the larger until they are equal, counting each state."""
+    count = 1
+    while r != s:
+        if r < s:
+            s -= r
+        else:
+            r -= s
+        count += 1
+    return count
+
+
+def test_chain_length_matches_the_subtractive_walk():
+    # with k = 1 every coprime pair is a valid germ whose (r, s) is (p, q)
+    pairs = 0
+    for q in range(1, 300):
+        for p in range(1, q + 1):
+            if gcd(p, q) == 1:
+                t = derived_invariants(QuasihomogeneousSpec(1, 0, p, q)).t
+                assert t == subtractive_euclid_states(p, q), (p, q)
+                pairs += 1
+    assert pairs == 27318
 
 
 def test_oracle_against_weights_directly():
@@ -253,6 +280,45 @@ def test_round_trip_membership_over_a_spec_sweep():
         rep = check_Q_membership(minimal_diagram(sp))
         assert rep.in_Q
         assert minimal_diagram(rep.spec).key == minimal_diagram(sp).key
+
+
+def test_q_membership_reports_are_pinned():
+    # SHA-256 of the concatenated report reprs, recorded before candidates
+    # with the wrong Milnor number were skipped
+    germs = hashlib.sha256()
+    for spec in all_specs(20):
+        germs.update(repr(check_Q_membership(minimal_diagram(spec))).encode())
+    assert germs.hexdigest() == (
+        "1a59c5dd494a0243ef74b5272dd1493ec7e3dcd0017cf77b0b0047338060a37c"
+    )
+    enumerated = hashlib.sha256()
+    members = 0
+    for w in enumerate_minimal_diagrams(6, 5):
+        report = check_Q_membership(w)
+        enumerated.update(repr(report).encode())
+        members += report.in_Q
+    assert members == 109
+    assert enumerated.hexdigest() == (
+        "fe09b495cc69abb43d920bf25665f76edfeb2d3c4b181ac5348aa4e2ecb88b6a"
+    )
+
+
+def test_q_membership_rebuilds_only_germs_with_the_right_milnor_number(monkeypatch):
+    built = []
+
+    def recording(spec):
+        built.append(spec)
+        return minimal_diagram(spec)
+
+    sources = [minimal_diagram(spec) for spec in all_specs(20)]
+    monkeypatch.setattr(enriques.quasihomogeneous, "minimal_diagram", recording)
+    most = 0
+    for w in sources:
+        built.clear()
+        assert check_Q_membership(w).in_Q
+        assert {milnor_orlik(spec) for spec in built} == {milnor_number(w)}
+        most = max(most, len(built))
+    assert most <= 3
 
 
 def test_complete_diagrams_and_jump_reports_are_pinned():

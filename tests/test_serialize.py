@@ -68,6 +68,11 @@ def test_json_uses_two_space_indent():
     )
 
 
+def row(**fields):
+    """One vertex row of the diagram JSON schema, a weight-1 root unless changed."""
+    return {"id": 0, "weight": 1, "parent": None, "proximate_to": [], **fields}
+
+
 @pytest.mark.parametrize(
     "data,fragment",
     [
@@ -83,6 +88,19 @@ def test_json_uses_two_space_indent():
                 ],
             },
             "duplicate vertex id",
+        ),
+        ({"root": 0, "vertices": [row(weight=2.7)]}, "weight must be an integer"),
+        ({"root": 0, "vertices": [row(weight=True)]}, "weight must be an integer"),
+        ({"root": 0, "vertices": [row(weight="3")]}, "weight must be an integer"),
+        ({"root": 0, "vertices": [row(id=0.0)]}, "vertex id must be an integer"),
+        ({"root": False, "vertices": [row()]}, "root must be an integer"),
+        (
+            {"root": 0, "vertices": [row(weight=2), row(id=1, parent=0.9, proximate_to=[0])]},
+            "parent must be an integer",
+        ),
+        (
+            {"root": 0, "vertices": [row(weight=2), row(id=1, parent=0, proximate_to=[0.2])]},
+            "proximity target must be an integer",
         ),
     ],
 )
