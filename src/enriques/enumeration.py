@@ -1,36 +1,52 @@
 """Bounded enumeration of minimal consistent weighted diagrams.
 
-Diagrams are generated up to isomorphism by growing one final vertex at a
-time.  Every consistent diagram can be reached this way: removing a final
-vertex keeps a diagram consistent, so running the construction backwards
-from any target always stays inside the search space.  Intermediate
-diagrams need not be minimal (the minimal cusp diagram, for instance, is
-only reachable through a non-minimal two-vertex chain), so the walk covers
-all consistent diagrams within the bounds and yields the minimal ones.
+The enumeration first generates the *shapes* within the bounds, then the
+minimal weightings of each shape: the "structure first, then its
+colourings" split of orderly generation (R. C. Read, "Every one a
+winner", *Ann. Discrete Math.* 2, 1978).
 
-Internally a diagram is a tuple of ``(parent, second_target, weight)``
-triples indexed by vertex, root at index 0, with ``-1`` marking absent
-entries: the record form read by :func:`enriques.diagram.canonical_form`,
-which folds isomorphic duplicates here and computes every canonical key.
-Yielded diagrams that differ only in weights share one
-:class:`~enriques.diagram.ProximityDiagram` per enumeration call, built
-once per record shape (its ``(parent, second_target)`` pairs), so the
-proximity structure's cached facts, axiom violations included, are
-computed once per shape rather than once per diagram.
+A shape is a diagram record whose weights are all 0: a tuple of
+``(parent, second_target, 0)`` triples indexed by vertex, root at index
+0, with ``-1`` marking absent entries, the record form read by
+:func:`enriques.diagram.canonical_form`.  Shapes grow one final vertex at
+a time and are folded up to isomorphism by that canonical form.  A shape
+is kept only if some weighting in ``[1, max_weight]`` is consistent.
+
+*Least-weight lemma.*  A shape has a least consistent weighting with
+positive weights: every final vertex weighs 1 and every other vertex the
+sum of its proximity sources' weights.  Every vertex is at most its
+parent's weight, so the root weight is the largest, and unrolling the sums
+shows that it counts the proximity paths from the root to the final
+vertices.  With ``paths[v] = paths[parent] + paths[second]`` (``paths`` of
+the root is 1) a new final vertex raises that root weight by
+``paths[second]``, plus ``paths[parent]`` when the parent already has a
+child, so each placement is checked in constant time.
+
+*Reachability.*  Dropping a final vertex from a consistent diagram keeps
+it consistent, so every realizable shape is reached through realizable
+shapes.  Intermediate shapes need not carry a minimal weighting (the
+minimal cusp diagram grows out of a two-vertex chain, whose only
+weighting within weight 2 is not minimal), which is why shapes are kept
+for consistency alone.
+
+The weights of a shape are chosen in index order, so every target comes
+before its sources.  A vertex weighs at least the sum of its sources'
+least weights, and at least 2 when it is a free non-root vertex that no
+satellite is proximate to; these least weights are the least minimal
+weighting.  A vertex weighs at most ``max_weight`` and at most what each
+target can spare once the target's unweighted sources take their least
+weights.  Every range is therefore non-empty and every completed
+weighting is minimal and consistent.  The weightings are keyed and
+deduplicated per vertex count, and the diagrams of one shape share one
+:class:`~enriques.diagram.ProximityDiagram`, so its cached facts, axiom
+violations included, are computed once per shape.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from .diagram import (
-    DiagramError,
-    ProximityDiagram,
-    WeightedDiagram,
-    canonical_form,
-    proximity_diagram,
-    weighted_diagram,
-)
+from .diagram import DiagramError, WeightedDiagram, canonical_form, proximity_diagram
 
 __all__ = ["EnumerationLimitError", "enumerate_minimal_diagrams", "DEFAULT_MAX_CANDIDATES"]
 
@@ -44,46 +60,67 @@ class EnumerationLimitError(DiagramError):
     """The candidate cap was reached before the bounds were exhausted."""
 
 
-def _excess(rec: tuple[_Rec, ...]) -> list[int]:
-    out = [entry[2] for entry in rec]
-    for parent, second, weight in rec[1:]:
-        out[parent] -= weight
-        if second >= 0:
-            out[second] -= weight
-    return out
+def _admit(seen: int, max_candidates: int) -> int:
+    if seen >= max_candidates:
+        raise EnumerationLimitError(f"enumeration exceeded the cap of {max_candidates} candidates")
+    return seen + 1
 
 
-def _is_minimal_rec(rec: tuple[_Rec, ...]) -> bool:
-    # weights are generated in [1, max_weight] and extensions keep every
-    # excess nonnegative, so only the free weight-one condition can fail
-    satellite_targets = set()
-    for parent, second, _ in rec[1:]:
-        if second >= 0:
-            satellite_targets.add(parent)
-            satellite_targets.add(second)
-    for i in range(1, len(rec)):
-        parent, second, weight = rec[i]
-        if second < 0 and weight == 1 and i not in satellite_targets:
-            return False
-    return True
+def _extensions(shape: tuple[_Rec, ...], max_weight: int) -> Iterator[tuple[_Rec, ...]]:
+    """Every shape one final vertex larger whose least root weight is within bounds."""
+    paths = [1] * len(shape) + [0]  # paths[-1] is 0: "no second target" adds nothing
+    has_child = [False] * len(shape)
+    for i in range(1, len(shape)):
+        parent, second, _ = shape[i]
+        paths[i] = paths[parent] + paths[second]
+        has_child[parent] = True
+    least_root = sum(p for p, busy in zip(paths, has_child) if not busy)
+    satellite_pairs = {(p, s) for p, s, _ in shape if s >= 0}
+    for parent in range(len(shape)):
+        root_weight = least_root + (paths[parent] if has_child[parent] else 0)
+        if root_weight > max_weight:
+            continue
+        for second in (-1, *(t for t in shape[parent][:2] if t >= 0)):
+            # skip a second vertex proximate to both parent and second
+            if (parent, second) not in satellite_pairs and root_weight + paths[second] <= max_weight:
+                yield shape + ((parent, second, 0),)
 
 
-def _to_weighted(
-    rec: tuple[_Rec, ...], shapes: dict[tuple[tuple[int, int], ...], ProximityDiagram]
-) -> WeightedDiagram:
-    """The record as a weighted diagram whose proximity structure is the one
-    ``shapes`` holds for the record's ``(parent, second)`` pairs."""
-    shape = tuple((parent, second) for parent, second, _ in rec)
-    diagram = shapes.get(shape)
-    if diagram is None:
-        parent = {i: shape[i][0] for i in range(1, len(shape))}
-        prox = []
-        for i in range(1, len(shape)):
-            prox.append((i, shape[i][0]))
-            if shape[i][1] >= 0:
-                prox.append((i, shape[i][1]))
-        diagram = shapes[shape] = proximity_diagram(0, parent, prox)
-    return weighted_diagram(diagram, {i: rec[i][2] for i in range(len(rec))})
+def _weightings(shape: tuple[_Rec, ...], max_weight: int) -> Iterator[list[int]]:
+    """Every minimal consistent weighting of ``shape`` with weights at most
+    ``max_weight``, by an iterative search over the vertices in index order
+    (the yielded list is reused)."""
+    n = len(shape)
+    targets = [[t for t in entry[:2] if t >= 0] for entry in shape]
+    propped = {t for p, s, _ in shape if s >= 0 for t in (p, s)}  # a satellite is proximate
+    owed = [0] * n  # the sources' least weights
+    least = [0] * n
+    for v in range(n - 1, -1, -1):
+        least[v] = max(owed[v], 2 if len(targets[v]) == 1 and v not in propped else 1)
+        if least[v] > max_weight:
+            return  # the root would weigh at least as much
+        for t in targets[v]:
+            owed[t] += least[v]
+    # weights[u] is least[u] for every u after v; slack[t] is what a weighted
+    # t can still spare once its sources not yet weighted take their least
+    weights, slack = least[:], [0] * n
+    v = 0
+    while v >= 0:
+        slack[v] = weights[v] - owed[v]
+        if v < n - 1:
+            v += 1
+            continue
+        yield weights
+        # back up to the last vertex that can still rise, resetting the rest
+        while v >= 0 and (weights[v] == max_weight or 0 in [slack[t] for t in targets[v]]):
+            for t in targets[v]:
+                slack[t] += weights[v] - least[v]
+            weights[v] = least[v]
+            v -= 1
+        if v >= 0:
+            weights[v] += 1
+            for t in targets[v]:
+                slack[t] -= 1
 
 
 def enumerate_minimal_diagrams(
@@ -100,8 +137,8 @@ def enumerate_minimal_diagrams(
     by canonical key, so the order is deterministic.  Vertex ids of yielded
     diagrams are dense with root 0.
 
-    ``max_candidates`` caps the number of distinct diagrams (minimal or
-    not) the walk may hold; exceeding the cap raises
+    ``max_candidates`` caps the number of distinct shapes plus distinct
+    minimal diagrams the enumeration may hold; exceeding the cap raises
     :class:`EnumerationLimitError`.
     """
     if max_vertices < 1:
@@ -111,47 +148,32 @@ def enumerate_minimal_diagrams(
     if max_candidates < 1:
         raise ValueError(f"max_candidates must be positive, got {max_candidates}")
 
-    level: dict[str, tuple[_Rec, ...]] = {}
-    for weight in range(1, max_weight + 1):
-        rec: tuple[_Rec, ...] = (((-1, -1, weight)),)
-        level[canonical_form(rec)[0]] = rec
-    seen = len(level)
-    if seen > max_candidates:
-        raise EnumerationLimitError(
-            f"enumeration exceeded the cap of {max_candidates} candidate diagrams"
-        )
-
-    # weighted diagrams of one shape share its cached proximity facts
-    shapes: dict[tuple[tuple[int, int], ...], ProximityDiagram] = {}
-    for key in sorted(level):
-        yield _to_weighted(level[key], shapes)
-
-    for _ in range(max_vertices - 1):
-        next_level: dict[str, tuple[_Rec, ...]] = {}
-        for rec in level.values():
-            excess = _excess(rec)
-            satellite_pairs = {(p, s) for p, s, _ in rec if s >= 0}
-            for parent in range(len(rec)):
-                targets = [rec[parent][0], rec[parent][1]]
-                seconds = [-1] + [t for t in targets if t >= 0]
-                for second in seconds:
-                    if (parent, second) in satellite_pairs:
-                        continue  # a vertex proximate to both already exists
-                    cap = excess[parent]
-                    if second >= 0:
-                        cap = min(cap, excess[second])
-                    for weight in range(1, min(max_weight, cap) + 1):
-                        child = rec + ((parent, second, weight),)
-                        key = canonical_form(child)[0]
-                        if key not in next_level:
-                            next_level[key] = child
-                            seen += 1
-                            if seen > max_candidates:
-                                raise EnumerationLimitError(
-                                    "enumeration exceeded the cap of "
-                                    f"{max_candidates} candidate diagrams"
-                                )
-        level = next_level
-        for key in sorted(level):
-            if _is_minimal_rec(level[key]):
-                yield _to_weighted(level[key], shapes)
+    level: list[tuple[_Rec, ...]] = [((-1, -1, 0),)]
+    seen = _admit(0, max_candidates)
+    for size in range(1, max_vertices + 1):
+        found: dict[str, WeightedDiagram] = {}
+        for shape in level:
+            diagram = None
+            for weights in _weightings(shape, max_weight):
+                record = [(p, s, x) for (p, s, _), x in zip(shape, weights)]
+                key = canonical_form(record)[0]
+                if key not in found:
+                    seen = _admit(seen, max_candidates)
+                    if diagram is None:
+                        parent = {i: shape[i][0] for i in range(1, size)}
+                        prox = [(i, t) for i in range(1, size) for t in shape[i][:2] if t >= 0]
+                        diagram = proximity_diagram(0, parent, prox)
+                    # vertex ids 0..size-1 are already in weight_items order
+                    found[key] = WeightedDiagram(diagram, tuple(enumerate(weights)))
+        for key in sorted(found):
+            yield found[key]
+        if size == max_vertices:
+            return
+        shapes: dict[str, tuple[_Rec, ...]] = {}
+        for shape in level:
+            for child in _extensions(shape, max_weight):
+                key = canonical_form(child)[0]
+                if key not in shapes:
+                    seen = _admit(seen, max_candidates)
+                    shapes[key] = child
+        level = list(shapes.values())

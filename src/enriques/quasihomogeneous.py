@@ -13,7 +13,10 @@ at the root for the node y(x + y^q)), gcd(p, q) simple points finish the
 chain and the axis branches contribute one extra free point each, all
 constructed as one diagram.  The result is checked on the spot against the
 Milnor number formula of Milnor and Orlik (:func:`milnor_orlik`), so a bug
-here fails fast instead of poisoning downstream computations.
+here fails fast instead of poisoning downstream computations.  A germ whose
+complete diagram would have more than :data:`MAX_DIAGRAM_VERTICES` vertices
+is refused with :class:`~enriques.diagram.DiagramError` before anything is
+allocated; :func:`derived_invariants` works at any size.
 
 :func:`check_Q_membership` answers the inverse question: given a minimal
 weighted diagram, does it arise from some germ of this family?
@@ -51,7 +54,13 @@ __all__ = [
     "bamboo_chain",
     "bamboo_invariants",
     "check_Q_membership",
+    "MAX_DIAGRAM_VERTICES",
 ]
+
+# Largest complete diagram build_enriques_diagram constructs.  At this size
+# `enriques mu` takes about a second and 120 MB; the Euclid walk of a
+# germ like x^2+y^(2*10^12+1) would otherwise allocate 10^12 vertices.
+MAX_DIAGRAM_VERTICES = 100_000
 
 
 class SpecParseError(ValueError):
@@ -351,10 +360,19 @@ def build_enriques_diagram(spec: QuasihomogeneousSpec) -> WeightedDiagram:
 
     The result is verified to be complete and to have the Milnor number
     predicted by :func:`milnor_orlik`; any mismatch raises RuntimeError.
+    The vertex count, the walk's ``t`` states (one for the node) plus the
+    leaves, is known up front: above :data:`MAX_DIAGRAM_VERTICES` it
+    raises :class:`~enriques.diagram.DiagramError` instead.
     """
     inv = derived_invariants(spec)
     a, b = inv.r, inv.s
     node = spec.p == 1 and not spec.k
+    size = (1 if node else inv.t) + inv.d_tilde + spec.k + spec.l
+    if size > MAX_DIAGRAM_VERTICES:
+        raise DiagramError(
+            f"the complete diagram of {spec.polynomial} would have {size} vertices, "
+            f"more than the bound of {MAX_DIAGRAM_VERTICES}"
+        )
     side_a: int | None = None  # newest vertex on the x side
     side_b: int | None = None  # newest vertex on the y side
     parent: dict[int, int] = {}

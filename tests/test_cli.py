@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -116,6 +117,18 @@ def test_info_on_a_huge_exponent(capsys):
     assert code == 0
     assert "t 1000000000002\n" in out
     assert out.endswith("mu 2000000000000\n")
+
+
+def test_huge_germs_are_refused_before_they_are_built(capsys):
+    # the complete diagram would have about 10^12 vertices; the bound is
+    # checked before the Euclid walk allocates any of them
+    start = time.perf_counter()
+    for command in ("mu", "diagram", "jump"):
+        code, out, err = invoke(capsys, command, "0,0,2,2000000000001")
+        assert (code, out) == (1, ""), command
+        assert "1000000000003 vertices" in err and "100000" in err
+    assert time.perf_counter() - start < 5
+    assert invoke(capsys, "info", "0,0,2,2000000000001")[0] == 0
 
 
 def test_mu_with_oracle_check(capsys):

@@ -1,6 +1,7 @@
 """Bounded enumeration of minimal diagrams up to isomorphism."""
 
 import hashlib
+import time
 
 import pytest
 
@@ -13,6 +14,8 @@ from enriques import (
     validate_axioms,
 )
 from enriques.cli import run
+from enriques.diagram import canonical_form
+from enriques.enumeration import _extensions, _weightings
 from helpers import wd
 
 
@@ -130,3 +133,117 @@ def test_canonical_key_rejects_foreign_second_target():
     )
     with pytest.raises(InvalidDiagramError):
         canonical_key(w)
+
+
+def _excess(rec):
+    out = [entry[2] for entry in rec]
+    for parent, second, weight in rec[1:]:
+        out[parent] -= weight
+        if second >= 0:
+            out[second] -= weight
+    return out
+
+
+def _is_minimal_rec(rec):
+    # weights are generated in [1, max_weight] and extensions keep every
+    # excess nonnegative, so only the free weight-one condition can fail
+    satellite_targets = set()
+    for parent, second, _ in rec[1:]:
+        if second >= 0:
+            satellite_targets.add(parent)
+            satellite_targets.add(second)
+    for i in range(1, len(rec)):
+        parent, second, weight = rec[i]
+        if second < 0 and weight == 1 and i not in satellite_targets:
+            return False
+    return True
+
+
+def weighted_bfs(max_vertices, max_weight):
+    """The weighted breadth-first enumeration the shape-first one replaced.
+
+    It grows every consistent weighted record one final vertex at a time,
+    with every weight its targets' excess allows, folds each level by
+    canonical key and keeps the minimal records.  Returns ``(vertex count,
+    key, largest weight)`` triples in yield order: by vertex count, then by
+    key."""
+    level = {}
+    for weight in range(1, max_weight + 1):
+        rec = ((-1, -1, weight),)
+        level[canonical_form(rec)[0]] = rec
+    out = [(1, key, level[key][0][2]) for key in sorted(level)]
+    for size in range(2, max_vertices + 1):
+        next_level = {}
+        for rec in level.values():
+            excess = _excess(rec)
+            satellite_pairs = {(p, s) for p, s, _ in rec if s >= 0}
+            for parent in range(len(rec)):
+                seconds = [-1] + [t for t in rec[parent][:2] if t >= 0]
+                for second in seconds:
+                    if (parent, second) in satellite_pairs:
+                        continue
+                    cap = excess[parent]
+                    if second >= 0:
+                        cap = min(cap, excess[second])
+                    for weight in range(1, min(max_weight, cap) + 1):
+                        child = rec + ((parent, second, weight),)
+                        next_level.setdefault(canonical_form(child)[0], child)
+        level = next_level
+        for key in sorted(level):
+            if _is_minimal_rec(level[key]):
+                out.append((size, key, max(entry[2] for entry in level[key])))
+    return out
+
+
+@pytest.mark.parametrize("bound", [(8, 6), (7, 8)])
+def test_matches_the_weighted_bfs_at_every_smaller_bound(bound):
+    oracle = weighted_bfs(*bound)
+    for max_vertices in range(1, bound[0] + 1):
+        for max_weight in range(1, bound[1] + 1):
+            expected = [
+                key for size, key, top in oracle if size <= max_vertices and top <= max_weight
+            ]
+            assert keys(max_vertices, max_weight) == expected, (max_vertices, max_weight)
+
+
+def least_root_weight(shape):
+    # the least consistent weighting: 1 on a final vertex, the sum of the
+    # sources elsewhere; sources come after their targets in a record
+    owed = [0] * len(shape)
+    for v in range(len(shape) - 1, 0, -1):
+        parent, second, _ = shape[v]
+        for t in (parent, second) if second >= 0 else (parent,):
+            owed[t] += max(owed[v], 1)
+    return max(owed[0], 1)
+
+
+def test_constant_time_placement_check_matches_the_least_weighting():
+    unbounded = 10**9
+    level = {"": ((-1, -1, 0),)}
+    checked = 0
+    for _ in range(6):
+        grown = {}
+        for shape in level.values():
+            children = list(_extensions(shape, unbounded))
+            for max_weight in range(1, 7):
+                kept = list(_extensions(shape, max_weight))
+                assert kept == [c for c in children if least_root_weight(c) <= max_weight]
+                checked += len(children)
+            for child in children:
+                grown.setdefault(canonical_form(child)[0], child)
+        level = grown
+    assert checked > 10_000
+
+
+def test_weighting_search_on_a_deep_free_chain():
+    # every non-root vertex is free with no satellite source, so it weighs
+    # at least 2, and the chain leaves no room above that
+    shape = ((-1, -1, 0),) + tuple((i - 1, -1, 0) for i in range(1, 5000))
+    found = [list(weights) for weights in _weightings(shape, 2)]
+    assert found == [[2] * 5000]
+
+
+def test_deep_narrow_bounds_run_fast():
+    start = time.perf_counter()
+    assert keys(1000, 1) == ["(1r)"]
+    assert time.perf_counter() - start < 10

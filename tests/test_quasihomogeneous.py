@@ -354,3 +354,16 @@ def test_build_constructs_one_diagram(monkeypatch):
         calls.clear()
         build_enriques_diagram(QuasihomogeneousSpec(k, l, p, q))
         assert len(calls) == 1, (k, l, p, q)
+
+
+def test_build_refuses_exactly_the_germs_above_the_vertex_bound(monkeypatch):
+    # the count read off derived_invariants is the built diagram's size
+    for spec in all_specs(20):
+        size = len(build_enriques_diagram(spec))
+        monkeypatch.setattr(enriques.quasihomogeneous, "MAX_DIAGRAM_VERTICES", size)
+        assert len(build_enriques_diagram(spec)) == size
+        monkeypatch.setattr(enriques.quasihomogeneous, "MAX_DIAGRAM_VERTICES", size - 1)
+        with pytest.raises(DiagramError, match=f"would have {size} vertices"):
+            build_enriques_diagram(spec)
+        monkeypatch.undo()
+    assert enriques.quasihomogeneous.MAX_DIAGRAM_VERTICES == 100_000
