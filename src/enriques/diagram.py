@@ -278,14 +278,7 @@ class WeightedDiagram:
     @cached_property
     def _canonical(self) -> tuple[str, tuple[int, ...]]:
         key, children = canonical_form(self.record)
-        preorder = self.diagram.preorder
-        order: list[int] = []
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            order.append(preorder[i])
-            stack.extend(reversed(children[i]))
-        return key, tuple(order)
+        return key, _canonical_walk(children, self.diagram.preorder)
 
     @property
     def key(self) -> str:
@@ -305,6 +298,39 @@ def weighted_diagram(diagram: ProximityDiagram, nu: Mapping[int, int]) -> Weight
     """Attach weights to ``diagram``; ``nu`` must cover every vertex."""
     items = tuple(sorted((v, int(nu[v])) for v in diagram.vertices))
     return WeightedDiagram(diagram=diagram, weight_items=items)
+
+
+def keyed_diagram(
+    diagram: ProximityDiagram,
+    weights: Sequence[int],
+    key: str,
+    children: Sequence[Sequence[int]],
+) -> WeightedDiagram:
+    """Weight vertex ``i`` of ``diagram`` by ``weights[i]``, its canonical
+    form already known.
+
+    ``diagram``'s vertex ids must be ``0 .. n-1`` with every parent below its
+    children, and ``(key, children)`` must be :func:`canonical_form` of the
+    record listing the vertices in id order.  The key and canonical order
+    are then seeded instead of computed again: the key does not depend on
+    the vertex order, and siblings keep their order of ids both here and in
+    :attr:`WeightedDiagram.record`, whose preorder visits them by id, so
+    equal sibling subtrees are ordered alike.
+    """
+    w = WeightedDiagram(diagram, tuple(enumerate(weights)))
+    w.__dict__["_canonical"] = (key, _canonical_walk(children, diagram.vertices))
+    return w
+
+
+def _canonical_walk(children: Sequence[Sequence[int]], ids: Sequence[int]) -> tuple[int, ...]:
+    """The ids of the record's vertices, root first and children in key order."""
+    order: list[int] = []
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        order.append(ids[i])
+        stack.extend(reversed(children[i]))
+    return tuple(order)
 
 
 def single_vertex(weight: int) -> WeightedDiagram:

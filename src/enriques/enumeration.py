@@ -37,16 +37,27 @@ weighting.  A vertex weighs at most ``max_weight`` and at most what each
 target can spare once the target's unweighted sources take their least
 weights.  Every range is therefore non-empty and every completed
 weighting is minimal and consistent.  The weightings are keyed and
-deduplicated per vertex count, and the diagrams of one shape share one
-:class:`~enriques.diagram.ProximityDiagram`, so its cached facts, axiom
-violations included, are computed once per shape.
+deduplicated per vertex count by :func:`_minimal_records`, which keeps each
+one as a record (shape, weights and the canonical form's output) that
+:func:`~enriques.jump.verify_maximality` reads without building a diagram.
+:func:`enumerate_minimal_diagrams` builds one diagram per record, its
+canonical key and order seeded from the record, and the diagrams of one
+shape share one :class:`~enriques.diagram.ProximityDiagram`, so its cached
+facts, axiom violations included, are computed once per shape.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from .diagram import DiagramError, WeightedDiagram, canonical_form, proximity_diagram
+from .diagram import (
+    DiagramError,
+    ProximityDiagram,
+    WeightedDiagram,
+    canonical_form,
+    keyed_diagram,
+    proximity_diagram,
+)
 
 __all__ = ["EnumerationLimitError", "enumerate_minimal_diagrams", "DEFAULT_MAX_CANDIDATES"]
 
@@ -54,6 +65,8 @@ DEFAULT_MAX_CANDIDATES = 1_000_000
 
 # vertex record: (parent index, second proximity target index, weight)
 _Rec = tuple[int, int, int]
+# minimal diagram record: shape, weights, canonical_form's children lists
+_Record = tuple[tuple[_Rec, ...], tuple[int, ...], list[list[int]]]
 
 
 class EnumerationLimitError(DiagramError):
@@ -123,6 +136,68 @@ def _weightings(shape: tuple[_Rec, ...], max_weight: int) -> Iterator[list[int]]
                 slack[t] -= 1
 
 
+def _minimal_records(
+    max_vertices: int, max_weight: int, max_candidates: int
+) -> Iterator[dict[str, _Record]]:
+    """For each vertex count from 1 to ``max_vertices``, every minimal diagram
+    of that count within the bounds, once per isomorphism class.
+
+    Yields one dict per count, in no particular order, mapping a diagram's
+    canonical key to its record ``(shape, weights, children)``: vertex ``i``
+    has parent ``shape[i][0]``, second proximity target ``shape[i][1]`` and
+    weight ``weights[i]``, and ``children`` is what :func:`canonical_form`
+    returned with the key.  Arguments and the candidate cap are as for
+    :func:`enumerate_minimal_diagrams`.
+    """
+    if max_vertices < 1:
+        raise ValueError(f"max_vertices must be positive, got {max_vertices}")
+    if max_weight < 1:
+        raise ValueError(f"max_weight must be positive, got {max_weight}")
+    if max_candidates < 1:
+        raise ValueError(f"max_candidates must be positive, got {max_candidates}")
+
+    level: list[tuple[_Rec, ...]] = [((-1, -1, 0),)]
+    seen = _admit(0, max_candidates)
+    for size in range(1, max_vertices + 1):
+        found: dict[str, _Record] = {}
+        for shape in level:
+            for weights in _weightings(shape, max_weight):
+                key, children = canonical_form(
+                    [(p, s, x) for (p, s, _), x in zip(shape, weights)]
+                )
+                if key not in found:
+                    seen = _admit(seen, max_candidates)
+                    found[key] = (shape, tuple(weights), children)
+        yield found
+        if size == max_vertices:
+            return
+        shapes: dict[str, tuple[_Rec, ...]] = {}
+        for shape in level:
+            for child in _extensions(shape, max_weight):
+                key = canonical_form(child)[0]
+                if key not in shapes:
+                    seen = _admit(seen, max_candidates)
+                    shapes[key] = child
+        level = list(shapes.values())
+
+
+def _diagram(
+    key: str,
+    record: _Record,
+    structures: dict[tuple[_Rec, ...], ProximityDiagram],
+) -> WeightedDiagram:
+    """The record's diagram, with vertex ids its indices, its canonical form
+    seeded from the record, and one :class:`ProximityDiagram` per shape kept
+    in ``structures``."""
+    shape, weights, children = record
+    diagram = structures.get(shape)
+    if diagram is None:
+        parent = {i: shape[i][0] for i in range(1, len(shape))}
+        prox = [(i, t) for i in range(1, len(shape)) for t in shape[i][:2] if t >= 0]
+        diagram = structures[shape] = proximity_diagram(0, parent, prox)
+    return keyed_diagram(diagram, weights, key, children)
+
+
 def enumerate_minimal_diagrams(
     max_vertices: int,
     max_weight: int,
@@ -141,39 +216,7 @@ def enumerate_minimal_diagrams(
     minimal diagrams the enumeration may hold; exceeding the cap raises
     :class:`EnumerationLimitError`.
     """
-    if max_vertices < 1:
-        raise ValueError(f"max_vertices must be positive, got {max_vertices}")
-    if max_weight < 1:
-        raise ValueError(f"max_weight must be positive, got {max_weight}")
-    if max_candidates < 1:
-        raise ValueError(f"max_candidates must be positive, got {max_candidates}")
-
-    level: list[tuple[_Rec, ...]] = [((-1, -1, 0),)]
-    seen = _admit(0, max_candidates)
-    for size in range(1, max_vertices + 1):
-        found: dict[str, WeightedDiagram] = {}
-        for shape in level:
-            diagram = None
-            for weights in _weightings(shape, max_weight):
-                record = [(p, s, x) for (p, s, _), x in zip(shape, weights)]
-                key = canonical_form(record)[0]
-                if key not in found:
-                    seen = _admit(seen, max_candidates)
-                    if diagram is None:
-                        parent = {i: shape[i][0] for i in range(1, size)}
-                        prox = [(i, t) for i in range(1, size) for t in shape[i][:2] if t >= 0]
-                        diagram = proximity_diagram(0, parent, prox)
-                    # vertex ids 0..size-1 are already in weight_items order
-                    found[key] = WeightedDiagram(diagram, tuple(enumerate(weights)))
+    for found in _minimal_records(max_vertices, max_weight, max_candidates):
+        structures: dict[tuple[_Rec, ...], ProximityDiagram] = {}
         for key in sorted(found):
-            yield found[key]
-        if size == max_vertices:
-            return
-        shapes: dict[str, tuple[_Rec, ...]] = {}
-        for shape in level:
-            for child in _extensions(shape, max_weight):
-                key = canonical_form(child)[0]
-                if key not in shapes:
-                    seen = _admit(seen, max_candidates)
-                    shapes[key] = child
-        level = list(shapes.values())
+            yield _diagram(key, found[key], structures)

@@ -27,6 +27,7 @@ from math import gcd
 from .adjacency import GeqWitness, adjacency_verdict, class_representatives, geq
 from .diagram import (
     DiagramError,
+    ProximityDiagram,
     WeightedDiagram,
     add_leaf,
     diagram_type,
@@ -36,7 +37,7 @@ from .diagram import (
     proximity_diagram,
     weighted_diagram,
 )
-from .enumeration import enumerate_minimal_diagrams
+from .enumeration import DEFAULT_MAX_CANDIDATES, _diagram, _minimal_records
 from .quasihomogeneous import (
     QuasihomogeneousSpec,
     bamboo_chain,
@@ -233,6 +234,15 @@ def lambda_lin_semi(spec: QuasihomogeneousSpec) -> JumpReport:
     return replace(lambda_lin(spec), semi=True)
 
 
+def _record_milnor_number(
+    shape: tuple[tuple[int, int, int], ...], weights: tuple[int, ...]
+) -> int:
+    """Milnor number of an enumeration record, by the count in
+    :func:`verify_maximality`'s docstring."""
+    satellites = sum([x for (_, second, _), x in zip(shape, weights) if second >= 0])
+    return sum([x * (x - 1) for x in weights]) + 1 - weights[0] + satellites
+
+
 def verify_maximality(
     spec: QuasihomogeneousSpec,
     max_vertices: int | None = None,
@@ -263,10 +273,22 @@ def verify_maximality(
     at the candidate's root is ``r`` or 0; the root is proximate to
     nothing, so its value in the candidate is its weight, which exceeds
     ``r``.  The inequality fails at the root.  Such candidates are counted
-    as examined and refuted (and in ``refuted_by_root``) without a search;
-    they cannot be ``D_min`` itself, so their canonical key is never
-    needed.  Every other candidate goes to the second stage, the bounded
-    domination search of :func:`~enriques.adjacency.adjacency_verdict`.
+    as examined and refuted (and in ``refuted_by_root``) without a search.
+    Every other candidate goes to the second stage, the bounded domination
+    search of :func:`~enriques.adjacency.adjacency_verdict`.
+
+    Candidates are read off the enumeration's records (shape, weights and
+    canonical key) in the order of
+    :func:`~enriques.enumeration.enumerate_minimal_diagrams`, and only
+    those that reach the search become diagrams, one shared structure per
+    shape.  A record's Milnor number is ``sum nu*(nu-1) + 1`` minus the
+    total excess, and summing ``nu_P - sum of nu_Q over Q proximate to P``
+    over all ``P`` counts each weight ``nu_Q`` once for ``Q`` and once
+    against each of its proximity targets: the total excess is
+    ``sum nu_Q*(1 - |targets(Q)|)``.  The root has no target, a free
+    vertex one and a satellite two, so the total excess is the root weight
+    minus the satellites' weights.  Every enumerated weighting is
+    consistent, so this is the Milnor number :func:`milnor_number` gives.
     """
     report = lambda_lin(spec)
     D_min = report.D_min
@@ -297,23 +319,27 @@ def verify_maximality(
     refuted = 0
     refuted_by_root = 0
     contradictions: list[tuple[str, int]] = []
-    for candidate in enumerate_minimal_diagrams(max_vertices, max_weight):
-        heavy_root = candidate.nu[candidate.root] > root_weight
-        if not heavy_root and candidate.key == D_min.key:
-            continue
-        mu_candidate = milnor_number(candidate)
-        if mu_candidate <= threshold:
-            continue
-        examined += 1
-        if heavy_root:
-            refuted += 1
-            refuted_by_root += 1
-            continue
-        verdict = adjacency_verdict(representatives, candidate, extra_bound)
-        if verdict.holds:
-            contradictions.append((candidate.key, mu_candidate))
-        else:
-            refuted += 1
+    for found in _minimal_records(max_vertices, max_weight, DEFAULT_MAX_CANDIDATES):
+        structures: dict[tuple, ProximityDiagram] = {}
+        for key in sorted(found):
+            if key == D_min.key:
+                continue
+            record = found[key]
+            shape, weights, _ = record
+            mu_candidate = _record_milnor_number(shape, weights)
+            if mu_candidate <= threshold:
+                continue
+            examined += 1
+            if weights[0] > root_weight:
+                refuted += 1
+                refuted_by_root += 1
+                continue
+            candidate = _diagram(key, record, structures)
+            verdict = adjacency_verdict(representatives, candidate, extra_bound)
+            if verdict.holds:
+                contradictions.append((key, mu_candidate))
+            else:
+                refuted += 1
 
     if contradictions:
         status = "contradiction"

@@ -20,6 +20,7 @@ its child vertex; text output is an indented outline, one vertex per line.
 from __future__ import annotations
 
 import json
+from collections.abc import Sized
 from typing import Any, Mapping
 
 from .adjacency import GeqWitness
@@ -32,6 +33,7 @@ from .diagram import (
     weighted_diagram,
 )
 from .jump import JumpReport
+from .quasihomogeneous import MAX_DIAGRAM_VERTICES
 
 __all__ = [
     "diagram_to_dict",
@@ -74,12 +76,20 @@ def diagram_to_dict(w: WeightedDiagram) -> dict[str, Any]:
 
 
 def diagram_from_dict(data: Mapping[str, Any]) -> WeightedDiagram:
-    """Rebuild a diagram from the JSON schema, with int ids and weights; validates the axioms."""
+    """Rebuild a diagram from the JSON schema, with int ids and weights; validates the axioms.
+
+    More than :data:`~enriques.quasihomogeneous.MAX_DIAGRAM_VERTICES` vertex
+    rows raise :class:`DiagramError` before any row is read."""
     try:
         root = data["root"]
         rows = data["vertices"]
     except (KeyError, TypeError) as exc:
         raise DiagramError(f"malformed diagram object: missing {exc}") from None
+    if isinstance(rows, Sized) and len(rows) > MAX_DIAGRAM_VERTICES:
+        raise DiagramError(
+            f"diagram has {len(rows)} vertex rows, "
+            f"more than the bound of {MAX_DIAGRAM_VERTICES}"
+        )
     parent: dict[int, int] = {}
     prox: list[tuple[int, int]] = []
     nu: dict[int, int] = {}

@@ -5,9 +5,12 @@ import time
 
 import pytest
 
+import enriques.diagram
+import enriques.enumeration
 from enriques import (
     EnumerationLimitError,
     InvalidDiagramError,
+    WeightedDiagram,
     canonical_key,
     enumerate_minimal_diagrams,
     is_minimal,
@@ -121,6 +124,32 @@ def test_diagrams_of_one_shape_share_one_proximity_structure():
     shapes = {(w.diagram.parent_edges, w.diagram.proximity) for w in yielded}
     assert len({id(w.diagram) for w in yielded}) == len(shapes) < len(yielded)
     assert all(w.diagram.violations == () for w in yielded)
+
+
+def test_seeded_canonical_form_matches_the_recomputed_one():
+    # the key and order seeded from the enumeration's canonical_form equal
+    # the ones a fresh diagram computes from its own record
+    count = 0
+    for w in enumerate_minimal_diagrams(8, 6):
+        fresh = WeightedDiagram(w.diagram, w.weight_items)
+        assert (w.key, w.canonical_order) == (fresh.key, fresh.canonical_order)
+        count += 1
+    assert count == 7351
+
+
+def test_enumerate_computes_each_canonical_form_once(monkeypatch, capsys):
+    # one call per shape and per weighting tried; printing the keys adds none
+    calls = []
+
+    def counting(record):
+        calls.append(len(record))
+        return canonical_form(record)
+
+    monkeypatch.setattr(enriques.enumeration, "canonical_form", counting)
+    monkeypatch.setattr(enriques.diagram, "canonical_form", counting)
+    assert run(["enumerate", "--max-vertices", "8", "--max-weight", "6"]) == 0
+    assert capsys.readouterr().out.count("\n") == 7351
+    assert len(calls) == 13390
 
 
 def test_canonical_key_rejects_foreign_second_target():

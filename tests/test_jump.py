@@ -1,11 +1,16 @@
 """Adjacent-diagram surgery, the jump closed form, and bounded maximality."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 import enriques.diagram
 import enriques.jump
 from enriques import (
     AdjacencyVerdict,
+    WeightedDiagram,
     DiagramError,
     QuasihomogeneousSpec,
     add_leaf,
@@ -17,6 +22,7 @@ from enriques import (
     enumerate_minimal_diagrams,
     expected_jump,
     geq,
+    is_consistent,
     is_minimal,
     lambda_lin,
     lambda_lin_semi,
@@ -30,9 +36,13 @@ from enriques import (
     verify_maximality,
     weighted_diagram,
 )
+from enriques.adjacency import adjacency_verdict
+from enriques.jump import _record_milnor_number
 from enriques.quasihomogeneous import bamboo_chain
 from helpers import cusp_minimal, leaning_bamboo, wd
 from test_acceptance import all_specs
+
+PINS = Path(__file__).resolve().parent.parent / "perfbench" / "verify_pins.json"
 
 
 # ---------------------------------------------------------------------------
@@ -362,3 +372,91 @@ def test_diagram_type_of_e_differs_from_source():
     for spec in [(0, 0, 2, 3), (0, 0, 6, 9), (0, 0, 5, 5), (1, 1, 1, 1)]:
         report = lambda_lin(QuasihomogeneousSpec(*spec))
         assert diagram_type(report.E_D) != diagram_type(report.D_min)
+
+
+def light_candidates(spec):
+    """Shapes (parent edges and proximity pairs) of the candidates that
+    verify_maximality must search: minimal diagrams within its bounds, other
+    than D_min, above the threshold and no heavier at the root than D_min."""
+    report = verify_maximality(spec)
+    jump = lambda_lin(spec)
+    root_weight = jump.D_min.nu[jump.D_min.root]
+    return [
+        (w.diagram.parent_edges, w.diagram.proximity)
+        for w in enumerate_minimal_diagrams(report.max_vertices, report.max_weight)
+        if w.nu[w.root] <= root_weight
+        and w.key != jump.D_min.key
+        and milnor_number(w) > jump.mu_D - jump.lambda_lin
+    ]
+
+
+@pytest.mark.parametrize(
+    "spec,searched,shapes", [((0, 0, 2, 3), 10, 10), ((1, 1, 2, 2), 111, 33)]
+)
+def test_verify_builds_diagrams_only_for_light_candidates(monkeypatch, spec, searched, shapes):
+    # light candidates of one shape share one structure, validated once
+    spec = QuasihomogeneousSpec(*spec)
+    light = light_candidates(spec)
+    assert (len(light), len(set(light))) == (searched, shapes)
+    built = []
+    validated = []
+    post_init = WeightedDiagram.__post_init__
+    validate_axioms = enriques.diagram.validate_axioms
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    def counting_validate(diagram):
+        validated.append(diagram)
+        return validate_axioms(diagram)
+
+    monkeypatch.setattr(WeightedDiagram, "__post_init__", counting_post_init)
+    monkeypatch.setattr(enriques.diagram, "validate_axioms", counting_validate)
+    # the constant part: the jump, the representatives, each validated, and
+    # the attainment check
+    jump = lambda_lin(spec)
+    representatives = list(class_representatives(diagram_type(jump.D_min), 2))
+    for representative in representatives:
+        assert representative.diagram.violations == ()
+    adjacency_verdict(representatives, jump.E_D, 2)
+    fixed_builds, fixed_validations = len(built), len(validated)
+    built.clear()
+    validated.clear()
+
+    report = verify_maximality(spec)
+    assert len(light) == report.examined - report.refuted_by_root > 0
+    assert len(built) == len(light) + fixed_builds
+    assert len(validated) <= len(set(light)) + fixed_validations
+
+
+def test_record_milnor_number_matches_the_excess_definition():
+    # the record of an enumerated diagram: vertex ids are indices, parents
+    # come first, and a satellite's second target follows its parent
+    count = 0
+    for w in enumerate_minimal_diagrams(7, 6):
+        targets = w.diagram.prox_targets
+        shape = tuple(
+            (w.diagram.parent.get(v, -1), targets[v][1] if len(targets[v]) > 1 else -1, 0)
+            for v in range(len(w))
+        )
+        weights = tuple(w.nu[v] for v in range(len(w)))
+        assert is_consistent(w)
+        assert _record_milnor_number(shape, weights) == milnor_number(w)
+        count += 1
+    assert count == 3891
+
+
+def test_maximality_reports_are_pinned():
+    # SHA-256 of the reports of the 48 germs of perfbench/verify_pins.json,
+    # one repr per line in file order; recorded before verify_maximality
+    # read enumeration records instead of diagrams
+    pins = json.loads(PINS.read_text())
+    digest = hashlib.sha256()
+    for pin in pins:
+        spec = QuasihomogeneousSpec(*map(int, pin["spec"].split(",")))
+        digest.update((repr(verify_maximality(spec)) + "\n").encode())
+    assert len(pins) == 48
+    assert digest.hexdigest() == (
+        "4af8ee94d6012ee4b56c934e6e5968a7fd87a192c8a48f31c7a47637d956c8c8"
+    )

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from enriques import (
+    MAX_DIAGRAM_VERTICES,
     DiagramError,
     QuasihomogeneousSpec,
     add_leaf,
@@ -108,6 +109,15 @@ def test_from_dict_rejects_malformed_input(data, fragment):
     with pytest.raises(DiagramError) as exc:
         diagram_from_dict(data)
     assert fragment in str(exc.value)
+
+
+def test_from_dict_refuses_too_many_rows_before_reading_them():
+    # the rows are not even dicts: reading one would fail differently
+    rows = [None] * (MAX_DIAGRAM_VERTICES + 1)
+    with pytest.raises(DiagramError, match=f"{MAX_DIAGRAM_VERTICES + 1} vertex rows"):
+        diagram_from_dict({"root": 0, "vertices": rows})
+    with pytest.raises(DiagramError, match="malformed vertex row"):
+        diagram_from_dict({"root": 0, "vertices": rows[:MAX_DIAGRAM_VERTICES]})
 
 
 def test_from_dict_validates_axioms():
