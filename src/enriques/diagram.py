@@ -276,19 +276,28 @@ class WeightedDiagram:
         return tuple(out)
 
     @cached_property
-    def _canonical(self) -> tuple[str, tuple[int, ...]]:
+    def _form(self) -> tuple[str, Sequence[Sequence[int]], Sequence[int]]:
+        """:func:`canonical_form` of the record, and the vertex id at each
+        index of the record."""
         key, children = canonical_form(self.record)
-        return key, _canonical_walk(children, self.diagram.preorder)
+        return key, children, self.diagram.preorder
 
     @property
     def key(self) -> str:
         """Canonical key, see :func:`canonical_key`."""
-        return self._canonical[0]
+        return self._form[0]
 
-    @property
+    @cached_property
     def canonical_order(self) -> tuple[int, ...]:
         """Vertex ids in canonical order, see :func:`canonical_order`."""
-        return self._canonical[1]
+        _, children, ids = self._form
+        order: list[int] = []
+        stack = [0]
+        while stack:
+            i = stack.pop()
+            order.append(ids[i])
+            stack.extend(reversed(children[i]))
+        return tuple(order)
 
     def __len__(self) -> int:
         return len(self.diagram.vertices)
@@ -312,25 +321,14 @@ def keyed_diagram(
     ``diagram``'s vertex ids must be ``0 .. n-1`` with every parent below its
     children, and ``(key, children)`` must be :func:`canonical_form` of the
     record listing the vertices in id order.  The key and canonical order
-    are then seeded instead of computed again: the key does not depend on
-    the vertex order, and siblings keep their order of ids both here and in
-    :attr:`WeightedDiagram.record`, whose preorder visits them by id, so
-    equal sibling subtrees are ordered alike.
+    then come from this form instead of a second :func:`canonical_form`:
+    the key does not depend on the vertex order, and siblings keep their
+    order of ids both here and in :attr:`WeightedDiagram.record`, whose
+    preorder visits them by id, so equal sibling subtrees are ordered alike.
     """
     w = WeightedDiagram(diagram, tuple(enumerate(weights)))
-    w.__dict__["_canonical"] = (key, _canonical_walk(children, diagram.vertices))
+    w.__dict__["_form"] = (key, children, diagram.vertices)
     return w
-
-
-def _canonical_walk(children: Sequence[Sequence[int]], ids: Sequence[int]) -> tuple[int, ...]:
-    """The ids of the record's vertices, root first and children in key order."""
-    order: list[int] = []
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        order.append(ids[i])
-        stack.extend(reversed(children[i]))
-    return tuple(order)
 
 
 def single_vertex(weight: int) -> WeightedDiagram:
