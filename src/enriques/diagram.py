@@ -276,13 +276,11 @@ class WeightedDiagram:
         return tuple(out)
 
     @cached_property
-    def _form(self) -> tuple[str, Sequence[Sequence[int]], Sequence[int]]:
-        """:func:`canonical_form` of the record, and the vertex id at each
-        index of the record."""
-        key, children = canonical_form(self.record)
-        return key, children, self.diagram.preorder
+    def _form(self) -> tuple[str, Sequence[Sequence[int]]]:
+        """:func:`canonical_form` of the record."""
+        return canonical_form(self.record)
 
-    @property
+    @cached_property
     def key(self) -> str:
         """Canonical key, see :func:`canonical_key`."""
         return self._form[0]
@@ -290,12 +288,13 @@ class WeightedDiagram:
     @cached_property
     def canonical_order(self) -> tuple[int, ...]:
         """Vertex ids in canonical order, see :func:`canonical_order`."""
-        _, children, ids = self._form
+        children = self._form[1]
+        preorder = self.diagram.preorder
         order: list[int] = []
         stack = [0]
         while stack:
             i = stack.pop()
-            order.append(ids[i])
+            order.append(preorder[i])
             stack.extend(reversed(children[i]))
         return tuple(order)
 
@@ -309,25 +308,11 @@ def weighted_diagram(diagram: ProximityDiagram, nu: Mapping[int, int]) -> Weight
     return WeightedDiagram(diagram=diagram, weight_items=items)
 
 
-def keyed_diagram(
-    diagram: ProximityDiagram,
-    weights: Sequence[int],
-    key: str,
-    children: Sequence[Sequence[int]],
-) -> WeightedDiagram:
-    """Weight vertex ``i`` of ``diagram`` by ``weights[i]``, its canonical
-    form already known.
-
-    ``diagram``'s vertex ids must be ``0 .. n-1`` with every parent below its
-    children, and ``(key, children)`` must be :func:`canonical_form` of the
-    record listing the vertices in id order.  The key and canonical order
-    then come from this form instead of a second :func:`canonical_form`:
-    the key does not depend on the vertex order, and siblings keep their
-    order of ids both here and in :attr:`WeightedDiagram.record`, whose
-    preorder visits them by id, so equal sibling subtrees are ordered alike.
-    """
-    w = WeightedDiagram(diagram, tuple(enumerate(weights)))
-    w.__dict__["_form"] = (key, children, diagram.vertices)
+def keyed_diagram(diagram: ProximityDiagram, weights: Sequence[int], key: str) -> WeightedDiagram:
+    """Weight the ``i``-th vertex id of ``diagram`` by ``weights[i]``, its
+    canonical key ``key`` already known (it is not checked)."""
+    w = WeightedDiagram(diagram, tuple(zip(diagram.vertices, weights)))
+    w.__dict__["key"] = key
     return w
 
 

@@ -38,17 +38,17 @@ target can spare once the target's unweighted sources take their least
 weights.  Every range is therefore non-empty and every completed
 weighting is minimal and consistent.  The weightings are keyed and
 deduplicated per vertex count by :func:`_minimal_records`, which keeps each
-one as a record (shape, weights and the canonical form's output) that
+one as a :class:`_Record` (key, shape and weights) that
 :func:`~enriques.jump.verify_maximality` reads without building a diagram.
-:func:`enumerate_minimal_diagrams` builds one diagram per record, its
-canonical key and order seeded from the record, and the diagrams of one
-shape share one :class:`~enriques.diagram.ProximityDiagram`, so its cached
-facts, axiom violations included, are computed once per shape.
+:func:`_diagrams` builds one diagram per record, its canonical key seeded
+from the record, and the diagrams of one shape share one
+:class:`~enriques.diagram.ProximityDiagram`, so its cached facts, axiom
+violations included, are computed once per shape.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .diagram import (
     DiagramError,
@@ -65,8 +65,25 @@ DEFAULT_MAX_CANDIDATES = 1_000_000
 
 # vertex record: (parent index, second proximity target index, weight)
 _Rec = tuple[int, int, int]
-# minimal diagram record: shape, weights, canonical_form's children lists
-_Record = tuple[tuple[_Rec, ...], tuple[int, ...], list[list[int]]]
+
+
+class _Record(NamedTuple):
+    """A minimal diagram found by the enumeration: vertex ``i`` has parent
+    ``shape[i][0]``, second proximity target ``shape[i][1]`` and weight
+    ``weights[i]``."""
+
+    key: str
+    shape: tuple[_Rec, ...]
+    weights: tuple[int, ...]
+
+    @property
+    def milnor_number(self) -> int:
+        """``sum nu*(nu-1) + 1 - root weight + satellite weights``, which is
+        :func:`~enriques.diagram.milnor_number` for a consistent weighting
+        (the derivation is in :func:`~enriques.jump.verify_maximality`)."""
+        weights = self.weights
+        satellites = sum([x for (_, second, _), x in zip(self.shape, weights) if second >= 0])
+        return sum([x * (x - 1) for x in weights]) + 1 - weights[0] + satellites
 
 
 class EnumerationLimitError(DiagramError):
@@ -138,15 +155,10 @@ def _weightings(shape: tuple[_Rec, ...], max_weight: int) -> Iterator[list[int]]
 
 def _minimal_records(
     max_vertices: int, max_weight: int, max_candidates: int
-) -> Iterator[dict[str, _Record]]:
+) -> Iterator[list[_Record]]:
     """For each vertex count from 1 to ``max_vertices``, every minimal diagram
-    of that count within the bounds, once per isomorphism class.
-
-    Yields one dict per count, in no particular order, mapping a diagram's
-    canonical key to its record ``(shape, weights, children)``: vertex ``i``
-    has parent ``shape[i][0]``, second proximity target ``shape[i][1]`` and
-    weight ``weights[i]``, and ``children`` is what :func:`canonical_form`
-    returned with the key.  Arguments and the candidate cap are as for
+    of that count within the bounds, once per isomorphism class, as records
+    sorted by canonical key.  Arguments and the candidate cap are as for
     :func:`enumerate_minimal_diagrams`.
     """
     if max_vertices < 1:
@@ -162,13 +174,11 @@ def _minimal_records(
         found: dict[str, _Record] = {}
         for shape in level:
             for weights in _weightings(shape, max_weight):
-                key, children = canonical_form(
-                    [(p, s, x) for (p, s, _), x in zip(shape, weights)]
-                )
+                key = canonical_form([(p, s, x) for (p, s, _), x in zip(shape, weights)])[0]
                 if key not in found:
                     seen = _admit(seen, max_candidates)
-                    found[key] = (shape, tuple(weights), children)
-        yield found
+                    found[key] = _Record(key, shape, tuple(weights))
+        yield sorted(found.values())
         if size == max_vertices:
             return
         shapes: dict[str, tuple[_Rec, ...]] = {}
@@ -181,21 +191,18 @@ def _minimal_records(
         level = list(shapes.values())
 
 
-def _diagram(
-    key: str,
-    record: _Record,
-    structures: dict[tuple[_Rec, ...], ProximityDiagram],
-) -> WeightedDiagram:
-    """The record's diagram, with vertex ids its indices, its canonical form
-    seeded from the record, and one :class:`ProximityDiagram` per shape kept
-    in ``structures``."""
-    shape, weights, children = record
-    diagram = structures.get(shape)
-    if diagram is None:
-        parent = {i: shape[i][0] for i in range(1, len(shape))}
-        prox = [(i, t) for i in range(1, len(shape)) for t in shape[i][:2] if t >= 0]
-        diagram = structures[shape] = proximity_diagram(0, parent, prox)
-    return keyed_diagram(diagram, weights, key, children)
+def _diagrams(records: Iterable[_Record]) -> Iterator[WeightedDiagram]:
+    """Each record's diagram, with vertex ids its indices and its canonical
+    key seeded from the record; diagrams of one shape share one
+    :class:`ProximityDiagram`."""
+    structures: dict[tuple[_Rec, ...], ProximityDiagram] = {}
+    for key, shape, weights in records:
+        diagram = structures.get(shape)
+        if diagram is None:
+            parent = {i: shape[i][0] for i in range(1, len(shape))}
+            prox = [(i, t) for i in range(1, len(shape)) for t in shape[i][:2] if t >= 0]
+            diagram = structures[shape] = proximity_diagram(0, parent, prox)
+        yield keyed_diagram(diagram, weights, key)
 
 
 def enumerate_minimal_diagrams(
@@ -216,7 +223,5 @@ def enumerate_minimal_diagrams(
     minimal diagrams the enumeration may hold; exceeding the cap raises
     :class:`EnumerationLimitError`.
     """
-    for found in _minimal_records(max_vertices, max_weight, max_candidates):
-        structures: dict[tuple[_Rec, ...], ProximityDiagram] = {}
-        for key in sorted(found):
-            yield _diagram(key, found[key], structures)
+    for level in _minimal_records(max_vertices, max_weight, max_candidates):
+        yield from _diagrams(level)

@@ -27,7 +27,6 @@ from math import gcd
 from .adjacency import GeqWitness, adjacency_verdict, class_representatives, geq
 from .diagram import (
     DiagramError,
-    ProximityDiagram,
     WeightedDiagram,
     add_leaf,
     diagram_type,
@@ -37,7 +36,7 @@ from .diagram import (
     proximity_diagram,
     weighted_diagram,
 )
-from .enumeration import DEFAULT_MAX_CANDIDATES, _diagram, _minimal_records
+from .enumeration import DEFAULT_MAX_CANDIDATES, _diagrams, _minimal_records
 from .quasihomogeneous import (
     QuasihomogeneousSpec,
     bamboo_chain,
@@ -234,15 +233,6 @@ def lambda_lin_semi(spec: QuasihomogeneousSpec) -> JumpReport:
     return replace(lambda_lin(spec), semi=True)
 
 
-def _record_milnor_number(
-    shape: tuple[tuple[int, int, int], ...], weights: tuple[int, ...]
-) -> int:
-    """Milnor number of an enumeration record, by the count in
-    :func:`verify_maximality`'s docstring."""
-    satellites = sum([x for (_, second, _), x in zip(shape, weights) if second >= 0])
-    return sum([x * (x - 1) for x in weights]) + 1 - weights[0] + satellites
-
-
 def verify_maximality(
     spec: QuasihomogeneousSpec,
     max_vertices: int | None = None,
@@ -277,8 +267,8 @@ def verify_maximality(
     Every other candidate goes to the second stage, the bounded domination
     search of :func:`~enriques.adjacency.adjacency_verdict`.
 
-    Candidates are read off the enumeration's records (shape, weights and
-    canonical key) in the order of
+    Candidates are read off the enumeration's records (canonical key,
+    shape and weights) in the order of
     :func:`~enriques.enumeration.enumerate_minimal_diagrams`, and only
     those that reach the search become diagrams, one shared structure per
     shape.  A record's Milnor number is ``sum nu*(nu-1) + 1`` minus the
@@ -316,30 +306,22 @@ def verify_maximality(
     attained = adjacency_verdict(representatives, report.E_D, extra_bound)
     root_weight = D_min.nu[D_min.root]
     examined = 0
-    refuted = 0
     refuted_by_root = 0
     contradictions: list[tuple[str, int]] = []
-    for found in _minimal_records(max_vertices, max_weight, DEFAULT_MAX_CANDIDATES):
-        structures: dict[tuple, ProximityDiagram] = {}
-        for key in sorted(found):
-            if key == D_min.key:
-                continue
-            record = found[key]
-            shape, weights, _ = record
-            mu_candidate = _record_milnor_number(shape, weights)
-            if mu_candidate <= threshold:
+    for level in _minimal_records(max_vertices, max_weight, DEFAULT_MAX_CANDIDATES):
+        light = []
+        for record in level:
+            if record.key == D_min.key or record.milnor_number <= threshold:
                 continue
             examined += 1
-            if weights[0] > root_weight:
-                refuted += 1
+            if record.weights[0] > root_weight:
                 refuted_by_root += 1
-                continue
-            candidate = _diagram(key, record, structures)
-            verdict = adjacency_verdict(representatives, candidate, extra_bound)
-            if verdict.holds:
-                contradictions.append((key, mu_candidate))
             else:
-                refuted += 1
+                light.append(record)
+        for record, candidate in zip(light, _diagrams(light)):
+            if adjacency_verdict(representatives, candidate, extra_bound).holds:
+                contradictions.append((record.key, record.milnor_number))
+    refuted = examined - len(contradictions)
 
     if contradictions:
         status = "contradiction"

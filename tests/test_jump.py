@@ -37,7 +37,7 @@ from enriques import (
     weighted_diagram,
 )
 from enriques.adjacency import adjacency_verdict
-from enriques.jump import _record_milnor_number
+from enriques.enumeration import DEFAULT_MAX_CANDIDATES, _diagrams, _minimal_records
 from enriques.quasihomogeneous import bamboo_chain
 from helpers import cusp_minimal, leaning_bamboo, wd
 from test_acceptance import all_specs
@@ -431,19 +431,12 @@ def test_verify_builds_diagrams_only_for_light_candidates(monkeypatch, spec, sea
 
 
 def test_record_milnor_number_matches_the_excess_definition():
-    # the record of an enumerated diagram: vertex ids are indices, parents
-    # come first, and a satellite's second target follows its parent
     count = 0
-    for w in enumerate_minimal_diagrams(7, 6):
-        targets = w.diagram.prox_targets
-        shape = tuple(
-            (w.diagram.parent.get(v, -1), targets[v][1] if len(targets[v]) > 1 else -1, 0)
-            for v in range(len(w))
-        )
-        weights = tuple(w.nu[v] for v in range(len(w)))
-        assert is_consistent(w)
-        assert _record_milnor_number(shape, weights) == milnor_number(w)
-        count += 1
+    for level in _minimal_records(7, 6, DEFAULT_MAX_CANDIDATES):
+        for record, w in zip(level, _diagrams(level)):
+            assert is_consistent(w)
+            assert record.milnor_number == milnor_number(w)
+            count += 1
     assert count == 3891
 
 

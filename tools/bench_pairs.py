@@ -1,18 +1,18 @@
 """Alternating parent/change runs of the benchmark, summarised in one JSON file.
 
-    python3 tools/bench_pairs.py --parent REV --pr N [--workloads verify sweep large]
-                                 [--pairs 3] [--seed 11] [--seconds 30] [--out PATH]
+    python3 tools/bench_pairs.py --parent REV --pr N [--seed 11]
 
 Extracts revision ``REV`` with ``git archive`` into a temporary directory,
-then runs ``python3 perfbench/run.py --workload W --seed S --seconds T
---trace 0`` there and in the working tree, alternately, ``--pairs`` times
-per workload.  Both runs of a pair use the same seed (``--seed`` plus the
-pair's index), and the side that runs first swaps from pair to pair, so a
-drift in the machine's speed falls on both sides alike.  The result goes
-to ``BENCH_<N>.json`` at the repository root (or ``--out``): the commits,
-the interpreter, the machine, each run's ``correct``/``failed`` and
-end-to-end metrics, and per workload and side the median and interquartile
-range of every metric.  Uses the standard library only.
+then runs ``python3 perfbench/run.py --workload W --seed S --trace 0`` (the
+benchmark's own run length) there and in the working tree, alternately,
+ten times per workload, for every workload.  Both runs of a pair use the
+same seed (``--seed`` plus the pair's index), and the side that runs first
+swaps from pair to pair, so a drift in the machine's speed falls on both
+sides alike.  The result goes to ``BENCH_<N>.json`` at the repository
+root: the commits, the interpreter, the machine, each run's
+``correct``/``failed`` and end-to-end metrics, and per workload and side
+the median and interquartile range of every metric.  Uses the standard
+library only.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from typing import Any
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("verify", "sweep", "large")
 SIDES = ("parent", "change")
+PAIRS = 10  # a gain counts only if the change wins nine pairs of ten
 
 
 def git(*args: str) -> str:
@@ -45,16 +46,19 @@ def extract(revision: str, into: Path) -> None:
     archive = into / "parent.tar"
     with archive.open("wb") as handle:
         subprocess.run(["git", "archive", revision], cwd=ROOT, check=True, stdout=handle)
+    # the "data" filter exists from Python 3.10.12 and 3.11.4; the archive
+    # is the local repository's own, so older interpreters extract it as is
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
     with tarfile.open(archive) as tar:
-        tar.extractall(into / "tree", filter="data")
+        tar.extractall(into / "tree", **safe)
     archive.unlink()
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict[str, Any]:
+def run_once(tree: Path, workload: str, seed: int) -> dict[str, Any]:
     """One benchmark run in ``tree``: its last stdout line, parsed."""
     command = [
         sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+        "--seed", str(seed), "--trace", "0",
     ]
     done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
     if done.returncode != 0:
@@ -93,13 +97,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument("--pr", required=True, help="names the output file BENCH_<pr>.json")
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    parser.add_argument("--pairs", type=int, default=3)
     parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
-    out = args.out or ROOT / f"BENCH_{args.pr}.json"
+    out = ROOT / f"BENCH_{args.pr}.json"
 
     record: dict[str, Any] = {
         "pr": args.pr,
@@ -108,21 +108,20 @@ def main(argv: list[str] | None = None) -> int:
         "change_has_uncommitted_edits": bool(git("status", "--porcelain", "--untracked-files=no")),
         "python": platform.python_version(),
         "machine": machine(),
-        "command": "python3 perfbench/run.py --workload W --seed S --seconds T --trace 0",
-        "seconds": args.seconds,
-        "pairs": args.pairs,
+        "command": "python3 perfbench/run.py --workload W --seed S --trace 0",
+        "pairs": PAIRS,
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as scratch:
         extract(args.parent, Path(scratch))
         trees = {"parent": Path(scratch) / "tree", "change": ROOT}
-        for workload in args.workloads:
+        for workload in WORKLOADS:
             runs = []
-            for pair in range(args.pairs):
+            for pair in range(PAIRS):
                 seed = args.seed + pair
                 order = SIDES if pair % 2 == 0 else SIDES[::-1]
                 for side in order:
-                    result = run_once(trees[side], workload, seed, args.seconds)
+                    result = run_once(trees[side], workload, seed)
                     runs.append({"pair": pair, "seed": seed, "side": side, **result})
                     print(workload, pair, side, json.dumps(result["metrics"]), flush=True)
             sides = {}
