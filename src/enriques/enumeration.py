@@ -10,24 +10,35 @@ A shape is a diagram record whose weights are all 0: a tuple of
 0, with ``-1`` marking absent entries, the record form read by
 :func:`enriques.diagram.canonical_form`.  Shapes grow one final vertex at
 a time and are folded up to isomorphism by that canonical form.  A shape
-is kept only if some weighting in ``[1, max_weight]`` is consistent.
+is *live* if it has a minimal weighting in ``[1, max_weight]``, and only
+live shapes are kept.
 
-*Least-weight lemma.*  A shape has a least consistent weighting with
-positive weights: every final vertex weighs 1 and every other vertex the
-sum of its proximity sources' weights.  Every vertex is at most its
-parent's weight, so the root weight is the largest, and unrolling the sums
-shows that it counts the proximity paths from the root to the final
-vertices.  With ``paths[v] = paths[parent] + paths[second]`` (``paths`` of
-the root is 1) a new final vertex raises that root weight by
-``paths[second]``, plus ``paths[parent]`` when the parent already has a
-child, so each placement is checked in constant time.
+*Least-weight lemma.*  A shape's least minimal weighting gives a final
+vertex ``c`` = 2 if it is a free non-root vertex and ``c`` = 1 if it is a
+satellite or the lone root, and every other vertex the sum of its
+proximity sources' weights (the bound of 2 on a free vertex adds nothing
+once it has a child: a free child already weighs 2, and a satellite child
+is proximate to it, which lifts the bound).  Every vertex weighs at most its parent, so the root weight is
+the largest, and unrolling the sums gives the least minimal root weight
+``m = sum over final f of paths[f] * c[f]``, with ``paths[v] =
+paths[parent] + paths[second]`` and ``paths`` of the root 1.  A new final
+vertex ``x`` adds ``paths[x] * c[x]`` to ``m`` and, when its parent ``p``
+had no child, takes away ``paths[p] * c[p]``, so each placement is checked
+in constant time.
 
-*Reachability.*  Dropping a final vertex from a consistent diagram keeps
-it consistent, so every realizable shape is reached through realizable
-shapes.  Intermediate shapes need not carry a minimal weighting (the
-minimal cusp diagram grows out of a two-vertex chain, whose only
-weighting within weight 2 is not minimal), which is why shapes are kept
-for consistency alone.
+*Reachability.*  ``m`` never decreases when a vertex ``x`` is placed under
+``p`` with second target ``s``.  If ``p`` already has a child, ``m`` grows
+by ``paths[x] * c[x]``; otherwise it changes by ``paths[x] * c[x] -
+paths[p] * c[p]``.  When ``p`` is a satellite or the root, ``c[p]`` is 1
+and ``paths[x] >= paths[p]``.  When ``p`` is free, its only proximity
+target is its parent, so ``s`` is absent or that parent, and ``paths[s]
+= paths[p]``: a free ``x`` and a satellite ``x`` both add ``2 *
+paths[p]``, which is what ``p`` took.  So a shape without a minimal
+weighting within the bound has no descendant with one, and dropping the
+last vertex of a live shape leaves a live shape: the live shapes are
+reached through live shapes alone.  The two-vertex chain, for one, is
+live at weight 2 with the weighting ``(2r(2f))``, the minimal diagram of
+``x^2 + y^4``.
 
 The weights of a shape are chosen in index order, so every target comes
 before its sources.  A vertex weighs at least the sum of its sources'
@@ -97,22 +108,25 @@ def _admit(seen: int, max_candidates: int) -> int:
 
 
 def _extensions(shape: tuple[_Rec, ...], max_weight: int) -> Iterator[tuple[_Rec, ...]]:
-    """Every shape one final vertex larger whose least root weight is within bounds."""
+    """Every shape one final vertex larger whose least minimal root weight is
+    within bounds."""
     paths = [1] * len(shape) + [0]  # paths[-1] is 0: "no second target" adds nothing
+    final_weight = [1] + [2 if second < 0 else 1 for _, second, _ in shape[1:]]
     has_child = [False] * len(shape)
     for i in range(1, len(shape)):
         parent, second, _ = shape[i]
         paths[i] = paths[parent] + paths[second]
         has_child[parent] = True
-    least_root = sum(p for p, busy in zip(paths, has_child) if not busy)
+    least_root = sum(p * c for p, c, busy in zip(paths, final_weight, has_child) if not busy)
     satellite_pairs = {(p, s) for p, s, _ in shape if s >= 0}
     for parent in range(len(shape)):
-        root_weight = least_root + (paths[parent] if has_child[parent] else 0)
-        if root_weight > max_weight:
-            continue
+        # the parent stops being final unless it already has a child
+        rest = least_root - (0 if has_child[parent] else paths[parent] * final_weight[parent])
         for second in (-1, *(t for t in shape[parent][:2] if t >= 0)):
+            # a free final vertex weighs 2 and a satellite one 1
+            grown = 2 * paths[parent] if second < 0 else paths[parent] + paths[second]
             # skip a second vertex proximate to both parent and second
-            if (parent, second) not in satellite_pairs and root_weight + paths[second] <= max_weight:
+            if (parent, second) not in satellite_pairs and rest + grown <= max_weight:
                 yield shape + ((parent, second, 0),)
 
 
@@ -219,7 +233,7 @@ def enumerate_minimal_diagrams(
     by canonical key, so the order is deterministic.  Vertex ids of yielded
     diagrams are dense with root 0.
 
-    ``max_candidates`` caps the number of distinct shapes plus distinct
+    ``max_candidates`` caps the number of distinct live shapes plus distinct
     minimal diagrams the enumeration may hold; exceeding the cap raises
     :class:`EnumerationLimitError`.
     """

@@ -148,7 +148,7 @@ def test_enumerate_computes_each_canonical_form_once(monkeypatch, capsys):
     monkeypatch.setattr(enriques.diagram, "canonical_form", counting)
     assert run(["enumerate", "--max-vertices", "8", "--max-weight", "6"]) == 0
     assert capsys.readouterr().out.count("\n") == 7351
-    assert len(calls) == 13390
+    assert len(calls) == 9300
 
 
 def test_canonical_key_rejects_foreign_second_target():
@@ -223,7 +223,7 @@ def weighted_bfs(max_vertices, max_weight):
     return out
 
 
-@pytest.mark.parametrize("bound", [(8, 6), (7, 8)])
+@pytest.mark.parametrize("bound", [(8, 6), (7, 8), (9, 4), (10, 3), (11, 3)])
 def test_matches_the_weighted_bfs_at_every_smaller_bound(bound):
     oracle = weighted_bfs(*bound)
     for max_vertices in range(1, bound[0] + 1):
@@ -235,14 +235,15 @@ def test_matches_the_weighted_bfs_at_every_smaller_bound(bound):
 
 
 def least_root_weight(shape):
-    # the least consistent weighting: 1 on a final vertex, the sum of the
-    # sources elsewhere; sources come after their targets in a record
+    # the least minimal weighting: 2 on a free final vertex, 1 on a
+    # satellite final vertex or the lone root, the sum of the sources
+    # elsewhere; sources come after their targets in a record
     owed = [0] * len(shape)
     for v in range(len(shape) - 1, 0, -1):
         parent, second, _ = shape[v]
         for t in (parent, second) if second >= 0 else (parent,):
-            owed[t] += max(owed[v], 1)
-    return max(owed[0], 1)
+            owed[t] += owed[v] or (2 if second < 0 else 1)
+    return owed[0] or 1
 
 
 def test_constant_time_placement_check_matches_the_least_weighting():
@@ -261,6 +262,41 @@ def test_constant_time_placement_check_matches_the_least_weighting():
                 grown.setdefault(canonical_form(child)[0], child)
         level = grown
     assert checked > 10_000
+
+
+def test_no_placement_lowers_the_least_minimal_root_weight():
+    # the monotonicity that lets the shape search drop dead shapes: with no
+    # weight bound, every placement keeps or raises the least root weight
+    unbounded = 10**9
+    level = {"": ((-1, -1, 0),)}
+    checked = 0
+    for _ in range(7):
+        grown = {}
+        for shape in level.values():
+            before = least_root_weight(shape)
+            for child in _extensions(shape, unbounded):
+                assert least_root_weight(child) >= before, child
+                grown.setdefault(canonical_form(child)[0], child)
+                checked += 1
+        level = grown
+    assert checked > 10_000
+
+
+@pytest.mark.parametrize("bound", [(8, 6), (11, 3), (6, 10)])
+def test_every_extended_shape_has_a_minimal_weighting(monkeypatch, bound):
+    # no dead shape is keyed: each shape the search extends is live
+    extended = []
+
+    def recording(shape, max_weight):
+        extended.append(shape)
+        return _extensions(shape, max_weight)
+
+    monkeypatch.setattr(enriques.enumeration, "_extensions", recording)
+    for _ in enriques.enumeration._minimal_records(*bound, 10**6):
+        pass
+    assert extended
+    for shape in extended:
+        assert next(_weightings(shape, bound[1]), None) is not None, shape
 
 
 def test_weighting_search_on_a_deep_free_chain():

@@ -10,9 +10,11 @@ same seed (``--seed`` plus the pair's index), and the side that runs first
 swaps from pair to pair, so a drift in the machine's speed falls on both
 sides alike.  The result goes to ``BENCH_<N>.json`` at the repository
 root: the commits, the interpreter, the machine, each run's
-``correct``/``failed`` and end-to-end metrics, and per workload and side
-the median and interquartile range of every metric.  Uses the standard
-library only.
+``correct``/``failed`` and end-to-end metrics, per workload and side
+the median and interquartile range of every metric, and per workload and
+end-to-end metric the number of pairs the change won (was strictly
+better in, in the direction ``BENCHMARK.json`` gives as ``better``).
+Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -80,6 +82,25 @@ def summary(values: list[float]) -> dict[str, float]:
     return {"median": statistics.median(values), "iqr": high - low}
 
 
+def better_directions() -> dict[str, str]:
+    """Each end-to-end metric of ``BENCHMARK.json`` and which way is better."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {entry["name"]: entry["better"] for entry in spec["end_to_end"]}
+
+
+def pairs_won(runs: list[dict[str, Any]], better: dict[str, str]) -> dict[str, int]:
+    """Per metric, the number of pairs whose change run beat the parent run."""
+    metrics = {(run["pair"], run["side"]): run["metrics"] for run in runs}
+    won = {}
+    for name, direction in better.items():
+        sign = 1 if direction == "higher" else -1
+        won[name] = sum(
+            sign * (metrics[pair, "change"][name] - metrics[pair, "parent"][name]) > 0
+            for pair in range(PAIRS)
+        )
+    return won
+
+
 def machine() -> dict[str, Any]:
     cpu = platform.processor()
     try:
@@ -112,6 +133,7 @@ def main(argv: list[str] | None = None) -> int:
         "pairs": PAIRS,
         "workloads": {},
     }
+    better = better_directions()
     with tempfile.TemporaryDirectory() as scratch:
         extract(args.parent, Path(scratch))
         trees = {"parent": Path(scratch) / "tree", "change": ROOT}
@@ -131,7 +153,9 @@ def main(argv: list[str] | None = None) -> int:
                     name: summary([run["metrics"][name] for run in mine])
                     for name in mine[0]["metrics"]
                 }
-            record["workloads"][workload] = {**sides, "runs": runs}
+            won = pairs_won(runs, better)
+            print(workload, "pairs won by the change:", json.dumps(won), flush=True)
+            record["workloads"][workload] = {**sides, "pairs_won": won, "runs": runs}
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")
     return 0
