@@ -2,13 +2,14 @@
 
     python3 tools/bench_pairs.py --parent REV --pr N [--seed 11]
 
-Extracts revision ``REV`` with ``git archive`` into a temporary directory,
-then runs ``python3 perfbench/run.py --workload W --seed S --trace 0`` (the
-benchmark's own run length) there and in the working tree, alternately,
-ten times per workload, for every workload.  Both runs of a pair use the
-same seed (``--seed`` plus the pair's index), and the side that runs first
-swaps from pair to pair, so a drift in the machine's speed falls on both
-sides alike.  The result goes to ``BENCH_<N>.json`` at the repository
+Extracts revision ``REV`` and ``HEAD`` with ``git archive`` into two new
+temporary directories, then runs ``python3 perfbench/run.py --workload W
+--seed S --trace 0`` (the benchmark's own run length) in each, alternately,
+ten times per workload, for every workload.  Both sides run from their
+committed files alone, so neither sees uncommitted edits or a bytecode
+cache the other lacks.  Both runs of a pair use the same seed (``--seed``
+plus the pair's index), and the side that runs first swaps from pair to
+pair, so a drift in the machine's speed falls on both sides alike.  The result goes to ``BENCH_<N>.json`` at the repository
 root: the commits, the interpreter, the machine, each run's
 ``correct``/``failed`` and end-to-end metrics, per workload and side
 the median and interquartile range of every metric, and per workload and
@@ -43,16 +44,16 @@ def git(*args: str) -> str:
     ).stdout.strip()
 
 
-def extract(revision: str, into: Path) -> None:
-    """Write the tree of ``revision`` into the directory ``into``."""
-    archive = into / "parent.tar"
+def extract(revision: str, tree: Path) -> None:
+    """Write the committed files of ``revision`` into the new directory ``tree``."""
+    archive = tree.with_suffix(".tar")
     with archive.open("wb") as handle:
         subprocess.run(["git", "archive", revision], cwd=ROOT, check=True, stdout=handle)
     # the "data" filter exists from Python 3.10.12 and 3.11.4; the archive
     # is the local repository's own, so older interpreters extract it as is
     safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
     with tarfile.open(archive) as tar:
-        tar.extractall(into / "tree", **safe)
+        tar.extractall(tree, **safe)
     archive.unlink()
 
 
@@ -126,7 +127,6 @@ def main(argv: list[str] | None = None) -> int:
         "pr": args.pr,
         "parent": git("rev-parse", args.parent),
         "change": git("rev-parse", "HEAD"),
-        "change_has_uncommitted_edits": bool(git("status", "--porcelain", "--untracked-files=no")),
         "python": platform.python_version(),
         "machine": machine(),
         "command": "python3 perfbench/run.py --workload W --seed S --trace 0",
@@ -135,8 +135,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     better = better_directions()
     with tempfile.TemporaryDirectory() as scratch:
-        extract(args.parent, Path(scratch))
-        trees = {"parent": Path(scratch) / "tree", "change": ROOT}
+        trees = {side: Path(scratch) / side for side in SIDES}
+        for side in SIDES:
+            extract(record[side], trees[side])
         for workload in WORKLOADS:
             runs = []
             for pair in range(PAIRS):
