@@ -17,14 +17,14 @@ live shapes are kept.
 vertex ``c`` = 2 if it is a free non-root vertex and ``c`` = 1 if it is a
 satellite or the lone root, and every other vertex the sum of its
 proximity sources' weights (the bound of 2 on a free vertex adds nothing
-once it has a child: a free child already weighs 2, and a satellite child
-is proximate to it, which lifts the bound).  Every vertex weighs at most its parent, so the root weight is
-the largest, and unrolling the sums gives the least minimal root weight
-``m = sum over final f of paths[f] * c[f]``, with ``paths[v] =
-paths[parent] + paths[second]`` and ``paths`` of the root 1.  A new final
-vertex ``x`` adds ``paths[x] * c[x]`` to ``m`` and, when its parent ``p``
-had no child, takes away ``paths[p] * c[p]``, so each placement is checked
-in constant time.
+once it has a child: a free child already weighs 2, and a satellite
+child is proximate to it, which lifts the bound).  Every vertex weighs at
+most its parent, so the root weight is the largest, and unrolling the
+sums gives the least minimal root weight ``m = sum over final f of
+paths[f] * c[f]``, with ``paths[v] = paths[parent] + paths[second]`` and
+``paths`` of the root 1.  A new final vertex ``x`` adds ``paths[x] *
+c[x]`` to ``m`` and, when its parent ``p`` had no child, takes away
+``paths[p] * c[p]``, so each placement is checked in constant time.
 
 *Reachability.*  ``m`` never decreases when a vertex ``x`` is placed under
 ``p`` with second target ``s``.  If ``p`` already has a child, ``m`` grows

@@ -9,13 +9,13 @@ ten times per workload, for every workload.  Both sides run from their
 committed files alone, so neither sees uncommitted edits or a bytecode
 cache the other lacks.  Both runs of a pair use the same seed (``--seed``
 plus the pair's index), and the side that runs first swaps from pair to
-pair, so a drift in the machine's speed falls on both sides alike.  The result goes to ``BENCH_<N>.json`` at the repository
-root: the commits, the interpreter, the machine, each run's
-``correct``/``failed`` and end-to-end metrics, per workload and side
-the median and interquartile range of every metric, and per workload and
-end-to-end metric the number of pairs the change won (was strictly
-better in, in the direction ``BENCHMARK.json`` gives as ``better``).
-Uses the standard library only.
+pair, so a drift in the machine's speed falls on both sides alike.  The
+result goes to ``BENCH_<N>.json`` at the repository root: the commits,
+the interpreter, the machine, each run's ``correct``/``failed`` and
+end-to-end metrics, per workload and side the median and interquartile
+range of every metric, and per workload and end-to-end metric the number
+of pairs the change won (was strictly better in, in the direction
+``BENCHMARK.json`` gives as ``better``).  Uses the standard library only.
 """
 
 from __future__ import annotations
