@@ -181,18 +181,17 @@ class ProximityDiagram:
     def preorder(self) -> tuple[int, ...]:
         """Vertices root first, each parent before its children.
 
-        Visits each vertex at most once; a parent map that leads back to a
-        visited vertex raises :class:`InvalidDiagramError`."""
+        The one tree check: raises :class:`InvalidDiagramError` when the
+        root has a parent or the walk from the root misses a vertex (a
+        missing parent or a cycle off the root)."""
         order: list[int] = []
-        seen: set[int] = set()
-        stack = [self.root]
+        stack = [] if self.root in self.parent else [self.root]
         while stack:
             v = stack.pop()
-            if v in seen:
-                raise InvalidDiagramError(self.violations)
-            seen.add(v)
             order.append(v)
-            stack.extend(reversed(self.children.get(v, ())))
+            stack.extend(reversed(self.children[v]))
+        if len(order) != len(self.vertices):
+            raise InvalidDiagramError(self.violations)
         return tuple(order)
 
     @cached_property
@@ -259,11 +258,10 @@ class WeightedDiagram:
         """The diagram as :func:`canonical_form` reads it, one ``(parent,
         second, weight)`` entry per vertex of ``diagram.preorder``, targets
         given by preorder position.  Raises :class:`InvalidDiagramError` for
-        a vertex not below the root or a satellite whose second target is
-        not one of its parent's targets."""
+        a parent map that is not a tree below the root (through
+        ``diagram.preorder``) or a satellite whose second target is not one
+        of its parent's targets."""
         d = self.diagram
-        if d.root in d.parent or len(d.preorder) != len(d.vertices):
-            raise InvalidDiagramError(d.violations)
         position = {v: i for i, v in enumerate(d.preorder)}
         out = [(-1, -1, self.nu[d.root])]
         for v in d.preorder[1:]:
@@ -329,50 +327,41 @@ def validate_axioms(d: ProximityDiagram) -> list[Violation]:
     """Check the five proximity axioms plus tree structure.
 
     Returns a list of :class:`Violation`, empty when the diagram is valid.
-    Axiom number 0 marks structural defects (broken parent map, proximity
-    pairs naming unknown vertices, cycles).
+    Axiom number 0 marks structural defects (a root with a parent, a
+    missing parent, self-proximity, cycles).  Each parent chain is walked
+    once: a walk stops at the root or at any vertex an earlier walk passed,
+    so the structural check is linear in the number of vertices.
     """
     violations: list[Violation] = []
-    vertices = set(d.vertices)
-    parent = dict(d.parent_edges)
+    parent = d.parent
 
     if d.root in parent:
         violations.append(Violation(0, (d.root,), f"root {d.root} has a parent"))
-    for v in sorted(vertices):
+    for v in d.vertices:
         if v != d.root and v not in parent:
             violations.append(Violation(0, (v,), f"non-root vertex {v} has no parent"))
     for source, target in d.proximity:
         if source == target:
             violations.append(Violation(0, (source,), f"vertex {source} proximate to itself"))
-        for end in (source, target):
-            if end not in vertices:
-                violations.append(Violation(0, (end,), f"proximity names unknown vertex {end}"))
 
     # parent chains must reach the root without cycles
-    state: dict[int, int] = {}  # 1 = in progress, 2 = ok
-    for v in sorted(vertices):
-        path = []
+    passed = {d.root}
+    for v in d.vertices:
+        path: set[int] = set()
         u = v
-        while True:
-            if u == d.root or state.get(u) == 2:
-                break
-            if state.get(u) == 1 or u in path:
+        while u not in passed and u in parent:
+            if u in path:
                 violations.append(Violation(0, (v,), f"parent chain from {v} has a cycle"))
                 break
-            path.append(u)
-            nxt = parent.get(u)
-            if nxt is None:
-                break  # already reported as missing parent
-            u = nxt
-        for w in path:
-            state[w] = 2
+            path.add(u)
+            u = parent[u]
+        passed |= path
 
     if violations:
         return _sorted_violations(violations)
 
     prox_targets = d.prox_targets
-    prox_set = set(d.proximity)
-    for v in sorted(vertices):
+    for v in d.vertices:
         targets = prox_targets[v]
         if v == d.root:
             if targets:
@@ -381,7 +370,7 @@ def validate_axioms(d: ProximityDiagram) -> list[Violation]:
                 )
             continue
         p = parent[v]
-        if (v, p) not in prox_set:
+        if p not in targets:
             violations.append(
                 Violation(2, (v, p), f"vertex {v} is not proximate to its parent {p}")
             )
@@ -396,19 +385,17 @@ def validate_axioms(d: ProximityDiagram) -> list[Violation]:
                 violations.append(
                     Violation(4, (v,), f"vertex {v} is proximate to two non-parents")
                 )
-            else:
-                other = targets[0] if targets[1] == p else targets[1]
-                if (p, other) not in prox_set:
-                    violations.append(
-                        Violation(
-                            4,
-                            (v, p, other),
-                            f"parent {p} of satellite {v} is not proximate to {other}",
-                        )
+            elif targets[1] not in prox_targets[p]:
+                violations.append(
+                    Violation(
+                        4,
+                        (v, p, targets[1]),
+                        f"parent {p} of satellite {v} is not proximate to {targets[1]}",
                     )
+                )
     sharing: dict[tuple[int, int], list[int]] = {}  # pair -> vertices proximate to both
-    for u in vertices:
-        for pair in permutations(set(prox_targets[u]), 2):
+    for u, targets in prox_targets.items():
+        for pair in permutations(targets, 2):
             sharing.setdefault(pair, []).append(u)
     for source, target in d.proximity:
         both = sharing.get((source, target), [])
@@ -458,7 +445,8 @@ def order_of_values(w: WeightedDiagram) -> dict[int, int]:
 
     Computed root first; the value at P is the order of vanishing, at the
     point P, of the total transform of a germ whose multiplicities are the
-    weights.
+    weights.  Raises :class:`InvalidDiagramError` when the parent map is not
+    a tree below the root.
     """
     return dict(w.orders)
 
@@ -482,12 +470,14 @@ def milnor_number(w: WeightedDiagram) -> int:
 
     mu = sum of weight*(weight-1) over all vertices, plus one, minus the
     total excess.  Raises :class:`InconsistentDiagramError` when some excess
-    is negative: the Milnor number of an inconsistent diagram is undefined.
+    is negative: the Milnor number of an inconsistent diagram is undefined;
+    the sum runs over ``diagram.preorder``, so a parent map that is not a
+    tree below the root raises :class:`InvalidDiagramError`.
     """
     if not is_consistent(w):
         raise InconsistentDiagramError("Milnor number requires a consistent diagram")
     nu = w.nu
-    square_term = sum(weight * (weight - 1) for weight in nu.values())
+    square_term = sum(nu[v] * (nu[v] - 1) for v in w.diagram.preorder)
     return square_term + 1 - total_excess(w)
 
 
@@ -604,8 +594,6 @@ def minimalize(w: WeightedDiagram) -> WeightedDiagram:
     if not is_consistent(w):
         raise InconsistentDiagramError("minimalize requires a consistent diagram")
     d = w.diagram
-    if len(d.preorder) != len(d.vertices):
-        raise InvalidDiagramError(d.violations)
     removable: set[int] = set()
     for v in reversed(d.preorder[1:]):
         free_and_light = len(d.prox_targets[v]) == 1 and w.nu[v] in (0, 1)

@@ -25,6 +25,7 @@ weighted diagram, does it arise from some germ of this family?
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
@@ -79,11 +80,14 @@ class QuasihomogeneousSpec:
     def __post_init__(self) -> None:
         if self.k not in (0, 1) or self.l not in (0, 1):
             raise ValueError(f"k and l must be 0 or 1, got k={self.k}, l={self.l}")
-        if not (1 <= self.p <= self.q):
-            raise ValueError(f"exponents must satisfy 1 <= p <= q, got p={self.p}, q={self.q}")
+        if self.p < 1:
+            raise ValueError(f"exponents must be positive, got p={self.p}, q={self.q}")
+        if self.p > self.q:
+            raise ValueError(f"exponents must satisfy p <= q, got p={self.p}, q={self.q}")
         if self.k + self.l + self.p < 2:
             raise ValueError(
-                f"k + l + p >= 2 required for a singular germ, got {self.k + self.l + self.p}"
+                "k + l + p >= 2 required for a singular germ, "
+                f"got k={self.k}, l={self.l}, p={self.p}"
             )
 
     @cached_property
@@ -124,7 +128,9 @@ def parse_spec(text: str) -> QuasihomogeneousSpec:
     dropped when there is no prefix, and an exponent of one may be written
     as a bare variable.  The x term must precede the y term.  Exponents are
     normalised so that p <= q (swapping the roles of x and y when needed).
-    Raises :class:`SpecParseError` with the offending token and position.
+    Raises :class:`SpecParseError` with the offending token and position,
+    or with the range check of :class:`QuasihomogeneousSpec` that the
+    normalised germ fails.
     """
     text = text.strip()
     if not text:
@@ -133,131 +139,80 @@ def parse_spec(text: str) -> QuasihomogeneousSpec:
         parts = [part.strip() for part in text.split(",")]
         if len(parts) != 4:
             raise SpecParseError(f"expected four comma-separated integers, got {len(parts)}")
-        values = []
         for part in parts:
             if not re.fullmatch(r"-?\d+", part):
                 raise SpecParseError(f"not an integer: {part!r}")
-            values.append(int(part))
-        k, l, p, q = values
-        if k not in (0, 1) or l not in (0, 1):
-            raise SpecParseError(f"k and l must be 0 or 1, got k={k}, l={l}")
-        if p < 1 or q < 1:
-            raise SpecParseError(f"exponents must be positive, got p={p}, q={q}")
+        k, l, p, q = map(int, parts)
     else:
         k, l, p, q = _parse_polynomial(text)
     if p > q:
         k, l, p, q = l, k, q, p
-    if k + l + p < 2:
-        raise SpecParseError(
-            f"k + l + p >= 2 required for a singular germ, got k={k}, l={l}, p={p}"
-        )
-    return QuasihomogeneousSpec(k, l, p, q)
+    try:
+        return QuasihomogeneousSpec(k, l, p, q)
+    except ValueError as exc:
+        raise SpecParseError(str(exc)) from None
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([xy])|(\^)|(\*)|(\+)|(\()|(\)))")
+_TOKEN = re.compile(r"\s*(?:(\d+)|([xy])|([\^*+()])|(.))", re.DOTALL)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """``(kind, value, position)`` per token; kind is "int", "var" or the symbol."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None or m.end() == pos:
-            bad = text[pos:].lstrip()
-            raise SpecParseError(f"unexpected character {bad[0]!r} at position {pos}")
-        if m.group(1):
-            tokens.append(("int", m.group(1), m.start(1)))
-        elif m.group(2):
-            tokens.append(("var", m.group(2), m.start(2)))
-        else:
-            sym = m.group(3) or m.group(4) or m.group(5) or m.group(6) or m.group(7)
-            tokens.append((sym, sym, m.end() - 1))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        if m.lastindex == 4:
+            raise SpecParseError(f"unexpected character {m[4]!r} at position {m.start()}")
+        kind = ("int", "var", m[3])[m.lastindex - 1]
+        tokens.append((kind, m[m.lastindex], m.start(m.lastindex)))
     return tokens
 
 
-class _TokenStream:
-    def __init__(self, tokens: list[tuple[str, str, int]], text: str):
-        self.tokens = tokens
-        self.text = text
-        self.index = 0
+def _parse_polynomial(text: str) -> tuple[int, int, int, int]:
+    """``[x*][y*](x^p+y^q)`` in one LL(1) pass: each power is read first,
+    and a ``*`` after it makes it a prefix factor; otherwise it is the
+    first term of the sum."""
+    tokens = _tokenize(text)[::-1]
 
-    def peek(self) -> tuple[str, str, int] | None:
-        return self.tokens[self.index] if self.index < len(self.tokens) else None
+    def peek() -> str | None:
+        return tokens[-1][0] if tokens else None
 
-    def next(self) -> tuple[str, str, int]:
-        token = self.peek()
-        if token is None:
-            raise SpecParseError(f"unexpected end of input after {self.text!r}")
-        self.index += 1
-        return token
-
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        token = self.next()
-        if token[0] != kind:
+    def take(kind: str | None = None) -> tuple[str, str, int]:
+        if not tokens:
+            raise SpecParseError(f"unexpected end of input after {text!r}")
+        token = tokens.pop()
+        if kind is not None and token[0] != kind:
             raise SpecParseError(
                 f"expected {kind!r} but found {token[1]!r} at position {token[2]}"
             )
         return token
 
+    def power() -> tuple[str, int, int]:
+        kind, var, pos = take()
+        if kind != "var":
+            raise SpecParseError(f"expected a variable but found {var!r} at position {pos}")
+        if peek() != "^":
+            return var, 1, pos
+        take()
+        _, value, at = take("int")
+        if int(value) < 1:
+            raise SpecParseError(f"exponent must be positive, got {value!r} at position {at}")
+        return var, int(value), pos
 
-def _parse_power(stream: _TokenStream) -> tuple[str, int, int]:
-    """One factor ``x``, ``y``, ``x^n`` or ``y^n``; returns (variable, exponent, position)."""
-    kind, value, pos = stream.next()
-    if kind != "var":
-        raise SpecParseError(f"expected a variable but found {value!r} at position {pos}")
-    exponent = 1
-    nxt = stream.peek()
-    if nxt is not None and nxt[0] == "^":
-        stream.next()
-        kind2, value2, pos2 = stream.expect("int")
-        exponent = int(value2)
-        if exponent < 1:
-            raise SpecParseError(f"exponent must be positive, got {value2!r} at position {pos2}")
-    return value, exponent, pos
-
-
-def _parse_sum(stream: _TokenStream) -> tuple[int, int]:
-    """``x^p + y^q`` with the x term first; returns (p, q)."""
-    var1, exp1, pos1 = _parse_power(stream)
-    if var1 != "x":
-        raise SpecParseError(f"the x term must come first, found {var1!r} at position {pos1}")
-    stream.expect("+")
-    var2, exp2, pos2 = _parse_power(stream)
-    if var2 != "y":
-        raise SpecParseError(f"the second term must be in y, found {var2!r} at position {pos2}")
-    return exp1, exp2
-
-
-def _parse_polynomial(text: str) -> tuple[int, int, int, int]:
-    stream = _TokenStream(_tokenize(text), text)
     k = l = 0
-    # prefix factors are each followed by '*'
     while True:
-        token = stream.peek()
-        if token is None:
-            raise SpecParseError(f"unexpected end of input after {text!r}")
-        if token[0] != "var":
-            break
-        after = (
-            stream.tokens[stream.index + 1]
-            if stream.index + 1 < len(stream.tokens)
-            else None
-        )
-        lookahead = {after[0] if after is not None else None}
-        if after is not None and after[0] == "^":
-            third = (
-                stream.tokens[stream.index + 3]
-                if stream.index + 3 < len(stream.tokens)
-                else None
-            )
-            lookahead = {third[0] if third is not None else None}
-        if "*" not in lookahead:
-            break  # not a prefix factor: it belongs to the sum
-        var, exponent, pos = _parse_power(stream)
-        if exponent != 1:
+        opened = peek() == "("
+        if opened:
+            take()
+        elif (k or l) and peek() not in ("var", None):
             raise SpecParseError(
-                f"the {var} prefix must have exponent 1, got {exponent} at position {pos}"
+                f"the sum must be parenthesised after a prefix (position {tokens[-1][2]})"
+            )
+        var, p, pos = power()
+        if opened or peek() != "*":
+            break
+        if p != 1:
+            raise SpecParseError(
+                f"the {var} prefix must have exponent 1, got {p} at position {pos}"
             )
         if var == "x":
             if k:
@@ -269,25 +224,20 @@ def _parse_polynomial(text: str) -> tuple[int, int, int, int]:
             if l:
                 raise SpecParseError(f"duplicate y prefix at position {pos}")
             l = 1
-        stream.expect("*")
-    token = stream.peek()
-    if token is None:
-        raise SpecParseError(f"missing polynomial part in {text!r}")
-    if token[0] == "(":
-        stream.next()
-        p, q = _parse_sum(stream)
-        stream.expect(")")
-    else:
-        if k or l:
-            raise SpecParseError(
-                f"the sum must be parenthesised after a prefix (position {token[2]})"
-            )
-        p, q = _parse_sum(stream)
-    trailing = stream.peek()
-    if trailing is not None:
-        raise SpecParseError(
-            f"unexpected trailing {trailing[1]!r} at position {trailing[2]}"
-        )
+        take()
+    if (k or l) and not opened:
+        raise SpecParseError(f"the sum must be parenthesised after a prefix (position {pos})")
+    if var != "x":
+        raise SpecParseError(f"the x term must come first, found {var!r} at position {pos}")
+    take("+")
+    var, q, pos = power()
+    if var != "y":
+        raise SpecParseError(f"the second term must be in y, found {var!r} at position {pos}")
+    if opened:
+        take(")")
+    if tokens:
+        _, value, pos = tokens[-1]
+        raise SpecParseError(f"unexpected trailing {value!r} at position {pos}")
     return k, l, p, q
 
 
@@ -488,9 +438,10 @@ def check_Q_membership(w: WeightedDiagram) -> QMembershipReport:
     satellite, zero elsewhere before the end), but membership itself is
     decided by reconstruction alone: the root weight of a germ's minimal
     diagram always equals p + k + l, so only four (k, l) choices and one
-    bounded exponent q remain.  Only a candidate with ``w``'s Milnor number
-    (as a match must have) is rebuilt and compared by canonical key, and
-    the certifying germ is the first match in (p, q, k, l) order.
+    bounded exponent q remain.  Per (k, l), bisection finds the one q
+    whose Milnor number is ``w``'s (as a match's must be); only those
+    germs are rebuilt and compared by canonical key, and the certifying
+    germ is the first match in (p, q, k, l) order.
     """
     if not is_minimal(w):
         raise DiagramError("membership test requires a minimal diagram")
@@ -516,20 +467,24 @@ def check_Q_membership(w: WeightedDiagram) -> QMembershipReport:
         if w.excess[chain[index]] != 0:
             constraints = False
     total = sum(w.nu.values())
-    root_weight = w.nu[diag.root]
+    mu = milnor_number(w)
     candidates = []
     for k in (0, 1):
         for l in (0, 1):
-            p = root_weight - k - l
+            p = w.nu[diag.root] - k - l
             if p < 1 or k + l + p < 2:
                 continue
-            for q in range(p, max(total, p) + 1):
-                candidates.append((p, q, k, l))
+            # milnor_orlik is (k+p-1)(k+p) q/p plus a term free of q: it
+            # increases strictly in q, except for y(x+y^q), a node for
+            # every q, so the least q reaching mu is the only one to rebuild
+            qs = range(p, total + 1)
+            at = bisect_left(qs, mu, key=lambda q: milnor_orlik(QuasihomogeneousSpec(k, l, p, q)))
+            if at < len(qs) and milnor_orlik(QuasihomogeneousSpec(k, l, p, qs[at])) == mu:
+                candidates.append((p, qs[at], k, l))
     spec = None
-    mu = milnor_number(w)
     for p, q, k, l in sorted(candidates):
         candidate = QuasihomogeneousSpec(k, l, p, q)
-        if milnor_orlik(candidate) == mu and minimal_diagram(candidate).key == w.key:
+        if minimal_diagram(candidate).key == w.key:
             spec = candidate
             break
     return QMembershipReport(

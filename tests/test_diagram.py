@@ -1,5 +1,6 @@
 """Axioms, invariants and surgery on weighted Enriques diagrams."""
 
+import hashlib
 import random
 import time
 
@@ -157,6 +158,54 @@ def test_consecutive_satellites_on_the_same_far_target_are_legal():
     assert validate_axioms(d) == []
 
 
+def random_map(rng):
+    """A proximity map of 1-7 vertices that breaks the axioms now and then:
+    cycles, missing parents, a root with a parent, and stray and self
+    proximity pairs, some naming ids outside the tree."""
+    n = rng.randint(1, 7)
+    parent = {}
+    targets = {0: []}
+    prox = []
+    for v in range(1, n):
+        roll = rng.random()
+        if roll < 0.8:
+            parent[v] = rng.randrange(v)
+        elif roll < 0.92:
+            parent[v] = rng.randrange(n)
+        targets[v] = []
+        if v in parent and rng.random() < 0.9:
+            targets[v].append(parent[v])
+        if rng.random() < 0.4:
+            choices = targets.get(parent.get(v), []) if rng.random() < 0.6 else range(n)
+            if choices:
+                targets[v].append(rng.choice(choices))
+        prox += [(v, t) for t in targets[v]]
+    if rng.random() < 0.05:
+        parent[0] = rng.randrange(n)
+    for _ in range(rng.choice((0, 0, 0, 1, 2))):
+        prox.append((rng.randrange(n + 2), rng.randrange(n + 2)))
+    return proximity_diagram(0, parent, prox)
+
+
+def test_validate_axioms_is_pinned_on_random_maps():
+    # SHA-256 of the violation lists of 20,000 seeded random maps, recorded
+    # before validation became one walk per parent chain
+    digest = hashlib.sha256()
+    rng = random.Random(20_000)
+    valid = 0
+    axioms = set()
+    for _ in range(20_000):
+        violations = validate_axioms(random_map(rng))
+        digest.update(repr([(v.axiom, v.vertices, v.message) for v in violations]).encode())
+        valid += not violations
+        axioms.update(v.axiom for v in violations)
+    assert axioms == {0, 1, 2, 3, 4, 5}
+    assert valid == 5732
+    assert digest.hexdigest() == (
+        "1932a29474a9a2bacd2ff1a6a8bb53302b3ebd46d213f5f0d5a0271a55e2923c"
+    )
+
+
 def test_require_valid_raises_with_violations():
     d = proximity_diagram(0, {1: 0}, [(1, 0), (0, 1)])
     with pytest.raises(InvalidDiagramError) as exc:
@@ -200,6 +249,17 @@ def test_order_of_values_rejects_root_on_a_parent_cycle():
     w = weighted_diagram(proximity_diagram(0, {0: 1, 1: 0}, [(1, 0)]), {0: 2, 1: 1})
     with pytest.raises(InvalidDiagramError):
         order_of_values(w)
+
+
+def test_values_and_milnor_number_reject_a_vertex_off_the_root():
+    # vertex 2 has no parent: the values and the Milnor number used to
+    # read {0: 1} and -1 off the root's part alone
+    w = wd(0, {1: 2}, [(1, 2)], {0: 1, 1: 1, 2: 1})
+    assert is_consistent(w)
+    with pytest.raises(InvalidDiagramError):
+        order_of_values(w)
+    with pytest.raises(InvalidDiagramError):
+        milnor_number(w)
 
 
 def test_excesses_cusp():

@@ -1,7 +1,10 @@
 """Parsing, derived invariants, diagram construction and Q membership."""
 
 import hashlib
+import itertools
 import json
+import random
+import re
 from math import gcd
 
 import pytest
@@ -96,6 +99,78 @@ def test_parse_errors_name_the_problem(text, fragment):
 
 def test_spec_parse_error_is_a_value_error():
     assert issubclass(SpecParseError, ValueError)
+
+
+SPEC_ALPHABET = "xy^*+()012"
+MUTATION_ALPHABET = SPEC_ALPHABET + "3456789 ,-z"
+
+
+def valid_spec_texts():
+    """Accepted spellings of small germs: polynomial, swapped, bare and numeric."""
+    texts = []
+    for k in (0, 1):
+        for l in (0, 1):
+            for p in range(1, 5):
+                for q in range(p, 7):
+                    if k + l + p < 2:
+                        continue
+                    spec = QuasihomogeneousSpec(k, l, p, q)
+                    texts += [spec.polynomial, f"{k},{l},{p},{q}", f" {k}, {l} ,{q},{p} "]
+                    if not k and not l:
+                        texts += [f"x^{q}+y^{p}", f"(x^{p} + y^{q})", f"x+y^{q}"]
+    return texts
+
+
+def spec_corpus():
+    """Every string of length <= 5 over SPEC_ALPHABET, then 20,000 seeded
+    mutations (one to three inserts, deletes, substitutions or swaps) of
+    the valid spellings."""
+    for n in range(6):
+        for chars in itertools.product(SPEC_ALPHABET, repeat=n):
+            yield "".join(chars)
+    rng = random.Random(2023)
+    valid = valid_spec_texts()
+    for _ in range(20_000):
+        text = rng.choice(valid)
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(text) + 1)
+            move = rng.randrange(4)
+            if move == 0:
+                text = text[:at] + rng.choice(MUTATION_ALPHABET) + text[at:]
+            elif move == 1:
+                text = text[:at] + text[at + 1:]
+            elif move == 2:
+                text = text[:at] + rng.choice(MUTATION_ALPHABET) + text[at + 1:]
+            else:
+                text = text[:at] + text[at + 1:at + 2] + text[at:at + 1] + text[at + 2:]
+        yield text
+
+
+# a polynomial-form rejection names where it went wrong, unless the text
+# is blank or the germ is smooth (a range error, not a syntax error)
+POSITIONED = re.compile(
+    r"position \d+|end of input|^empty specification$|^k \+ l \+ p >= 2 required"
+)
+
+
+def test_parse_spec_accepts_and_rejects_exactly_as_pinned():
+    # SHA-256 of every accepted string with its spec, in corpus order,
+    # recorded before the parser was rewritten as one LL(1) pass
+    accepted = hashlib.sha256()
+    count = 0
+    for text in spec_corpus():
+        try:
+            spec = parse_spec(text)
+        except SpecParseError as exc:
+            if "," not in text:
+                assert POSITIONED.search(str(exc)), (text, str(exc))
+            continue
+        accepted.update(f"{text!r}={spec.k},{spec.l},{spec.p},{spec.q}\n".encode())
+        count += 1
+    assert count == 2401
+    assert accepted.hexdigest() == (
+        "8b0dc8fb74642ad11f5e4b71038bc4920da2d6dceeb5e1764372338779ddb628"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +376,45 @@ def test_q_membership_reports_are_pinned():
     assert enumerated.hexdigest() == (
         "fe09b495cc69abb43d920bf25665f76edfeb2d3c4b181ac5348aa4e2ecb88b6a"
     )
+
+
+def scanned_membership(w):
+    """The certifying germ by scanning every q up to the weight total, in
+    (p, q, k, l) order, rebuilding each germ with ``w``'s Milnor number."""
+    total = sum(w.nu.values())
+    root = w.nu[w.root]
+    mu = milnor_number(w)
+    candidates = sorted(
+        (root - k - l, q, k, l)
+        for k in (0, 1)
+        for l in (0, 1)
+        if root - k - l >= 1 and root >= 2
+        for q in range(root - k - l, total + 1)
+    )
+    for p, q, k, l in candidates:
+        spec = QuasihomogeneousSpec(k, l, p, q)
+        if milnor_orlik(spec) == mu and minimal_diagram(spec).key == w.key:
+            return spec
+    return None
+
+
+def test_milnor_orlik_increases_strictly_in_q_except_for_the_node():
+    for k in (0, 1):
+        for l in (0, 1):
+            for p in range(1, 40):
+                if k + l + p < 2:
+                    continue
+                mus = [milnor_orlik(QuasihomogeneousSpec(k, l, p, q)) for q in range(p, 200)]
+                if (k, l, p) == (0, 1, 1):
+                    assert set(mus) == {1}
+                else:
+                    assert all(a < b for a, b in zip(mus, mus[1:])), (k, l, p)
+
+
+def test_q_membership_bisection_matches_the_scan():
+    for spec in all_specs(12):
+        w = minimal_diagram(spec)
+        assert check_Q_membership(w).spec == scanned_membership(w), spec
 
 
 def test_q_membership_rebuilds_only_germs_with_the_right_milnor_number(monkeypatch):

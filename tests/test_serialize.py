@@ -1,6 +1,7 @@
 """JSON, DOT and text emission, plus the structured report objects."""
 
 import json
+import time
 
 import pytest
 
@@ -130,6 +131,22 @@ def test_from_dict_validates_axioms():
     }
     with pytest.raises(DiagramError):
         diagram_from_dict(data)
+
+
+def test_from_dict_reads_a_chain_with_falling_ids_in_linear_time():
+    # the deepest vertex has the smallest id, so the first parent chain
+    # walked is the whole chain; a walk that scanned its own path for
+    # cycles took 13 s at 40,000 rows
+    n = 50_000
+    rows = [
+        {"id": n - 1 - i, "weight": 1, "parent": n - i if i else None,
+         "proximate_to": [n - i] if i else []}
+        for i in range(n)
+    ]
+    started = time.perf_counter()
+    w = diagram_from_dict({"root": n - 1, "vertices": rows})
+    assert time.perf_counter() - started < 2
+    assert len(w) == n and w.diagram.parent[0] == 1
 
 
 def test_dot_output():
