@@ -7,157 +7,23 @@ the Milnor-number jump under linear deformations with its adjacent-diagram
 construction and bounded maximality verification.
 """
 
-from .diagram import (
-    DiagramError,
-    DiagramType,
-    InconsistentDiagramError,
-    InvalidDiagramError,
-    Kind,
-    ProximityDiagram,
-    UnknownVertexError,
-    VertexKind,
-    Violation,
-    WeightedDiagram,
-    add_leaf,
-    canonical_key,
-    canonical_order,
-    classify,
-    diagram_type,
-    excesses,
-    is_complete,
-    is_consistent,
-    is_minimal,
-    milnor_number,
-    minimalize,
-    order_of_values,
-    proximity_diagram,
-    relabel,
-    remove_vertices,
-    require_valid,
-    single_vertex,
-    total_excess,
-    validate_axioms,
-    weighted_diagram,
-)
-from .enumeration import (
-    DEFAULT_MAX_CANDIDATES,
-    EnumerationLimitError,
-    enumerate_minimal_diagrams,
-)
-from .quasihomogeneous import (
-    MAX_DIAGRAM_VERTICES,
-    DerivedInvariants,
-    QMembershipReport,
-    QuasihomogeneousSpec,
-    SpecParseError,
-    bamboo_invariants,
-    build_enriques_diagram,
-    check_Q_membership,
-    derived_invariants,
-    is_bamboo,
-    milnor_orlik,
-    minimal_diagram,
-    parse_spec,
-)
-from .adjacency import (
-    AdjacencyVerdict,
-    GeqWitness,
-    SubdiagramEmbedding,
-    check_geq_witness,
-    class_representatives,
-    geq,
-    linear_adjacent,
-)
-from .jump import (
-    JumpReport,
-    MaximalityReport,
-    construct_adjacent_diagram,
-    expected_jump,
-    lambda_lin,
-    lambda_lin_semi,
-    verify_maximality,
-)
-from .serialize import (
-    diagram_from_dict,
-    diagram_from_json,
-    diagram_to_dict,
-    diagram_to_dot,
-    diagram_to_json,
-    diagram_to_text,
-    jump_report_to_dict,
-    witness_to_dict,
-)
+from . import adjacency, diagram, enumeration, jump, quasihomogeneous, serialize
+from .diagram import *
+from .enumeration import *
+from .quasihomogeneous import *
+from .adjacency import *
+from .jump import *
+from .serialize import *
 
 __version__ = "0.1.0"
 
+# each module's __all__ is the one declaration of its public names
 __all__ = [
-    "DiagramError",
-    "InvalidDiagramError",
-    "InconsistentDiagramError",
-    "UnknownVertexError",
-    "EnumerationLimitError",
-    "SpecParseError",
-    "Violation",
-    "Kind",
-    "VertexKind",
-    "ProximityDiagram",
-    "WeightedDiagram",
-    "DiagramType",
-    "QuasihomogeneousSpec",
-    "DerivedInvariants",
-    "QMembershipReport",
-    "SubdiagramEmbedding",
-    "GeqWitness",
-    "AdjacencyVerdict",
-    "JumpReport",
-    "MaximalityReport",
-    "proximity_diagram",
-    "weighted_diagram",
-    "single_vertex",
-    "validate_axioms",
-    "require_valid",
-    "classify",
-    "order_of_values",
-    "excesses",
-    "total_excess",
-    "is_consistent",
-    "is_complete",
-    "is_minimal",
-    "milnor_number",
-    "minimalize",
-    "canonical_key",
-    "canonical_order",
-    "add_leaf",
-    "remove_vertices",
-    "relabel",
-    "diagram_type",
-    "enumerate_minimal_diagrams",
-    "DEFAULT_MAX_CANDIDATES",
-    "parse_spec",
-    "derived_invariants",
-    "milnor_orlik",
-    "build_enriques_diagram",
-    "MAX_DIAGRAM_VERTICES",
-    "minimal_diagram",
-    "is_bamboo",
-    "bamboo_invariants",
-    "check_Q_membership",
-    "geq",
-    "check_geq_witness",
-    "class_representatives",
-    "linear_adjacent",
-    "construct_adjacent_diagram",
-    "expected_jump",
-    "lambda_lin",
-    "lambda_lin_semi",
-    "verify_maximality",
-    "diagram_to_dict",
-    "diagram_from_dict",
-    "diagram_to_json",
-    "diagram_from_json",
-    "diagram_to_dot",
-    "diagram_to_text",
-    "witness_to_dict",
-    "jump_report_to_dict",
+    *diagram.__all__,
+    *enumeration.__all__,
+    *quasihomogeneous.__all__,
+    *adjacency.__all__,
+    *jump.__all__,
+    *serialize.__all__,
     "__version__",
 ]

@@ -33,7 +33,7 @@ enumeration shares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import permutations
@@ -302,7 +302,10 @@ class WeightedDiagram:
 
 def weighted_diagram(diagram: ProximityDiagram, nu: Mapping[int, int]) -> WeightedDiagram:
     """Attach weights to ``diagram``; ``nu`` must cover every vertex."""
-    items = tuple(sorted((v, int(nu[v])) for v in diagram.vertices))
+    try:
+        items = tuple(sorted((v, int(nu[v])) for v in diagram.vertices))
+    except KeyError as exc:
+        raise DiagramError(f"no weight for vertex {exc.args[0]!r}") from None
     return WeightedDiagram(diagram=diagram, weight_items=items)
 
 
@@ -670,10 +673,12 @@ def canonical_order(w: WeightedDiagram) -> tuple[int, ...]:
 
 def relabel(w: WeightedDiagram, mapping: Mapping[int, int]) -> WeightedDiagram:
     """Rename vertices through a bijection (used for normalisation and tests)."""
-    values = set(mapping.values())
-    if len(values) != len(w.diagram.vertices):
-        raise DiagramError("relabelling must be a bijection on the vertex set")
     d = w.diagram
+    for v in d.vertices:
+        if v not in mapping:
+            raise DiagramError(f"relabelling does not map vertex {v!r}")
+    if len(set(mapping.values())) != len(d.vertices):
+        raise DiagramError("relabelling must be a bijection on the vertex set")
     parent = {mapping[v]: mapping[p] for v, p in d.parent_edges}
     prox = [(mapping[s], mapping[t]) for s, t in d.proximity]
     nu = {mapping[v]: w.nu[v] for v in d.vertices}
@@ -688,16 +693,8 @@ def relabel(w: WeightedDiagram, mapping: Mapping[int, int]) -> WeightedDiagram:
 class DiagramType:
     """Equivalence class of weighted diagrams, held by its minimal member."""
 
-    representative: WeightedDiagram
+    representative: WeightedDiagram = field(compare=False)
     key: str
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DiagramType):
-            return NotImplemented
-        return self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
 
 
 def diagram_type(w: WeightedDiagram) -> DiagramType:

@@ -441,7 +441,10 @@ def check_Q_membership(w: WeightedDiagram) -> QMembershipReport:
     bounded exponent q remain.  Per (k, l), bisection finds the one q
     whose Milnor number is ``w``'s (as a match's must be); only those
     germs are rebuilt and compared by canonical key, and the certifying
-    germ is the first match in (p, q, k, l) order.
+    germ is the first match in (p, q, k, l) order.  Rebuilding is bounded
+    like any germ's: when a candidate's complete diagram would exceed
+    :data:`MAX_DIAGRAM_VERTICES`, :class:`DiagramError` is raised, even for
+    a member (a 10-vertex free chain of weight 10^5 per vertex).
     """
     if not is_minimal(w):
         raise DiagramError("membership test requires a minimal diagram")

@@ -47,31 +47,27 @@ __all__ = [
 ]
 
 
-def _canonical_ids(w: WeightedDiagram) -> dict[int, int]:
-    return {v: i for i, v in enumerate(canonical_order(w))}
+def _rows(w: WeightedDiagram) -> list[tuple[int, int, int | None, tuple[int, ...]]]:
+    """``(id, weight, parent id, target ids)`` per vertex in canonical order.
+
+    Ids are canonical positions, the root's parent id is None, and the
+    target ids list the parent first, as ``prox_targets`` does."""
+    d = w.diagram
+    order = canonical_order(w)
+    ids = {v: i for i, v in enumerate(order)}
+    rows = []
+    for i, v in enumerate(order):
+        parent = ids[d.parent[v]] if i else None
+        rows.append((i, w.nu[v], parent, tuple(ids[t] for t in d.prox_targets[v])))
+    return rows
 
 
 def diagram_to_dict(w: WeightedDiagram) -> dict[str, Any]:
     """Diagram as a JSON-ready dict in the frozen schema."""
-    ids = _canonical_ids(w)
-    d = w.diagram
-    vertices = []
-    for v in canonical_order(w):
-        targets = d.prox_targets[v]
-        if targets:
-            head = ids[d.parent[v]]
-            rest = sorted(ids[t] for t in targets if t != d.parent[v])
-            proximate_to = [head, *rest]
-        else:
-            proximate_to = []
-        vertices.append(
-            {
-                "id": ids[v],
-                "weight": w.nu[v],
-                "parent": ids[d.parent[v]] if v != d.root else None,
-                "proximate_to": proximate_to,
-            }
-        )
+    vertices = [
+        {"id": i, "weight": weight, "parent": parent, "proximate_to": list(targets)}
+        for i, weight, parent, targets in _rows(w)
+    ]
     return {"root": 0, "vertices": vertices}
 
 
@@ -132,41 +128,33 @@ def diagram_from_json(text: str) -> WeightedDiagram:
 
 def diagram_to_dot(w: WeightedDiagram) -> str:
     """DOT digraph; satellites are filled gray, edges carry the child's kind."""
-    ids = _canonical_ids(w)
-    d = w.diagram
-    order = canonical_order(w)
+    rows = _rows(w)
     lines = ["digraph enriques {", "  node [shape=circle];"]
-    for v in order:
-        attrs = f'label="{w.nu[v]}"'
-        if len(d.prox_targets[v]) == 2:
+    for i, weight, _, targets in rows:
+        attrs = f'label="{weight}"'
+        if len(targets) == 2:
             attrs += ", style=filled, fillcolor=gray"
-        lines.append(f"  v{ids[v]} [{attrs}];")
-    for v in order:
-        if v == d.root:
-            continue
-        kind = "satellite" if len(d.prox_targets[v]) == 2 else "free"
-        lines.append(f'  v{ids[d.parent[v]]} -> v{ids[v]} [kind="{kind}"];')
+        lines.append(f"  v{i} [{attrs}];")
+    for i, _, parent, targets in rows[1:]:
+        kind = "satellite" if len(targets) == 2 else "free"
+        lines.append(f'  v{parent} -> v{i} [kind="{kind}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def diagram_to_text(w: WeightedDiagram, indent: str = "") -> str:
     """Indented outline, one vertex per line in canonical order."""
-    ids = _canonical_ids(w)
-    d = w.diagram
-    depth: dict[int, int] = {d.root: 0}
+    depth: list[int] = []
     lines = []
-    for v in canonical_order(w):
-        if v != d.root:
-            depth[v] = depth[d.parent[v]] + 1
-        targets = d.prox_targets[v]
+    for i, weight, parent, targets in _rows(w):
+        depth.append(0 if parent is None else depth[parent] + 1)
         if not targets:
             kind = "root"
         elif len(targets) == 1:
             kind = "free"
         else:
-            kind = f"satellite prox=[{ids[targets[0]]},{ids[targets[1]]}]"
-        lines.append(f"{indent}{'  ' * depth[v]}{ids[v]} w={w.nu[v]} {kind}")
+            kind = f"satellite prox=[{targets[0]},{targets[1]}]"
+        lines.append(f"{indent}{'  ' * depth[i]}{i} w={weight} {kind}")
     return "\n".join(lines) + "\n"
 
 
@@ -174,12 +162,12 @@ def witness_to_dict(
     upper: WeightedDiagram, lower: WeightedDiagram, witness: GeqWitness
 ) -> dict[str, Any]:
     """Witness as a JSON-ready dict, arrays indexed by lower canonical ids."""
-    upper_ids = _canonical_ids(upper)
-    lower_ids = _canonical_ids(lower)
+    upper_ids = {u: i for i, u in enumerate(canonical_order(upper))}
+    order = canonical_order(lower)
+    lower_ids = {v: i for i, v in enumerate(order)}
     embedding = sorted(
         [lower_ids[v], upper_ids[u]] for v, u in witness.embedding.pairs
     )
-    by_position = sorted(lower_ids, key=lower_ids.__getitem__)
     kappa = dict(witness.kappa)
     ord_nu = dict(witness.ord_nu)
     ord_kappa = dict(witness.ord_kappa)
@@ -187,9 +175,9 @@ def witness_to_dict(
         "upper": diagram_to_dict(upper),
         "lower": diagram_to_dict(lower),
         "embedding": embedding,
-        "kappa": [kappa[v] for v in by_position],
-        "ord_nu": [ord_nu[v] for v in by_position],
-        "ord_kappa": [ord_kappa[v] for v in by_position],
+        "kappa": [kappa[v] for v in order],
+        "ord_nu": [ord_nu[v] for v in order],
+        "ord_kappa": [ord_kappa[v] for v in order],
     }
 
 

@@ -524,6 +524,18 @@ def test_relabel_requires_bijection():
         relabel(cusp_minimal(), {0: 0, 1: 1, 2: 1})
 
 
+def test_relabel_names_a_vertex_the_mapping_misses():
+    w = wd(0, {1: 0}, [(1, 0)], {0: 2, 1: 1})
+    with pytest.raises(DiagramError, match="vertex 1"):
+        relabel(w, {0: 1, 2: 0})
+
+
+def test_weighted_diagram_names_a_vertex_without_weight():
+    d = proximity_diagram(0, {1: 0}, [(1, 0)])
+    with pytest.raises(DiagramError, match="no weight for vertex 1"):
+        weighted_diagram(d, {0: 1})
+
+
 def test_diagram_type_equality_and_hash():
     t1 = diagram_type(cusp_complete())
     t2 = diagram_type(relabel(cusp_minimal(), {0: 4, 1: 9, 2: 6}))

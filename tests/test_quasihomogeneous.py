@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 import re
+import time
 from math import gcd
 
 import pytest
@@ -343,6 +344,18 @@ def test_non_bamboo_report_is_all_none():
 def test_q_membership_requires_minimal_input():
     with pytest.raises(DiagramError):
         check_Q_membership(wd(0, {1: 0}, [(1, 0)], {0: 2, 1: 1}))
+
+
+def test_q_membership_refuses_a_certifying_germ_above_the_size_bound():
+    # the only germ that could certify this chain, x*(x^99999+y^999990),
+    # has a complete diagram of 100,010 vertices; it is refused unbuilt
+    n = 10
+    chain = wd(0, {i: i - 1 for i in range(1, n)}, [(i, i - 1) for i in range(1, n)],
+               {i: 100_000 for i in range(n)})
+    started = time.perf_counter()
+    with pytest.raises(DiagramError, match="more than the bound of 100000"):
+        check_Q_membership(chain)
+    assert time.perf_counter() - started < 1
 
 
 def test_round_trip_membership_over_a_spec_sweep():

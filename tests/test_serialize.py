@@ -1,5 +1,6 @@
 """JSON, DOT and text emission, plus the structured report objects."""
 
+import hashlib
 import json
 import time
 
@@ -10,6 +11,7 @@ from enriques import (
     DiagramError,
     QuasihomogeneousSpec,
     add_leaf,
+    build_enriques_diagram,
     canonical_key,
     construct_adjacent_diagram,
     diagram_from_dict,
@@ -18,6 +20,7 @@ from enriques import (
     diagram_to_dot,
     diagram_to_json,
     diagram_to_text,
+    enumerate_minimal_diagrams,
     geq,
     jump_report_to_dict,
     lambda_lin,
@@ -28,6 +31,7 @@ from enriques import (
     witness_to_dict,
 )
 from helpers import cusp_minimal
+from test_acceptance import all_specs
 
 
 def test_diagram_dict_schema():
@@ -213,3 +217,34 @@ def test_jump_report_dict_is_json_serialisable():
     data = jump_report_to_dict(lambda_lin(QuasihomogeneousSpec(0, 0, 6, 9)))
     text = json.dumps(data)
     assert json.loads(text)["lambda_lin"] == 3
+
+
+def test_emitters_are_pinned():
+    # SHA-256 of every emission, recorded at 8068afa: text with and without
+    # an indent, JSON and DOT of each minimal diagram up to 7 vertices and
+    # weight 5 and of each germ's complete diagram and E_D for q <= 30,
+    # plus each of those germs' jump report as JSON
+    digest = hashlib.sha256()
+    emissions = 0
+
+    def emit(text):
+        nonlocal emissions
+        digest.update(text.encode())
+        digest.update(b"\0")
+        emissions += 1
+
+    reports = [lambda_lin(spec) for spec in all_specs(30)]
+    diagrams = [*enumerate_minimal_diagrams(7, 5)]
+    diagrams += [build_enriques_diagram(report.spec) for report in reports]
+    diagrams += [report.E_D for report in reports]
+    for w in diagrams:
+        emit(diagram_to_text(w))
+        emit(diagram_to_text(w, indent="| "))
+        emit(diagram_to_json(w))
+        emit(diagram_to_dot(w))
+    for report in reports:
+        emit(json.dumps(jump_report_to_dict(report)))
+    assert emissions == 21_302
+    assert digest.hexdigest() == (
+        "1fbe5904376edba976d48b9a62d3b04477c3cadbba114d72e8b7634b91604e0c"
+    )
