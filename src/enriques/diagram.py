@@ -301,12 +301,21 @@ class WeightedDiagram:
 
 
 def weighted_diagram(diagram: ProximityDiagram, nu: Mapping[int, int]) -> WeightedDiagram:
-    """Attach weights to ``diagram``; ``nu`` must cover every vertex."""
+    """Attach weights to ``diagram``; ``nu`` must give every vertex an ``int``
+    weight (not a bool), else :class:`DiagramError` is raised."""
     try:
-        items = tuple(sorted((v, int(nu[v])) for v in diagram.vertices))
+        items = tuple((v, _integer(nu[v], "weight")) for v in diagram.vertices)
     except KeyError as exc:
         raise DiagramError(f"no weight for vertex {exc.args[0]!r}") from None
     return WeightedDiagram(diagram=diagram, weight_items=items)
+
+
+def _integer(value: object, what: str) -> int:
+    """``value`` itself when it is an ``int`` and not a bool; the one check
+    of outside integers, shared with JSON input."""
+    if type(value) is not int:
+        raise DiagramError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def keyed_diagram(diagram: ProximityDiagram, weights: Sequence[int], key: str) -> WeightedDiagram:
@@ -592,10 +601,14 @@ def minimalize(w: WeightedDiagram) -> WeightedDiagram:
     because a satellite proximate to ``v`` is a descendant of ``v`` and is
     never removable, so ``v`` becomes final exactly when every child is
     removed.  The set is dropped by one :func:`remove_vertices` (``w`` is
-    returned when it is empty).  The Milnor number is preserved.
+    returned when it is empty).  The Milnor number is preserved.  A root
+    of weight below one raises :class:`DiagramError`: no minimal diagram
+    has one.
     """
     if not is_consistent(w):
         raise InconsistentDiagramError("minimalize requires a consistent diagram")
+    if w.nu[w.root] < 1:
+        raise DiagramError("minimalize requires a root of positive weight")
     d = w.diagram
     removable: set[int] = set()
     for v in reversed(d.preorder[1:]):

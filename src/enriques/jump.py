@@ -39,6 +39,7 @@ from .diagram import (
 from .enumeration import DEFAULT_MAX_CANDIDATES, _diagrams, _minimal_records
 from .quasihomogeneous import (
     QuasihomogeneousSpec,
+    _refuse_above_bound,
     bamboo_chain,
     bamboo_invariants,
     is_bamboo,
@@ -127,6 +128,10 @@ def construct_adjacent_diagram(D: WeightedDiagram) -> WeightedDiagram:
     to the chain end.  The edit is made on copies of ``D``'s maps, new
     vertices taking the ids after ``D``'s largest, and the one diagram it
     gives is minimalized; the result is always of a different type than ``D``.
+    The surgery's vertex count, ``t + d - 2`` (``t + 1`` for ``d = 2`` and
+    ``t > 1``), bounds the result and is known up front: above
+    :data:`~enriques.quasihomogeneous.MAX_DIAGRAM_VERTICES` it raises
+    :class:`DiagramError` before the run is allocated.
     """
     if not is_minimal(D):
         raise DiagramError("adjacent-diagram construction requires a minimal diagram")
@@ -138,6 +143,8 @@ def construct_adjacent_diagram(D: WeightedDiagram) -> WeightedDiagram:
     t = len(chain)
     if d * t <= 1:
         raise DiagramError("the one-vertex weight-1 diagram has no adjacent diagram")
+    # d = 2 adds one satellite, none to a lone root; otherwise d - 2 vertices
+    _refuse_above_bound(t + (t > 1 if d == 2 else d - 2), "the adjacent diagram E_D")
 
     parent = dict(D.diagram.parent)
     prox = list(D.diagram.proximity)

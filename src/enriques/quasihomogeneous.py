@@ -6,17 +6,20 @@ corner exponents of the weighted-homogeneous part.  ``k + l + p >= 2``
 keeps the germ singular and nonsmooth.  :func:`parse_spec` reads both the
 plain ``"k,l,p,q"`` form and polynomial syntax such as ``"x*y*(x^2+y^3)"``.
 
-:func:`build_enriques_diagram` produces the complete weighted diagram of
-the germ by simulating the resolution: a subtractive Euclid walk on the
-normalised exponent pair drives a chain of infinitely near points (stopping
-at the root for the node y(x + y^q)), gcd(p, q) simple points finish the
-chain and the axis branches contribute one extra free point each, all
-constructed as one diagram.  The result is checked on the spot against the
-Milnor number formula of Milnor and Orlik (:func:`milnor_orlik`), so a bug
-here fails fast instead of poisoning downstream computations.  A germ whose
-complete diagram would have more than :data:`MAX_DIAGRAM_VERTICES` vertices
-is refused with :class:`~enriques.diagram.DiagramError` before anything is
-allocated; :func:`derived_invariants` works at any size.
+One subtractive Euclid walk on the normalised exponent pair simulates the
+resolution: it drives a chain of infinitely near points (stopping at the
+root for the node y(x + y^q)).  That chain is the germ's minimal diagram
+(:func:`minimal_diagram`); :func:`build_enriques_diagram` adds gcd(p, q)
+simple points on the chain end and one extra free point per axis branch to
+give the complete diagram.  Each builder constructs only the diagram it
+returns, as one diagram, and checks it on the spot against the Milnor
+number formula of Milnor and Orlik (:func:`milnor_orlik`), so a bug here
+fails fast instead of poisoning downstream computations.  A germ whose
+diagram would have more than :data:`MAX_DIAGRAM_VERTICES` vertices is
+refused with :class:`~enriques.diagram.DiagramError` before anything is
+allocated: the minimal diagram counts the walk's ``t`` vertices (one for
+the node), the complete one gcd(p, q) + k + l leaves more.
+:func:`derived_invariants` works at any size.
 
 :func:`check_Q_membership` answers the inverse question: given a minimal
 weighted diagram, does it arise from some germ of this family?
@@ -36,7 +39,6 @@ from .diagram import (
     is_complete,
     is_minimal,
     milnor_number,
-    minimalize,
     proximity_diagram,
     weighted_diagram,
 )
@@ -58,10 +60,19 @@ __all__ = [
     "MAX_DIAGRAM_VERTICES",
 ]
 
-# Largest complete diagram build_enriques_diagram constructs.  At this size
-# `enriques mu` takes about a second and 120 MB; the Euclid walk of a
-# germ like x^2+y^(2*10^12+1) would otherwise allocate 10^12 vertices.
+# Largest diagram any builder constructs.  At this size `enriques mu`
+# takes about a second and 120 MB; the Euclid walk of a germ like
+# x^2+y^(2*10^12+1) would otherwise allocate 10^12 vertices.
 MAX_DIAGRAM_VERTICES = 100_000
+
+
+def _refuse_above_bound(size: int, what: str) -> None:
+    """Raise :class:`DiagramError` when ``what`` would have more than
+    :data:`MAX_DIAGRAM_VERTICES` vertices; called before building it."""
+    if size > MAX_DIAGRAM_VERTICES:
+        raise DiagramError(
+            f"{what} would have {size} vertices, more than the bound of {MAX_DIAGRAM_VERTICES}"
+        )
 
 
 class SpecParseError(ValueError):
@@ -287,50 +298,49 @@ def milnor_orlik(spec: QuasihomogeneousSpec) -> int:
     return mu
 
 
-def build_enriques_diagram(spec: QuasihomogeneousSpec) -> WeightedDiagram:
-    """Complete Enriques diagram of the germ, built by resolution walk.
+def _chain_length(spec: QuasihomogeneousSpec, inv: DerivedInvariants) -> int:
+    """Vertices of the walk's chain, the germ's minimal diagram: the walk's
+    ``t`` states, or one for the node y(x + y^q).
+
+    For ``p == 1`` and ``k == 0`` the walk stops at the root: walking on
+    would leave surplus final free simple points on free simple points.  No
+    other germ has one: axis leaves sit on the root or on an x-axis vertex
+    of weight at least two, so only an end leaf on a free end of weight one
+    can be surplus; the end is free only if r = 1, and has weight
+    gcd(p, q) + k = 1 only if p = 1 and k = 0.
+    """
+    return 1 if spec.p == 1 and not spec.k else inv.t
+
+
+def _chain(
+    spec: QuasihomogeneousSpec, inv: DerivedInvariants, built: str, leaves: int
+) -> tuple[dict[int, int], list[tuple[int, int]], dict[int, int], int]:
+    """The resolution walk's chain: parent map, proximity pairs, weights and
+    the last vertex still on the x axis.
 
     A subtractive Euclid walk on the coprime pair (r, s) creates one chain
-    vertex per state.  The walk tracks which side of each state still
-    carries an axis: while a side is unresolved its ``k`` or ``l`` branch
-    passes through the chain vertex and bumps the weight by one.  The chain
-    vertex of a state is proximate to the most recent vertices of the two
-    sides, which makes it free while one side is fresh and a satellite once
-    both carry vertices.  The walk, then gcd(p, q) free simple points on the
-    chain end and one final simple point per active axis (the x axis on its
-    last chain vertex, the y axis on the root) fill one set of maps, and
-    the diagram is constructed once.
+    vertex per state, numbered from the root 0, for :func:`_chain_length`
+    states; the last one is the chain end.  The walk tracks which side of
+    each state still carries an axis: while a side is unresolved its ``k``
+    or ``l`` branch passes through the chain vertex and bumps the weight by
+    one.  The chain vertex of a state is proximate to the most recent
+    vertices of the two sides, which makes it free while one side is fresh
+    and a satellite once both carry vertices.
 
-    For ``p == 1`` and ``k == 0`` the walk stops at the root: y(x + y^q)
-    is a node, and walking on would leave surplus final free simple points
-    on free simple points.  No other germ has one: axis leaves sit on the
-    root or on an x-axis vertex of weight at least two, so only an end leaf
-    on a free end of weight one can be surplus; the end is free only if
-    r = 1, and has weight gcd(p, q) + k = 1 only if p = 1 and k = 0.
-
-    The result is verified to be complete and to have the Milnor number
-    predicted by :func:`milnor_orlik`; any mismatch raises RuntimeError.
-    The vertex count, the walk's ``t`` states (one for the node) plus the
-    leaves, is known up front: above :data:`MAX_DIAGRAM_VERTICES` it
-    raises :class:`~enriques.diagram.DiagramError` instead.
+    When the chain and the ``leaves`` the caller adds would exceed
+    :data:`MAX_DIAGRAM_VERTICES`, :class:`~enriques.diagram.DiagramError`
+    names the ``built`` diagram before any vertex is allocated.
     """
-    inv = derived_invariants(spec)
+    length = _chain_length(spec, inv)
+    _refuse_above_bound(length + leaves, f"the {built} of {spec.polynomial}")
     a, b = inv.r, inv.s
-    node = spec.p == 1 and not spec.k
-    size = (1 if node else inv.t) + inv.d_tilde + spec.k + spec.l
-    if size > MAX_DIAGRAM_VERTICES:
-        raise DiagramError(
-            f"the complete diagram of {spec.polynomial} would have {size} vertices, "
-            f"more than the bound of {MAX_DIAGRAM_VERTICES}"
-        )
     side_a: int | None = None  # newest vertex on the x side
     side_b: int | None = None  # newest vertex on the y side
     parent: dict[int, int] = {}
     prox: list[tuple[int, int]] = []
     nu: dict[int, int] = {}
     x_axis = 0
-    while True:
-        vertex = len(nu)
+    for vertex in range(length):
         weight = inv.d_tilde * min(a, b)
         if side_a is None:
             weight += spec.k
@@ -343,16 +353,34 @@ def build_enriques_diagram(spec: QuasihomogeneousSpec) -> WeightedDiagram:
             for target in (side_a, side_b):
                 if target is not None:
                     prox.append((vertex, target))
-        if a == b or node:
-            end = vertex
-            break
         if a < b:
             b -= a
             side_b = vertex
         else:
             a -= b
             side_a = vertex
+    return parent, prox, nu, x_axis
 
+
+def build_enriques_diagram(spec: QuasihomogeneousSpec) -> WeightedDiagram:
+    """Complete Enriques diagram of the germ, built by resolution walk.
+
+    The walk's chain (see :func:`minimal_diagram`), then gcd(p, q) free
+    simple points on the chain end and one final simple point per active
+    axis (the x axis on its last chain vertex, the y axis on the root) fill
+    one set of maps, and the diagram is constructed once.
+
+    The result is verified to be complete and to have the Milnor number
+    predicted by :func:`milnor_orlik`; any mismatch raises RuntimeError.
+    Its vertex count, the walk's ``t`` states (one for the node) plus the
+    leaves, is known up front: above :data:`MAX_DIAGRAM_VERTICES` it
+    raises :class:`~enriques.diagram.DiagramError` instead.
+    """
+    inv = derived_invariants(spec)
+    parent, prox, nu, x_axis = _chain(
+        spec, inv, "complete diagram", inv.d_tilde + spec.k + spec.l
+    )
+    end = len(nu) - 1
     for at in [end] * inv.d_tilde + [x_axis] * spec.k + [0] * spec.l:
         vertex = len(nu)
         parent[vertex] = at
@@ -368,8 +396,24 @@ def build_enriques_diagram(spec: QuasihomogeneousSpec) -> WeightedDiagram:
 
 
 def minimal_diagram(spec: QuasihomogeneousSpec) -> WeightedDiagram:
-    """Minimal weighted diagram of the germ."""
-    return minimalize(build_enriques_diagram(spec))
+    """Minimal weighted diagram of the germ: the resolution walk's chain.
+
+    The complete diagram is this chain plus free weight-1 leaves, and
+    those are exactly what minimalization removes, so the chain is built
+    alone, as one diagram of the walk's ``t`` vertices (one for the node).
+    It is verified to be minimal and to have the Milnor number predicted by
+    :func:`milnor_orlik`; any mismatch raises RuntimeError.  Above
+    :data:`MAX_DIAGRAM_VERTICES` vertices it raises
+    :class:`~enriques.diagram.DiagramError` before building anything.
+    """
+    parent, prox, nu, _ = _chain(spec, derived_invariants(spec), "minimal diagram", 0)
+    result = weighted_diagram(proximity_diagram(0, parent, prox), nu)
+
+    if not is_minimal(result):
+        raise RuntimeError(f"constructed diagram for {spec} is not minimal")
+    if milnor_number(result) != milnor_orlik(spec):
+        raise RuntimeError(f"constructed diagram for {spec} has the wrong Milnor number")
+    return result
 
 
 def is_bamboo(w: WeightedDiagram) -> bool:
@@ -441,10 +485,12 @@ def check_Q_membership(w: WeightedDiagram) -> QMembershipReport:
     bounded exponent q remain.  Per (k, l), bisection finds the one q
     whose Milnor number is ``w``'s (as a match's must be); only those
     germs are rebuilt and compared by canonical key, and the certifying
-    germ is the first match in (p, q, k, l) order.  Rebuilding is bounded
-    like any germ's: when a candidate's complete diagram would exceed
-    :data:`MAX_DIAGRAM_VERTICES`, :class:`DiagramError` is raised, even for
-    a member (a 10-vertex free chain of weight 10^5 per vertex).
+    germ is the first match in (p, q, k, l) order.  A germ is rebuilt only
+    when its chain, counted by :func:`derived_invariants`, has ``w``'s
+    length, so membership builds nothing larger than ``w``: a member within
+    :data:`MAX_DIAGRAM_VERTICES` is certified however large its complete
+    diagram (x*(x^99999+y^999990) certifies the 10-vertex free chain of
+    weight 10^5 per vertex), and a longer chain raises :class:`DiagramError`.
     """
     if not is_minimal(w):
         raise DiagramError("membership test requires a minimal diagram")
@@ -455,20 +501,11 @@ def check_Q_membership(w: WeightedDiagram) -> QMembershipReport:
     diag = w.diagram
     chain = bamboo_chain(w)
     d_end, t = w.nu[chain[-1]], len(chain)
-    first_satellite = None
-    for index, v in enumerate(chain):
-        if len(diag.prox_targets[v]) == 2:
-            first_satellite = index
-            break
-    spared = first_satellite - 1 if first_satellite is not None else None
-    constraints = w.excess[chain[0]] <= 1
-    if spared is not None and spared >= 1 and w.excess[chain[spared]] > 1:
-        constraints = False
-    for index in range(1, t - 1):
-        if index == spared:
-            continue
-        if w.excess[chain[index]] != 0:
-            constraints = False
+    # the vertex just before the first satellite may have excess one
+    spared = next((i - 1 for i, v in enumerate(chain) if len(diag.prox_targets[v]) == 2), None)
+    constraints = w.excess[chain[0]] <= 1 and all(
+        w.excess[chain[i]] <= (1 if i == spared else 0) for i in range(1, t - 1)
+    )
     total = sum(w.nu.values())
     mu = milnor_number(w)
     candidates = []
@@ -482,14 +519,14 @@ def check_Q_membership(w: WeightedDiagram) -> QMembershipReport:
             # every q, so the least q reaching mu is the only one to rebuild
             qs = range(p, total + 1)
             at = bisect_left(qs, mu, key=lambda q: milnor_orlik(QuasihomogeneousSpec(k, l, p, q)))
-            if at < len(qs) and milnor_orlik(QuasihomogeneousSpec(k, l, p, qs[at])) == mu:
-                candidates.append((p, qs[at], k, l))
-    spec = None
-    for p, q, k, l in sorted(candidates):
-        candidate = QuasihomogeneousSpec(k, l, p, q)
-        if minimal_diagram(candidate).key == w.key:
-            spec = candidate
-            break
+            if at < len(qs):
+                candidate = QuasihomogeneousSpec(k, l, p, qs[at])
+                # a germ whose chain has another length cannot match
+                inv = derived_invariants(candidate)
+                if milnor_orlik(candidate) == mu and _chain_length(candidate, inv) == t:
+                    candidates.append(candidate)
+    candidates.sort(key=lambda c: (c.p, c.q, c.k, c.l))
+    spec = next((c for c in candidates if minimal_diagram(c).key == w.key), None)
     return QMembershipReport(
         is_bamboo=True, d=d_end, t=t, constraints_hold=constraints, spec=spec
     )

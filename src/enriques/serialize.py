@@ -27,6 +27,7 @@ from .adjacency import GeqWitness
 from .diagram import (
     DiagramError,
     WeightedDiagram,
+    _integer,
     canonical_order,
     proximity_diagram,
     require_valid,
@@ -94,7 +95,7 @@ def diagram_from_dict(data: Mapping[str, Any]) -> WeightedDiagram:
             vid = _integer(row["id"], "vertex id")
             if vid in nu:
                 raise DiagramError(f"duplicate vertex id {vid}")
-            nu[vid] = _integer(row["weight"], "weight")
+            nu[vid] = row["weight"]
             if row["parent"] is not None:
                 parent[vid] = _integer(row["parent"], "parent")
             for target in row["proximate_to"]:
@@ -106,12 +107,6 @@ def diagram_from_dict(data: Mapping[str, Any]) -> WeightedDiagram:
     diagram = proximity_diagram(root, parent, prox)
     require_valid(diagram)
     return weighted_diagram(diagram, nu)
-
-
-def _integer(value: Any, what: str) -> int:
-    if type(value) is not int:
-        raise DiagramError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def diagram_to_json(w: WeightedDiagram) -> str:

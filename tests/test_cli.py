@@ -120,15 +120,28 @@ def test_info_on_a_huge_exponent(capsys):
 
 
 def test_huge_germs_are_refused_before_they_are_built(capsys):
-    # the complete diagram would have about 10^12 vertices; the bound is
-    # checked before the Euclid walk allocates any of them
+    # each command is bounded by what it builds: mu the complete diagram,
+    # diagram and jump the minimal chain, about 10^12 vertices either way;
+    # the bound is checked before the Euclid walk allocates any of them
     start = time.perf_counter()
-    for command in ("mu", "diagram", "jump"):
+    for command, size in (("mu", 1000000000003), ("diagram", 1000000000002),
+                          ("jump", 1000000000002)):
         code, out, err = invoke(capsys, command, "0,0,2,2000000000001")
         assert (code, out) == (1, ""), command
-        assert "1000000000003 vertices" in err and "100000" in err
+        assert f"{size} vertices" in err and "100000" in err
     assert time.perf_counter() - start < 5
     assert invoke(capsys, "info", "0,0,2,2000000000001")[0] == 0
+
+
+def test_a_huge_adjacent_diagram_is_refused_before_it_is_built(capsys):
+    # the minimal diagram is one vertex of weight 10^7; its E_D would add
+    # a run of 10^7 - 2 vertices
+    start = time.perf_counter()
+    for command in ("jump", "verify"):
+        code, out, err = invoke(capsys, command, "0,0,10000000,10000000")
+        assert (code, out) == (1, ""), command
+        assert "E_D would have 9999999 vertices" in err and "100000" in err
+    assert time.perf_counter() - start < 5
 
 
 def test_mu_with_oracle_check(capsys):

@@ -536,6 +536,20 @@ def test_weighted_diagram_names_a_vertex_without_weight():
         weighted_diagram(d, {0: 1})
 
 
+@pytest.mark.parametrize("weight", [2.7, True, "2", "x"])
+def test_weighted_diagram_takes_only_int_weights(weight):
+    d = proximity_diagram(0, {1: 0}, [(1, 0)])
+    with pytest.raises(DiagramError, match="weight must be an integer"):
+        weighted_diagram(d, {0: 2, 1: weight})
+
+
+def test_minimalize_refuses_a_root_of_weight_zero():
+    with pytest.raises(DiagramError, match="root of positive weight"):
+        minimalize(single_vertex(0))
+    with pytest.raises(DiagramError, match="root of positive weight"):
+        diagram_type(single_vertex(0))
+
+
 def test_diagram_type_equality_and_hash():
     t1 = diagram_type(cusp_complete())
     t2 = diagram_type(relabel(cusp_minimal(), {0: 4, 1: 9, 2: 6}))

@@ -29,6 +29,7 @@ from enriques import (
     milnor_number,
     milnor_orlik,
     minimal_diagram,
+    minimalize,
     parse_spec,
     single_vertex,
     weighted_diagram,
@@ -346,16 +347,26 @@ def test_q_membership_requires_minimal_input():
         check_Q_membership(wd(0, {1: 0}, [(1, 0)], {0: 2, 1: 1}))
 
 
-def test_q_membership_refuses_a_certifying_germ_above_the_size_bound():
-    # the only germ that could certify this chain, x*(x^99999+y^999990),
-    # has a complete diagram of 100,010 vertices; it is refused unbuilt
+def test_q_membership_certifies_a_germ_whose_complete_diagram_exceeds_the_bound():
+    # x*(x^99999+y^999990) has a complete diagram of 100,010 vertices, but
+    # only its 10-vertex minimal chain is rebuilt
     n = 10
     chain = wd(0, {i: i - 1 for i in range(1, n)}, [(i, i - 1) for i in range(1, n)],
                {i: 100_000 for i in range(n)})
     started = time.perf_counter()
-    with pytest.raises(DiagramError, match="more than the bound of 100000"):
-        check_Q_membership(chain)
+    report = check_Q_membership(chain)
     assert time.perf_counter() - started < 1
+    assert report.spec == QuasihomogeneousSpec(1, 0, 99999, 999990)
+
+
+def test_q_membership_rebuilds_only_chains_of_the_input_length(monkeypatch):
+    # x*y*(x+y^58) shares the Milnor number of x^3+y^60 and comes first in
+    # (p, q, k, l) order, but its chain has 58 vertices, not 20: it is
+    # skipped, not built, so a bound of 20 still certifies the chain
+    w = minimal_diagram(QuasihomogeneousSpec(0, 0, 3, 60))
+    assert milnor_orlik(QuasihomogeneousSpec(1, 1, 1, 58)) == milnor_number(w)
+    monkeypatch.setattr(enriques.quasihomogeneous, "MAX_DIAGRAM_VERTICES", len(w))
+    assert check_Q_membership(w).spec == QuasihomogeneousSpec(1, 0, 2, 40)
 
 
 def test_round_trip_membership_over_a_spec_sweep():
@@ -468,29 +479,46 @@ def test_complete_diagrams_and_jump_reports_are_pinned():
 
 def test_build_constructs_one_diagram(monkeypatch):
     # every weighted diagram is made through weighted_diagram; count the
-    # calls from both modules that the builder could reach
+    # calls from both modules that the builders could reach, and fail on
+    # any minimalize call
     calls = []
 
     def counting(*args):
         calls.append(args)
         return weighted_diagram(*args)
 
+    def refusing(w):
+        raise AssertionError("minimalize called")
+
+    assert "minimalize" not in vars(enriques.quasihomogeneous)
     monkeypatch.setattr(enriques.quasihomogeneous, "weighted_diagram", counting)
     monkeypatch.setattr(enriques.diagram, "weighted_diagram", counting)
-    for k, l, p, q in [(0, 0, 6, 9), (1, 1, 4, 6), (0, 1, 1, 9), (0, 0, 30, 30)]:
-        calls.clear()
-        build_enriques_diagram(QuasihomogeneousSpec(k, l, p, q))
-        assert len(calls) == 1, (k, l, p, q)
+    monkeypatch.setattr(enriques.diagram, "minimalize", refusing)
+    for build in (build_enriques_diagram, minimal_diagram):
+        for k, l, p, q in [(0, 0, 6, 9), (1, 1, 4, 6), (0, 1, 1, 9), (0, 0, 30, 30)]:
+            calls.clear()
+            build(QuasihomogeneousSpec(k, l, p, q))
+            assert len(calls) == 1, (build.__name__, k, l, p, q)
 
 
 def test_build_refuses_exactly_the_germs_above_the_vertex_bound(monkeypatch):
     # the count read off derived_invariants is the built diagram's size
-    for spec in all_specs(20):
-        size = len(build_enriques_diagram(spec))
-        monkeypatch.setattr(enriques.quasihomogeneous, "MAX_DIAGRAM_VERTICES", size)
-        assert len(build_enriques_diagram(spec)) == size
-        monkeypatch.setattr(enriques.quasihomogeneous, "MAX_DIAGRAM_VERTICES", size - 1)
-        with pytest.raises(DiagramError, match=f"would have {size} vertices"):
-            build_enriques_diagram(spec)
-        monkeypatch.undo()
+    for build in (build_enriques_diagram, minimal_diagram):
+        for spec in all_specs(20):
+            size = len(build(spec))
+            monkeypatch.setattr(enriques.quasihomogeneous, "MAX_DIAGRAM_VERTICES", size)
+            assert len(build(spec)) == size
+            monkeypatch.setattr(enriques.quasihomogeneous, "MAX_DIAGRAM_VERTICES", size - 1)
+            with pytest.raises(DiagramError, match=f"would have {size} vertices"):
+                build(spec)
+            monkeypatch.undo()
     assert enriques.quasihomogeneous.MAX_DIAGRAM_VERTICES == 100_000
+
+
+def test_minimal_diagram_is_the_minimalized_complete_diagram():
+    # the oracle: the walk's chain alone against the parent's construction
+    count = 0
+    for spec in all_specs(60):
+        assert minimal_diagram(spec).key == minimalize(build_enriques_diagram(spec)).key, spec
+        count += 1
+    assert count == 7260
