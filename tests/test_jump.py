@@ -8,6 +8,7 @@ import pytest
 
 import enriques.diagram
 import enriques.jump
+import enriques.quasihomogeneous
 from enriques import (
     AdjacencyVerdict,
     WeightedDiagram,
@@ -108,6 +109,25 @@ def test_adjacent_requires_minimal_bamboo():
 def test_adjacent_rejects_the_smooth_point():
     with pytest.raises(DiagramError):
         construct_adjacent_diagram(single_vertex(1))
+
+
+def test_adjacent_refuses_exactly_the_diagrams_above_the_vertex_bound(monkeypatch):
+    # for d >= 2 minimalizing removes nothing, so the count checked before
+    # the surgery is E_D's size
+    checked = 0
+    for spec in all_specs(20):
+        D = minimal_diagram(spec)
+        if D.nu[bamboo_chain(D)[-1]] < 2:
+            continue
+        size = len(construct_adjacent_diagram(D))
+        monkeypatch.setattr(enriques.quasihomogeneous, "MAX_DIAGRAM_VERTICES", size)
+        assert len(construct_adjacent_diagram(D)) == size
+        monkeypatch.setattr(enriques.quasihomogeneous, "MAX_DIAGRAM_VERTICES", size - 1)
+        with pytest.raises(DiagramError, match=f"E_D would have {size} vertices"):
+            construct_adjacent_diagram(D)
+        monkeypatch.undo()
+        checked += 1
+    assert checked > 300
 
 
 def test_adjacent_works_outside_q():
