@@ -119,7 +119,7 @@ def geq(upper: WeightedDiagram, lower: WeightedDiagram) -> GeqWitness | None:
     lo = lower.diagram
     up = upper.diagram
     order = canonical_order(lower)
-    upper_position = {u: i for i, u in enumerate(canonical_order(upper))}
+    upper_ids = upper.canonical_ids
     ord_nu = lower.orders
 
     image: dict[int, int] = {}
@@ -136,7 +136,7 @@ def geq(upper: WeightedDiagram, lower: WeightedDiagram) -> GeqWitness | None:
             v_targets = lo.prox_targets[v]
             parent_image = image.get(lo.parent[v])
             if parent_image is not None:
-                for u in sorted(up.children[parent_image], key=upper_position.__getitem__):
+                for u in sorted(up.children[parent_image], key=upper_ids.__getitem__):
                     if u in used:
                         continue
                     u_targets = up.prox_targets[u]

@@ -284,17 +284,18 @@ class WeightedDiagram:
         return self._form[0]
 
     @cached_property
-    def canonical_order(self) -> tuple[int, ...]:
-        """Vertex ids in canonical order, see :func:`canonical_order`."""
+    def canonical_ids(self) -> Mapping[int, int]:
+        """Each vertex id's canonical position, inserted in canonical order
+        (see :func:`canonical_order`); the one place positions are derived."""
         children = self._form[1]
         preorder = self.diagram.preorder
-        order: list[int] = []
+        ids: dict[int, int] = {}
         stack = [0]
         while stack:
             i = stack.pop()
-            order.append(preorder[i])
+            ids[preorder[i]] = len(ids)
             stack.extend(reversed(children[i]))
-        return tuple(order)
+        return ids
 
     def __len__(self) -> int:
         return len(self.diagram.vertices)
@@ -680,8 +681,8 @@ def canonical_key(w: WeightedDiagram) -> str:
 
 def canonical_order(w: WeightedDiagram) -> tuple[int, ...]:
     """Vertices in canonical traversal order (root first, children by key,
-    equal subtrees by vertex id); computed once per diagram."""
-    return w.canonical_order
+    equal subtrees by vertex id), the keys of the cached ``w.canonical_ids``."""
+    return tuple(w.canonical_ids)
 
 
 def relabel(w: WeightedDiagram, mapping: Mapping[int, int]) -> WeightedDiagram:

@@ -16,7 +16,9 @@ diagram, and a domination witness proving the adjacency really holds.
 :func:`verify_maximality` then checks, by exhaustive bounded enumeration,
 that no other type sits strictly between: every enumerated minimal diagram
 of different type with Milnor number above ``mu - jump`` is refuted as a
-linear-adjacency target, and the bound ``mu - jump`` itself is attained.
+linear-adjacency target.  The bound ``mu - jump`` itself is attained by
+``E_D``, whose domination witness :func:`lambda_lin` already holds, so a
+maximality report is either "verified" or "contradiction".
 """
 
 from __future__ import annotations
@@ -90,12 +92,11 @@ class MaximalityReport:
     """Outcome of the bounded search for a better adjacent type.
 
     ``status`` is "verified" when every enumerated candidate above the
-    threshold ``mu_D - lambda_lin`` was refuted and the threshold itself
-    is attained; "contradiction" when some candidate was adjacent after
-    all (each such finding is listed with its canonical key and Milnor
-    number); "unverified" when nothing was refutable but attainment could
-    not be certified within the bound.  A verified report only means no
-    counterexample exists within the stated bounds.  ``refuted`` counts
+    threshold ``mu_D - lambda_lin`` was refuted, and "contradiction" when
+    some candidate was adjacent after all (each such finding is listed
+    with its canonical key and Milnor number).  ``attained_max_mu`` is the
+    threshold, attained by the jump's ``E_D``.  A verified report only
+    means no counterexample exists within the stated bounds.  ``refuted`` counts
     every refuted candidate; ``refuted_by_root`` counts those among them
     that the root-weight stage of :func:`verify_maximality` refuted
     without a domination search.
@@ -110,7 +111,7 @@ class MaximalityReport:
     lambda_lin: int
     examined: int
     refuted: int
-    attained_max_mu: int | None
+    attained_max_mu: int
     contradictions: tuple[tuple[str, int], ...] = ()
     refuted_by_root: int = 0
 
@@ -256,8 +257,7 @@ def verify_maximality(
     contradiction finding, never swallowed.  Candidates with Milnor number
     at or above ``mu_D`` take part in the sweep as well, so the search
     also confirms that adjacency strictly lowered the Milnor number here.
-    Finally the bound must be attained: the constructed adjacent diagram
-    itself is certified adjacent, making ``mu_D - lambda_lin`` the exact
+    The bound is attained, which makes ``mu_D - lambda_lin`` the exact
     maximum over adjacent types within bounds.
 
     Candidates are refuted in two stages.  The first, the root-weight
@@ -273,6 +273,17 @@ def verify_maximality(
     as examined and refuted (and in ``refuted_by_root``) without a search.
     Every other candidate goes to the second stage, the bounded domination
     search of :func:`~enriques.adjacency.adjacency_verdict`.
+
+    Attainment needs no search: it is the jump's own certificate.
+    :func:`lambda_lin` returns ``representative``, ``D_min`` plus one free
+    weight-1 leaf at the chain end, with a witness that it dominates
+    ``E_D``, and raises when there is none.  That representative is a
+    level-1 class representative: the chain end is final, so nothing is
+    proximate to it and its excess is its weight, at least 1, and
+    :func:`~enriques.adjacency.class_representatives` attaches a leaf at
+    every vertex of positive excess.  As ``extra_bound`` is at least 1,
+    ``E_D`` is adjacent within the bound and ``attained_max_mu`` is
+    ``mu_E``; the class representatives serve the refutation search only.
 
     Candidates are read off the enumeration's records (canonical key,
     shape and weights) in the order of
@@ -309,8 +320,6 @@ def verify_maximality(
     threshold = report.mu_D - report.lambda_lin
     source = diagram_type(D_min)
     representatives = list(class_representatives(source, extra_bound))
-
-    attained = adjacency_verdict(representatives, report.E_D, extra_bound)
     root_weight = D_min.nu[D_min.root]
     examined = 0
     refuted_by_root = 0
@@ -328,25 +337,17 @@ def verify_maximality(
         for record, candidate in zip(light, _diagrams(light)):
             if adjacency_verdict(representatives, candidate, extra_bound).holds:
                 contradictions.append((record.key, record.milnor_number))
-    refuted = examined - len(contradictions)
-
-    if contradictions:
-        status = "contradiction"
-    elif attained.holds:
-        status = "verified"
-    else:
-        status = "unverified"
     return MaximalityReport(
         spec=spec,
-        status=status,
+        status="contradiction" if contradictions else "verified",
         max_vertices=max_vertices,
         max_weight=max_weight,
         extra_bound=extra_bound,
         mu_D=report.mu_D,
         lambda_lin=report.lambda_lin,
         examined=examined,
-        refuted=refuted,
-        attained_max_mu=report.mu_E if attained.holds else None,
+        refuted=examined - len(contradictions),
+        attained_max_mu=report.mu_E,
         contradictions=tuple(contradictions),
         refuted_by_root=refuted_by_root,
     )

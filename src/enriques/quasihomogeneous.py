@@ -81,7 +81,10 @@ class SpecParseError(ValueError):
 
 @dataclass(frozen=True)
 class QuasihomogeneousSpec:
-    """Exponents of x^k y^l (x^p + ... + y^q), normalised to p <= q."""
+    """Exponents of x^k y^l (x^p + ... + y^q), normalised to p <= q.
+
+    Each field must be an ``int``; a bool, float or string raises
+    ``ValueError`` naming the field."""
 
     k: int
     l: int
@@ -89,6 +92,9 @@ class QuasihomogeneousSpec:
     q: int
 
     def __post_init__(self) -> None:
+        for name, value in zip("klpq", (self.k, self.l, self.p, self.q)):
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.k not in (0, 1) or self.l not in (0, 1):
             raise ValueError(f"k and l must be 0 or 1, got k={self.k}, l={self.l}")
         if self.p < 1:

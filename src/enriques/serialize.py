@@ -14,7 +14,8 @@ listed first in ``proximate_to`` followed by the remaining target.
 Witness JSON carries both diagrams plus the embedding pairs and the
 weight/value arrays indexed by the lower diagram's canonical ids.  DOT
 output marks satellite vertices gray and tags every edge with the kind of
-its child vertex; text output is an indented outline, one vertex per line.
+its child vertex; text output is an indented outline, one vertex per line,
+indented at most 64 levels deep.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .diagram import (
     DiagramError,
     WeightedDiagram,
     _integer,
-    canonical_order,
     proximity_diagram,
     require_valid,
     weighted_diagram,
@@ -47,6 +47,9 @@ __all__ = [
     "jump_report_to_dict",
 ]
 
+# deepest indentation, in levels, that diagram_to_text prints
+_TEXT_INDENT_CAP = 64
+
 
 def _rows(w: WeightedDiagram) -> list[tuple[int, int, int | None, tuple[int, ...]]]:
     """``(id, weight, parent id, target ids)`` per vertex in canonical order.
@@ -54,10 +57,9 @@ def _rows(w: WeightedDiagram) -> list[tuple[int, int, int | None, tuple[int, ...
     Ids are canonical positions, the root's parent id is None, and the
     target ids list the parent first, as ``prox_targets`` does."""
     d = w.diagram
-    order = canonical_order(w)
-    ids = {v: i for i, v in enumerate(order)}
+    ids = w.canonical_ids
     rows = []
-    for i, v in enumerate(order):
+    for v, i in ids.items():
         parent = ids[d.parent[v]] if i else None
         rows.append((i, w.nu[v], parent, tuple(ids[t] for t in d.prox_targets[v])))
     return rows
@@ -138,7 +140,11 @@ def diagram_to_dot(w: WeightedDiagram) -> str:
 
 
 def diagram_to_text(w: WeightedDiagram, indent: str = "") -> str:
-    """Indented outline, one vertex per line in canonical order."""
+    """Indented outline, one vertex per line in canonical order.
+
+    A line is indented by its vertex's depth, at most 64 levels (two
+    spaces each); a deeper line ends with ``depth=<N>``, so the text grows
+    linearly with the chain length."""
     depth: list[int] = []
     lines = []
     for i, weight, parent, targets in _rows(w):
@@ -149,7 +155,9 @@ def diagram_to_text(w: WeightedDiagram, indent: str = "") -> str:
             kind = "free"
         else:
             kind = f"satellite prox=[{targets[0]},{targets[1]}]"
-        lines.append(f"{indent}{'  ' * depth[i]}{i} w={weight} {kind}")
+        if depth[i] > _TEXT_INDENT_CAP:
+            kind += f" depth={depth[i]}"
+        lines.append(f"{indent}{'  ' * min(depth[i], _TEXT_INDENT_CAP)}{i} w={weight} {kind}")
     return "\n".join(lines) + "\n"
 
 
@@ -157,9 +165,8 @@ def witness_to_dict(
     upper: WeightedDiagram, lower: WeightedDiagram, witness: GeqWitness
 ) -> dict[str, Any]:
     """Witness as a JSON-ready dict, arrays indexed by lower canonical ids."""
-    upper_ids = {u: i for i, u in enumerate(canonical_order(upper))}
-    order = canonical_order(lower)
-    lower_ids = {v: i for i, v in enumerate(order)}
+    upper_ids = upper.canonical_ids
+    lower_ids = lower.canonical_ids
     embedding = sorted(
         [lower_ids[v], upper_ids[u]] for v, u in witness.embedding.pairs
     )
@@ -170,9 +177,9 @@ def witness_to_dict(
         "upper": diagram_to_dict(upper),
         "lower": diagram_to_dict(lower),
         "embedding": embedding,
-        "kappa": [kappa[v] for v in order],
-        "ord_nu": [ord_nu[v] for v in order],
-        "ord_kappa": [ord_kappa[v] for v in order],
+        "kappa": [kappa[v] for v in lower_ids],
+        "ord_nu": [ord_nu[v] for v in lower_ids],
+        "ord_kappa": [ord_kappa[v] for v in lower_ids],
     }
 
 

@@ -364,11 +364,11 @@ def test_root_stage_routes_only_light_candidates_to_the_search(monkeypatch):
     assert report.examined == 325
     assert report.refuted == report.refuted_by_root == 315
     assert len(report.contradictions) == 10
-    # E_D for attainment, then the ten candidates whose root weight is at most 2
-    assert len(lowers) == 11
-    assert lowers[0].key == lambda_lin(QuasihomogeneousSpec(0, 0, 2, 3)).E_D.key
+    # only the ten candidates whose root weight is at most 2; attainment
+    # comes from the jump's witness, not from a search against E_D
+    assert len(lowers) == 10
     assert all(lower.nu[lower.root] <= 2 for lower in lowers)
-    assert [key for key, _ in report.contradictions] == [lower.key for lower in lowers[1:]]
+    assert [key for key, _ in report.contradictions] == [lower.key for lower in lowers]
 
 
 def test_verify_maximality_bound_validation():
@@ -386,6 +386,19 @@ def test_verify_maximality_attained_value_is_mu_of_e():
     report = verify_maximality(spec)
     jump = lambda_lin(spec)
     assert report.attained_max_mu == jump.mu_E == jump.mu_D - jump.lambda_lin
+
+
+def test_jump_representative_is_a_level_one_class_representative():
+    # the lemma behind verify's attainment: D_min plus a leaf at its final,
+    # positive-excess chain end is among the first level of added leaves
+    for spec in all_specs(30):
+        report = lambda_lin(spec)
+        level_one = {
+            r.key
+            for r in class_representatives(diagram_type(report.D_min), 1)
+            if len(r) == len(report.D_min) + 1
+        }
+        assert report.representative.key in level_one, spec
 
 
 def test_diagram_type_of_e_differs_from_source():

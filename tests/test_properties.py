@@ -102,6 +102,7 @@ def test_canonical_order_is_a_root_first_permutation():
         order = canonical_order(w)
         assert order[0] == w.diagram.root, f"case {case}"
         assert sorted(order) == sorted(w.diagram.vertices), f"case {case}"
+        assert [w.canonical_ids[v] for v in order] == list(range(len(order))), f"case {case}"
 
 
 def test_builder_profile_matches_derived_invariants():

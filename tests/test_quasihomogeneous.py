@@ -55,6 +55,16 @@ def test_spec_field_validation():
     assert QuasihomogeneousSpec(0, 1, 1, 1).polynomial == "y*(x^1+y^1)"
 
 
+@pytest.mark.parametrize(
+    "fields,name",
+    [((0, 0, 2.0, 3), "p"), ((0, 0, 2, 3.5), "q"), ((True, 0, 2, 3), "k"), ((0, 0, 2, "2"), "q")],
+)
+def test_spec_fields_must_be_ints(fields, name):
+    # a bool is an int to Python but not here, as for diagram weights
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        QuasihomogeneousSpec(*fields)
+
+
 def test_polynomial_rendering():
     assert QuasihomogeneousSpec(0, 0, 6, 9).polynomial == "x^6+y^9"
     assert QuasihomogeneousSpec(1, 1, 1, 1).polynomial == "x*y*(x^1+y^1)"

@@ -175,6 +175,16 @@ def test_text_output_and_indent():
     assert diagram_to_text(single_vertex(4), indent="| ") == "| 0 w=4 root\n"
 
 
+def test_text_indent_is_capped_so_a_deep_chain_prints_short_lines():
+    chain = minimal_diagram(QuasihomogeneousSpec(0, 0, 2, 799))  # depth 400
+    lines = diagram_to_text(chain).splitlines()
+    assert len(lines) == len(chain) == 401
+    assert lines[64] == "  " * 64 + "64 w=2 free"
+    assert lines[65] == "  " * 64 + "65 w=2 free depth=65"
+    assert lines[-1] == "  " * 64 + "400 w=1 satellite prox=[399,398] depth=400"
+    assert max(map(len, lines)) == len(lines[-1])
+
+
 def test_witness_dict_arrays_follow_lower_canonical_ids():
     m = minimal_diagram(QuasihomogeneousSpec(0, 0, 6, 9))
     e = construct_adjacent_diagram(m)
