@@ -123,59 +123,38 @@ class ProximityDiagram:
     """Immutable rooted tree with a proximity relation.
 
     ``parent_edges`` holds ``(child, parent)`` pairs sorted by child;
-    ``proximity`` holds ``(source, target)`` pairs, sorted, where the
-    source is proximate to the target.  Use :func:`proximity_diagram`
-    to build instances from mappings.
+    ``proximity`` holds ``(source, target)`` pairs, sorted and distinct,
+    where the source is proximate to the target.  The pairs must come
+    sorted, as :func:`proximity_diagram` makes them: the maps below are
+    derived from them in one pass when the diagram is built.  They are
+    ``vertices`` (sorted ids), ``parent``, ``children`` and
+    ``prox_sources`` (sorted) and ``prox_targets`` (the immediate
+    predecessor first, then the rest sorted), each keyed in vertex order.
     """
 
     root: int
     parent_edges: tuple[tuple[int, int], ...]
     proximity: tuple[tuple[int, int], ...]
 
-    @cached_property
-    def vertices(self) -> tuple[int, ...]:
-        seen = {self.root}
-        for child, parent in self.parent_edges:
-            seen.add(child)
-            seen.add(parent)
+    def __post_init__(self) -> None:
+        vertices = tuple(sorted({self.root}.union(*self.parent_edges, *self.proximity)))
+        parent = dict(self.parent_edges)
+        children: dict[int, list[int]] = {v: [] for v in vertices}
+        targets: dict[int, list[int]] = {v: [] for v in vertices}
+        sources: dict[int, list[int]] = {v: [] for v in vertices}
+        for child, p in self.parent_edges:
+            children[p].append(child)
         for source, target in self.proximity:
-            seen.add(source)
-            seen.add(target)
-        return tuple(sorted(seen))
-
-    @cached_property
-    def parent(self) -> Mapping[int, int]:
-        return dict(self.parent_edges)
-
-    @cached_property
-    def children(self) -> Mapping[int, tuple[int, ...]]:
-        out: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for child, parent in self.parent_edges:
-            out[parent].append(child)
-        return {v: tuple(sorted(kids)) for v, kids in out.items()}
-
-    @cached_property
-    def prox_targets(self) -> Mapping[int, tuple[int, ...]]:
-        """Vertices each vertex is proximate to, immediate predecessor first."""
-        out: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for source, target in self.proximity:
-            out[source].append(target)
-        result = {}
-        for v, targets in out.items():
-            parent = self.parent.get(v)
-            if parent is not None and parent in targets:
-                rest = sorted(t for t in targets if t != parent)
-                result[v] = (parent, *rest)
+            if parent.get(source) == target:
+                targets[source].insert(0, target)
             else:
-                result[v] = tuple(sorted(targets))
-        return result
-
-    @cached_property
-    def prox_sources(self) -> Mapping[int, tuple[int, ...]]:
-        out: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for source, target in self.proximity:
-            out[target].append(source)
-        return {v: tuple(sorted(s)) for v, s in out.items()}
+                targets[source].append(target)
+            sources[target].append(source)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "children", _frozen(children))
+        object.__setattr__(self, "prox_targets", _frozen(targets))
+        object.__setattr__(self, "prox_sources", _frozen(sources))
 
     @cached_property
     def preorder(self) -> tuple[int, ...]:
@@ -217,6 +196,10 @@ def proximity_diagram(
     )
 
 
+def _frozen(lists: dict[int, list[int]]) -> dict[int, tuple[int, ...]]:
+    return {v: tuple(items) for v, items in lists.items()}
+
+
 @dataclass(frozen=True)
 class WeightedDiagram:
     """A proximity diagram together with one integer weight per vertex."""
@@ -254,8 +237,8 @@ class WeightedDiagram:
         return out
 
     @cached_property
-    def record(self) -> tuple[tuple[int, int, int], ...]:
-        """The diagram as :func:`canonical_form` reads it, one ``(parent,
+    def _form(self) -> tuple[str, Sequence[Sequence[int]]]:
+        """:func:`canonical_form` of the diagram's record: one ``(parent,
         second, weight)`` entry per vertex of ``diagram.preorder``, targets
         given by preorder position.  Raises :class:`InvalidDiagramError` for
         a parent map that is not a tree below the root (through
@@ -263,20 +246,15 @@ class WeightedDiagram:
         of its parent's targets."""
         d = self.diagram
         position = {v: i for i, v in enumerate(d.preorder)}
-        out = [(-1, -1, self.nu[d.root])]
+        record = [(-1, -1, self.nu[d.root])]
         for v in d.preorder[1:]:
             parent = d.parent[v]
             targets = d.prox_targets[v]
             if len(targets) > 1 and targets[1] not in d.prox_targets[parent]:
                 raise InvalidDiagramError(d.violations)
             second = position[targets[1]] if len(targets) > 1 else -1
-            out.append((position[parent], second, self.nu[v]))
-        return tuple(out)
-
-    @cached_property
-    def _form(self) -> tuple[str, Sequence[Sequence[int]]]:
-        """:func:`canonical_form` of the record."""
-        return canonical_form(self.record)
+            record.append((position[parent], second, self.nu[v]))
+        return canonical_form(record)
 
     @cached_property
     def key(self) -> str:
@@ -303,11 +281,15 @@ class WeightedDiagram:
 
 def weighted_diagram(diagram: ProximityDiagram, nu: Mapping[int, int]) -> WeightedDiagram:
     """Attach weights to ``diagram``; ``nu`` must give every vertex an ``int``
-    weight (not a bool), else :class:`DiagramError` is raised."""
+    weight (not a bool) and weigh nothing else, else :class:`DiagramError`
+    is raised."""
     try:
         items = tuple((v, _integer(nu[v], "weight")) for v in diagram.vertices)
     except KeyError as exc:
         raise DiagramError(f"no weight for vertex {exc.args[0]!r}") from None
+    if len(nu) != len(items):
+        strays = [v for v in nu if v not in diagram.children]
+        raise DiagramError(f"weights for ids that are not vertices: {strays}")
     return WeightedDiagram(diagram=diagram, weight_items=items)
 
 

@@ -78,7 +78,8 @@ def diagram_from_dict(data: Mapping[str, Any]) -> WeightedDiagram:
     """Rebuild a diagram from the JSON schema, with int ids and weights; validates the axioms.
 
     More than :data:`~enriques.quasihomogeneous.MAX_DIAGRAM_VERTICES` vertex
-    rows raise :class:`DiagramError` before any row is read."""
+    rows raise :class:`DiagramError`: before any row is read when the rows
+    have a length, else on reaching the first row past the bound."""
     try:
         root = data["root"]
         rows = data["vertices"]
@@ -94,6 +95,10 @@ def diagram_from_dict(data: Mapping[str, Any]) -> WeightedDiagram:
     nu: dict[int, int] = {}
     try:
         for row in rows:
+            if len(nu) == MAX_DIAGRAM_VERTICES:
+                raise DiagramError(
+                    f"diagram has more vertex rows than the bound of {MAX_DIAGRAM_VERTICES}"
+                )
             vid = _integer(row["id"], "vertex id")
             if vid in nu:
                 raise DiagramError(f"duplicate vertex id {vid}")

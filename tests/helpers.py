@@ -131,3 +131,47 @@ def random_consistent(rng: random.Random, max_vertices=8, max_excess=2) -> Weigh
     if nu[d.root] == 0:
         nu[d.root] = 1
     return weighted_diagram(d, nu)
+
+
+def reference_maps(d: ProximityDiagram) -> dict:
+    """The five structural maps of ``d``, each derived on its own from the
+    pairs and re-sorted: a second opinion on the single pass that builds
+    them with the diagram."""
+    seen = {d.root}
+    for child, parent in d.parent_edges:
+        seen.add(child)
+        seen.add(parent)
+    for source, target in d.proximity:
+        seen.add(source)
+        seen.add(target)
+    vertices = tuple(sorted(seen))
+    parent = dict(d.parent_edges)
+
+    kids = {v: [] for v in vertices}
+    for child, p in d.parent_edges:
+        kids[p].append(child)
+    children = {v: tuple(sorted(k)) for v, k in kids.items()}
+
+    out = {v: [] for v in vertices}
+    for source, target in d.proximity:
+        out[source].append(target)
+    prox_targets = {}
+    for v, targets in out.items():
+        p = parent.get(v)
+        if p is not None and p in targets:
+            rest = sorted(t for t in targets if t != p)
+            prox_targets[v] = (p, *rest)
+        else:
+            prox_targets[v] = tuple(sorted(targets))
+
+    out = {v: [] for v in vertices}
+    for source, target in d.proximity:
+        out[target].append(source)
+    prox_sources = {v: tuple(sorted(s)) for v, s in out.items()}
+    return {
+        "vertices": vertices,
+        "parent": parent,
+        "children": children,
+        "prox_targets": prox_targets,
+        "prox_sources": prox_sources,
+    }

@@ -41,6 +41,8 @@ from helpers import (
     isomorphic,
     leaning_bamboo,
     random_consistent,
+    random_proximity,
+    reference_maps,
     wd,
 )
 
@@ -204,6 +206,28 @@ def test_validate_axioms_is_pinned_on_random_maps():
     assert digest.hexdigest() == (
         "1932a29474a9a2bacd2ff1a6a8bb53302b3ebd46d213f5f0d5a0271a55e2923c"
     )
+
+
+def test_structural_maps_match_the_reference_in_values_and_order():
+    # the random maps include invalid ones: cycles, missing parents and
+    # proximity pairs naming ids outside the tree
+    rng = random.Random(20_000)
+    diagrams = [random_map(rng) for _ in range(20_000)]
+    rng = random.Random(2024)
+    diagrams += [random_proximity(rng) for _ in range(2_000)]
+    for d in diagrams:
+        for name, expected in reference_maps(d).items():
+            got = getattr(d, name)
+            assert got == expected, (d, name)
+            if isinstance(expected, dict):
+                assert list(got) == list(expected), (d, name)
+
+
+def test_structural_maps_are_not_fields():
+    a = proximity_diagram(0, {1: 0}, [(1, 0)])
+    b = proximity_diagram(0, {1: 0}, [(1, 0)])
+    assert a == b and hash(a) == hash(b)
+    assert "children" not in repr(a)
 
 
 def test_require_valid_raises_with_violations():
@@ -534,6 +558,14 @@ def test_weighted_diagram_names_a_vertex_without_weight():
     d = proximity_diagram(0, {1: 0}, [(1, 0)])
     with pytest.raises(DiagramError, match="no weight for vertex 1"):
         weighted_diagram(d, {0: 1})
+
+
+def test_weighted_diagram_names_every_weighed_id_that_is_not_a_vertex():
+    with pytest.raises(DiagramError, match=r"not vertices: \[9\]"):
+        weighted_diagram(proximity_diagram(0, {}, []), {0: 1, 9: 4})
+    d = proximity_diagram(0, {1: 0}, [(1, 0)])
+    with pytest.raises(DiagramError, match=r"not vertices: \[7, 3\]"):
+        weighted_diagram(d, {7: 1, 0: 2, 1: 1, 3: 5})
 
 
 @pytest.mark.parametrize("weight", [2.7, True, "2", "x"])

@@ -125,6 +125,32 @@ def test_from_dict_refuses_too_many_rows_before_reading_them():
         diagram_from_dict({"root": 0, "vertices": rows[:MAX_DIAGRAM_VERTICES]})
 
 
+def test_from_dict_refuses_too_many_rows_from_a_generator():
+    def chain(n):
+        yield {"id": 0, "weight": 1, "parent": None, "proximate_to": []}
+        for i in range(1, n):
+            yield {"id": i, "weight": 1, "parent": i - 1, "proximate_to": [i - 1]}
+
+    with pytest.raises(DiagramError, match=f"bound of {MAX_DIAGRAM_VERTICES}"):
+        diagram_from_dict({"root": 0, "vertices": chain(MAX_DIAGRAM_VERTICES + 5)})
+    assert len(diagram_from_dict({"root": 0, "vertices": chain(1000)})) == 1000
+    with pytest.raises(DiagramError, match="malformed vertex row"):
+        diagram_from_dict({"root": 0, "vertices": 5})
+
+
+def test_from_dict_refuses_a_row_no_edge_reaches():
+    data = {
+        "root": 0,
+        "vertices": [
+            {"id": 0, "weight": 2, "parent": None, "proximate_to": []},
+            {"id": 1, "weight": 1, "parent": 0, "proximate_to": [0]},
+            {"id": 7, "weight": 5, "parent": None, "proximate_to": []},
+        ],
+    }
+    with pytest.raises(DiagramError, match=r"not vertices: \[7\]"):
+        diagram_from_dict(data)
+
+
 def test_from_dict_validates_axioms():
     data = {
         "root": 0,
