@@ -122,14 +122,15 @@ class VertexKind:
 class ProximityDiagram:
     """Immutable rooted tree with a proximity relation.
 
-    ``parent_edges`` holds ``(child, parent)`` pairs sorted by child;
-    ``proximity`` holds ``(source, target)`` pairs, sorted and distinct,
-    where the source is proximate to the target.  The pairs must come
-    sorted, as :func:`proximity_diagram` makes them: the maps below are
-    derived from them in one pass when the diagram is built.  They are
-    ``vertices`` (sorted ids), ``parent``, ``children`` and
-    ``prox_sources`` (sorted) and ``prox_targets`` (the immediate
-    predecessor first, then the rest sorted), each keyed in vertex order.
+    ``parent_edges`` holds ``(child, parent)`` pairs and ``proximity``
+    holds distinct ``(source, target)`` pairs, where the source is
+    proximate to the target.  Both must be sorted, as
+    :func:`proximity_diagram` makes them: one pass over them, when the
+    diagram is built, derives its maps.  ``vertices`` holds the sorted
+    ids and ``parent`` maps each child to its parent; ``children``,
+    ``prox_targets`` and ``prox_sources`` are keyed in vertex order, with
+    children and sources sorted and targets listing the immediate
+    predecessor first, then the rest sorted.
     """
 
     root: int

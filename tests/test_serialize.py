@@ -131,8 +131,11 @@ def test_from_dict_refuses_too_many_rows_from_a_generator():
         for i in range(1, n):
             yield {"id": i, "weight": 1, "parent": i - 1, "proximate_to": [i - 1]}
 
+    rows = chain(MAX_DIAGRAM_VERTICES + 5)
     with pytest.raises(DiagramError, match=f"bound of {MAX_DIAGRAM_VERTICES}"):
-        diagram_from_dict({"root": 0, "vertices": chain(MAX_DIAGRAM_VERTICES + 5)})
+        diagram_from_dict({"root": 0, "vertices": rows})
+    # refused at the first row past the bound, the rest left unread
+    assert next(rows)["id"] == MAX_DIAGRAM_VERTICES + 1
     assert len(diagram_from_dict({"root": 0, "vertices": chain(1000)})) == 1000
     with pytest.raises(DiagramError, match="malformed vertex row"):
         diagram_from_dict({"root": 0, "vertices": 5})

@@ -39,9 +39,7 @@ class Box:
 
 
 def test_code_lines_skips_blanks_comments_and_docstrings():
+    code_lines = load("code_lines").code_lines
     # counted: import, class, size, def grow, text, return, async def, return
-    assert load("code_lines").code_lines(SOURCE) == 8
-
-
-def test_code_lines_counts_a_function_with_only_a_docstring_by_its_header():
-    assert load("code_lines").code_lines('def f():\n    """Only a docstring."""\n') == 1
+    assert code_lines(SOURCE) == 8
+    assert code_lines('def f():\n    """Only a docstring."""\n') == 1
