@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .adjacency import GeqWitness, linear_adjacent
 from .diagram import DiagramError, WeightedDiagram, diagram_type, milnor_number
@@ -103,6 +104,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser
+
+
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`run` reuses, built on its first call."""
+    return build_parser()
 
 
 def _print_witness(upper: WeightedDiagram, lower: WeightedDiagram, witness: GeqWitness) -> None:
@@ -227,9 +234,8 @@ _COMMANDS = {
 
 def run(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

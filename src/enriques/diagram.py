@@ -124,9 +124,10 @@ class ProximityDiagram:
 
     ``parent_edges`` holds ``(child, parent)`` pairs and ``proximity``
     holds distinct ``(source, target)`` pairs, where the source is
-    proximate to the target.  Both must be sorted, as
-    :func:`proximity_diagram` makes them: one pass over them, when the
-    diagram is built, derives its maps.  ``vertices`` holds the sorted
+    proximate to the target.  Both must be sorted, each child listed once,
+    as :func:`proximity_diagram` makes them, else :class:`DiagramError` is
+    raised: one pass over them, when the diagram is built, checks the
+    order and derives the maps.  ``vertices`` holds the sorted
     ids and ``parent`` maps each child to its parent; ``children``,
     ``prox_targets`` and ``prox_sources`` are keyed in vertex order, with
     children and sources sorted and targets listing the immediate
@@ -143,9 +144,17 @@ class ProximityDiagram:
         children: dict[int, list[int]] = {v: [] for v in vertices}
         targets: dict[int, list[int]] = {v: [] for v in vertices}
         sources: dict[int, list[int]] = {v: [] for v in vertices}
+        last: object = None
         for child, p in self.parent_edges:
+            if last is not None and child <= last:  # type: ignore[operator]
+                raise DiagramError("parent_edges must list each child once, sorted")
+            last = child
             children[p].append(child)
-        for source, target in self.proximity:
+        last = None
+        for pair in self.proximity:
+            if last is not None and pair <= last:  # type: ignore[operator]
+                raise DiagramError("proximity must list distinct pairs, sorted")
+            last = source, target = pair
             if parent.get(source) == target:
                 targets[source].insert(0, target)
             else:

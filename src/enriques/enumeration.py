@@ -47,19 +47,52 @@ satellite is proximate to; these least weights are the least minimal
 weighting.  A vertex weighs at most ``max_weight`` and at most what each
 target can spare once the target's unweighted sources take their least
 weights.  Every range is therefore non-empty and every completed
-weighting is minimal and consistent.  The weightings are keyed and
-deduplicated per vertex count by :func:`_minimal_records`, which keeps each
-one as a :class:`_Record` (key, shape and weights) that
-:func:`~enriques.jump.verify_maximality` reads without building a diagram.
-:func:`_diagrams` builds one diagram per record, its canonical key seeded
-from the record, and the diagrams of one shape share one
-:class:`~enriques.diagram.ProximityDiagram`, so its cached facts, axiom
-violations included, are computed once per shape.
+weighting is minimal and consistent.
+
+*Orbit lemma.*  The shapes of one vertex count are pairwise
+non-isomorphic, so two weightings give isomorphic diagrams exactly when
+they weight one shape and an automorphism of the shape carries one onto
+the other.  Those automorphisms are generated by the swaps of two sibling
+subtrees with equal codes: a swap keeps every parent, and it keeps every
+second target, because a code records a satellite's second target by its
+place among its parent's targets.  List a shape's vertices in canonical
+preorder (root first, children in key order, equal codes in index order).
+Equal-code siblings are then adjacent, their subtrees are adjacent runs
+of one length, and a swap matches the two runs place by place.  In each
+orbit exactly one weighting has non-decreasing weight runs on every two
+consecutive equal-code siblings, and it is the orbit's lexicographically
+least weight sequence in this order.  If two such runs decreased,
+swapping them would give a smaller sequence in the orbit; conversely, by
+induction on the subtree, every subtree's run of such a weighting is the
+least of its orbit, and the runs of each group of equal-code siblings,
+each least, are sorted, which is the least arrangement.  This is the
+orderly test of Read and of B. D. McKay, "Isomorph-free exhaustive
+generation", *J. Algorithms* 26 (1998), applied to weightings.  Each
+live shape's pairs of runs are found once, from the children lists of
+its :func:`~enriques.diagram.canonical_form`; a shape without equal-code
+siblings has the identity as its only automorphism and takes no test.
+The test makes one comparison of two runs per pair, at most ``n - 1``
+of them, and never lists the group, whose order grows factorially with
+equal siblings.  A weight is read at most twice per group of equal-code
+siblings around it, and a run that holds an inner group is more than
+twice as long as the inner runs, so a test reads at most ``2n`` weights
+on a shape without nested groups and ``O(n log n)`` at worst.
+
+So :func:`_minimal_families` keeps each minimal diagram once with no key
+at all, as the :class:`_Family` of its shape's weightings.
+:func:`~enriques.jump.verify_maximality` reads the families without
+building a diagram and keys only the candidates it searches, and
+:func:`enumerate_minimal_diagrams` keys every diagram it yields, for its
+order.  :func:`_diagrams` builds one diagram per :class:`_Record`, its
+canonical key seeded from the record, and the diagrams of one shape
+share one :class:`~enriques.diagram.ProximityDiagram`, so its cached
+facts, axiom violations included, are computed once per shape.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .diagram import (
     DiagramError,
@@ -76,10 +109,12 @@ DEFAULT_MAX_CANDIDATES = 1_000_000
 
 # vertex record: (parent index, second proximity target index, weight)
 _Rec = tuple[int, int, int]
+# the weight runs of two consecutive equal-code sibling subtrees
+_Pair = tuple[Callable[[list[int]], object], Callable[[list[int]], object]]
 
 
 class _Record(NamedTuple):
-    """A minimal diagram found by the enumeration: vertex ``i`` has parent
+    """A minimal diagram with its canonical key: vertex ``i`` has parent
     ``shape[i][0]``, second proximity target ``shape[i][1]`` and weight
     ``weights[i]``."""
 
@@ -87,14 +122,28 @@ class _Record(NamedTuple):
     shape: tuple[_Rec, ...]
     weights: tuple[int, ...]
 
-    @property
-    def milnor_number(self) -> int:
-        """``sum nu*(nu-1) + 1 - root weight + satellite weights``, which is
-        :func:`~enriques.diagram.milnor_number` for a consistent weighting
-        (the derivation is in :func:`~enriques.jump.verify_maximality`)."""
-        weights = self.weights
-        satellites = sum([x for (_, second, _), x in zip(self.shape, weights) if second >= 0])
-        return sum([x * (x - 1) for x in weights]) + 1 - weights[0] + satellites
+
+class _Family(NamedTuple):
+    """The minimal weightings of one live shape, one per isomorphism class."""
+
+    shape: tuple[_Rec, ...]
+    weightings: list[tuple[int, ...]]
+
+    def milnor_numbers(self) -> Iterator[int]:
+        """Each weighting's ``sum nu*(nu-1) + 1 - root weight + satellite
+        weights``, which is :func:`~enriques.diagram.milnor_number` for a
+        consistent weighting (the derivation is in
+        :func:`~enriques.jump.verify_maximality`)."""
+        # the root weight counts twice against its square, a free vertex's
+        # once and a satellite's not at all
+        coefficients = [2] + [1 if second < 0 else 0 for _, second, _ in self.shape[1:]]
+        for weights in self.weightings:
+            yield 1 + sum([x * (x - c) for x, c in zip(weights, coefficients)])
+
+    def record(self, weights: tuple[int, ...]) -> _Record:
+        """One weighting of the shape, keyed."""
+        form = [(p, s, x) for (p, s, _), x in zip(self.shape, weights)]
+        return _Record(canonical_form(form)[0], self.shape, weights)
 
 
 class EnumerationLimitError(DiagramError):
@@ -167,12 +216,54 @@ def _weightings(shape: tuple[_Rec, ...], max_weight: int) -> Iterator[list[int]]
                 slack[t] -= 1
 
 
-def _minimal_records(
+def _orbit_pairs(shape: tuple[_Rec, ...], children: list[list[int]]) -> tuple[_Pair, ...]:
+    """The orbit test of ``shape``, given its children lists in key order as
+    :func:`canonical_form` returns them: for every two consecutive sibling
+    subtrees with equal codes, the getters of their weight runs in
+    canonical preorder.  Empty when the identity is the only automorphism."""
+    # one integer per subtree code: the second target's letter and the
+    # children's integers in key order
+    codes: dict[tuple[int, ...], int] = {}
+    code = [0] * len(shape)
+    size = [1] * len(shape)
+    for v in range(len(shape) - 1, 0, -1):
+        parent, second, _ = shape[v]
+        letter = 0 if second < 0 else 1 if second == shape[parent][0] else 2
+        code[v] = codes.setdefault((letter, *[code[c] for c in children[v]]), len(codes))
+        size[parent] += size[v]
+    twins = [(c, d) for kids in children for c, d in zip(kids, kids[1:]) if code[c] == code[d]]
+    if not twins:
+        return ()
+    order: list[int] = []
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(reversed(children[v]))
+    at = {v: i for i, v in enumerate(order)}
+    # a twin's run directly follows its left sibling's run in the preorder
+    return tuple(
+        (itemgetter(*order[at[c] : at[d]]), itemgetter(*order[at[d] : at[d] + size[d]]))
+        for c, d in twins
+    )
+
+
+def _least_in_orbit(weights: list[int], pairs: tuple[_Pair, ...]) -> bool:
+    """Whether ``weights`` is the one weighting of its orbit that the shape's
+    non-empty ``pairs`` keep (the orbit lemma in the module docstring)."""
+    for left, right in pairs:
+        if left(weights) > right(weights):  # type: ignore[operator]
+            return False
+    return True
+
+
+def _minimal_families(
     max_vertices: int, max_weight: int, max_candidates: int
-) -> Iterator[list[_Record]]:
-    """For each vertex count from 1 to ``max_vertices``, every minimal diagram
-    of that count within the bounds, once per isomorphism class, as records
-    sorted by canonical key.  Arguments and the candidate cap are as for
+) -> Iterator[Iterator[_Family]]:
+    """For each vertex count from 1 to ``max_vertices``, an iterator over the
+    live shapes of that count, each with its minimal weightings within the
+    bounds, one per isomorphism class.  Each iterator must be exhausted
+    before the next is drawn.  Arguments and the candidate cap are as for
     :func:`enumerate_minimal_diagrams`.
     """
     if max_vertices < 1:
@@ -182,26 +273,29 @@ def _minimal_records(
     if max_candidates < 1:
         raise ValueError(f"max_candidates must be positive, got {max_candidates}")
 
-    level: list[tuple[_Rec, ...]] = [((-1, -1, 0),)]
+    def families(level: list[tuple[tuple[_Rec, ...], tuple[_Pair, ...]]]) -> Iterator[_Family]:
+        nonlocal seen
+        for shape, pairs in level:
+            kept = []
+            for weights in _weightings(shape, max_weight):
+                if not pairs or _least_in_orbit(weights, pairs):
+                    seen = _admit(seen, max_candidates)
+                    kept.append(tuple(weights))
+            yield _Family(shape, kept)
+
+    level: list[tuple[tuple[_Rec, ...], tuple[_Pair, ...]]] = [(((-1, -1, 0),), ())]
     seen = _admit(0, max_candidates)
     for size in range(1, max_vertices + 1):
-        found: dict[str, _Record] = {}
-        for shape in level:
-            for weights in _weightings(shape, max_weight):
-                key = canonical_form([(p, s, x) for (p, s, _), x in zip(shape, weights)])[0]
-                if key not in found:
-                    seen = _admit(seen, max_candidates)
-                    found[key] = _Record(key, shape, tuple(weights))
-        yield sorted(found.values())
+        yield families(level)
         if size == max_vertices:
             return
-        shapes: dict[str, tuple[_Rec, ...]] = {}
-        for shape in level:
+        shapes: dict[str, tuple[tuple[_Rec, ...], tuple[_Pair, ...]]] = {}
+        for shape, _ in level:
             for child in _extensions(shape, max_weight):
-                key = canonical_form(child)[0]
+                key, children = canonical_form(child)
                 if key not in shapes:
                     seen = _admit(seen, max_candidates)
-                    shapes[key] = child
+                    shapes[key] = child, _orbit_pairs(child, children)
         level = list(shapes.values())
 
 
@@ -237,5 +331,6 @@ def enumerate_minimal_diagrams(
     minimal diagrams the enumeration may hold; exceeding the cap raises
     :class:`EnumerationLimitError`.
     """
-    for level in _minimal_records(max_vertices, max_weight, max_candidates):
-        yield from _diagrams(level)
+    for level in _minimal_families(max_vertices, max_weight, max_candidates):
+        records = [family.record(w) for family in level for w in family.weightings]
+        yield from _diagrams(sorted(records))

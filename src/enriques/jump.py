@@ -38,7 +38,7 @@ from .diagram import (
     proximity_diagram,
     weighted_diagram,
 )
-from .enumeration import DEFAULT_MAX_CANDIDATES, _diagrams, _minimal_records
+from .enumeration import DEFAULT_MAX_CANDIDATES, _diagrams, _minimal_families
 from .quasihomogeneous import (
     QuasihomogeneousSpec,
     _refuse_above_bound,
@@ -270,33 +270,46 @@ def verify_maximality(
     at the candidate's root is ``r`` or 0; the root is proximate to
     nothing, so its value in the candidate is its weight, which exceeds
     ``r``.  The inequality fails at the root.  Such candidates are counted
-    as examined and refuted (and in ``refuted_by_root``) without a search.
-    Every other candidate goes to the second stage, the bounded domination
-    search of :func:`~enriques.adjacency.adjacency_verdict`.
+    per shape as examined and refuted (and in ``refuted_by_root``),
+    without a key, a diagram or a search.  Every other candidate, a light
+    one, is keyed (which also tells ``D_min``'s own class apart, as its
+    root weighs ``r``) and goes to the second stage, the bounded
+    domination search of :func:`~enriques.adjacency.adjacency_verdict`, in
+    the order of :func:`~enriques.enumeration.enumerate_minimal_diagrams`.
+
+    The search runs against the maximal representatives only, those with
+    ``extra_bound`` added leaves, by the leaf-monotonicity lemma: if ``R'``
+    is a consistent ``R`` plus one free weight-1 leaf, every witness that
+    ``R`` dominates ``L`` is a witness that ``R'`` does.  The embedding
+    lands in ``R``, inside ``R'``, and keeps parents, kinds and second
+    targets, and the transported weights, so ``ord_kappa``, do not change.
+    Every representative below level ``extra_bound`` has such a leaf to
+    grow: any final vertex has nothing proximate to it, so its excess is
+    its weight, at least 1, and
+    :func:`~enriques.adjacency.class_representatives` attaches a leaf at
+    every vertex of positive excess.  So a candidate that no maximal
+    representative dominates is dominated by no representative at all.
 
     Attainment needs no search: it is the jump's own certificate.
     :func:`lambda_lin` returns ``representative``, ``D_min`` plus one free
     weight-1 leaf at the chain end, with a witness that it dominates
     ``E_D``, and raises when there is none.  That representative is a
-    level-1 class representative: the chain end is final, so nothing is
-    proximate to it and its excess is its weight, at least 1, and
-    :func:`~enriques.adjacency.class_representatives` attaches a leaf at
-    every vertex of positive excess.  As ``extra_bound`` is at least 1,
-    ``E_D`` is adjacent within the bound and ``attained_max_mu`` is
-    ``mu_E``; the class representatives serve the refutation search only.
+    level-1 class representative: the chain end is final, so its excess
+    is its weight, at least 1.  As ``extra_bound`` is at least 1, ``E_D``
+    is adjacent within the bound and ``attained_max_mu`` is ``mu_E``; the
+    class representatives serve the refutation search only.
 
-    Candidates are read off the enumeration's records (canonical key,
-    shape and weights) in the order of
-    :func:`~enriques.enumeration.enumerate_minimal_diagrams`, and only
-    those that reach the search become diagrams, one shared structure per
-    shape.  A record's Milnor number is ``sum nu*(nu-1) + 1`` minus the
-    total excess, and summing ``nu_P - sum of nu_Q over Q proximate to P``
-    over all ``P`` counts each weight ``nu_Q`` once for ``Q`` and once
-    against each of its proximity targets: the total excess is
-    ``sum nu_Q*(1 - |targets(Q)|)``.  The root has no target, a free
-    vertex one and a satellite two, so the total excess is the root weight
-    minus the satellites' weights.  Every enumerated weighting is
-    consistent, so this is the Milnor number :func:`milnor_number` gives.
+    Candidates are read off the enumeration's families (a shape and its
+    minimal weightings, one per isomorphism class), and only those that
+    reach the search become diagrams, one shared structure per shape.  A
+    weighting's Milnor number is ``sum nu*(nu-1) + 1`` minus the total
+    excess, and summing ``nu_P - sum of nu_Q over Q proximate to P`` over
+    all ``P`` counts each weight ``nu_Q`` once for ``Q`` and once against
+    each of its proximity targets: the total excess is ``sum nu_Q*(1 -
+    |targets(Q)|)``.  The root has no target, a free vertex one and a
+    satellite two, so the total excess is the root weight minus the
+    satellites' weights.  Every enumerated weighting is consistent, so
+    this is the Milnor number :func:`milnor_number` gives.
     """
     report = lambda_lin(spec)
     D_min = report.D_min
@@ -318,25 +331,29 @@ def verify_maximality(
         raise ValueError("extra_bound must be at least 1 to certify attainment")
 
     threshold = report.mu_D - report.lambda_lin
-    source = diagram_type(D_min)
-    representatives = list(class_representatives(source, extra_bound))
+    top = len(D_min) + extra_bound
+    maximal = [r for r in class_representatives(diagram_type(D_min), extra_bound) if len(r) == top]
     root_weight = D_min.nu[D_min.root]
-    examined = 0
     refuted_by_root = 0
+    light = []
+    for level in _minimal_families(max_vertices, max_weight, DEFAULT_MAX_CANDIDATES):
+        for family in level:
+            for weights, mu in zip(family.weightings, family.milnor_numbers()):
+                if mu <= threshold:
+                    continue
+                if weights[0] > root_weight:
+                    refuted_by_root += 1
+                    continue
+                record = family.record(weights)
+                if record.key != D_min.key:
+                    light.append((len(weights), record, mu))
+    light.sort()
     contradictions: list[tuple[str, int]] = []
-    for level in _minimal_records(max_vertices, max_weight, DEFAULT_MAX_CANDIDATES):
-        light = []
-        for record in level:
-            if record.key == D_min.key or record.milnor_number <= threshold:
-                continue
-            examined += 1
-            if record.weights[0] > root_weight:
-                refuted_by_root += 1
-            else:
-                light.append(record)
-        for record, candidate in zip(light, _diagrams(light)):
-            if adjacency_verdict(representatives, candidate, extra_bound).holds:
-                contradictions.append((record.key, record.milnor_number))
+    records = [record for _, record, _ in light]
+    for (_, record, mu), candidate in zip(light, _diagrams(records)):
+        if adjacency_verdict(maximal, candidate, extra_bound).holds:
+            contradictions.append((record.key, mu))
+    examined = refuted_by_root + len(light)
     return MaximalityReport(
         spec=spec,
         status="contradiction" if contradictions else "verified",

@@ -12,6 +12,7 @@ from enriques import (
     InconsistentDiagramError,
     InvalidDiagramError,
     Kind,
+    ProximityDiagram,
     UnknownVertexError,
     Violation,
     add_leaf,
@@ -228,6 +229,29 @@ def test_structural_maps_are_not_fields():
     b = proximity_diagram(0, {1: 0}, [(1, 0)])
     assert a == b and hash(a) == hash(b)
     assert "children" not in repr(a)
+
+
+@pytest.mark.parametrize(
+    "edges,proximity",
+    [
+        (((2, 0), (1, 0)), ((2, 0), (1, 0))),  # both unsorted
+        (((1, 0), (2, 0)), ((2, 0), (1, 0))),  # unsorted proximity
+        (((1, 0), (2, 0)), ((1, 0), (1, 0), (2, 0))),  # a repeated pair
+        (((1, 0), (1, 2), (2, 0)), ((1, 0), (2, 0))),  # a child with two parents
+    ],
+)
+def test_proximity_diagram_refuses_unsorted_or_repeated_pairs(edges, proximity):
+    with pytest.raises(DiagramError, match="sorted"):
+        ProximityDiagram(0, edges, proximity)
+
+
+def test_proximity_diagram_output_rebuilds_as_is():
+    rng = random.Random(20_000)
+    diagrams = [random_map(rng) for _ in range(2_000)]
+    rng = random.Random(2024)
+    diagrams += [random_proximity(rng) for _ in range(500)]
+    for d in diagrams:
+        assert ProximityDiagram(d.root, d.parent_edges, d.proximity) == d
 
 
 def test_require_valid_raises_with_violations():

@@ -18,7 +18,7 @@ from enriques import (
 )
 from enriques.cli import run
 from enriques.diagram import canonical_form
-from enriques.enumeration import _extensions, _weightings
+from enriques.enumeration import _extensions, _least_in_orbit, _orbit_pairs, _weightings
 from helpers import wd
 
 
@@ -90,6 +90,17 @@ def test_candidate_cap_raises():
         list(enumerate_minimal_diagrams(6, 4, max_candidates=50))
 
 
+@pytest.mark.parametrize("cap,before", [(10, 6), (100, 85), (500, 286), (4000, 1869)])
+def test_candidate_cap_fires_after_the_same_levels(cap, before):
+    # the cap counts live shapes plus distinct minimal diagrams; a level is
+    # yielded in full before the next level's shapes are counted
+    yielded = []
+    with pytest.raises(EnumerationLimitError):
+        for w in enumerate_minimal_diagrams(7, 6, max_candidates=cap):
+            yielded.append(w)
+    assert len(yielded) == before
+
+
 def test_argument_validation():
     with pytest.raises(ValueError):
         list(enumerate_minimal_diagrams(0, 2))
@@ -137,7 +148,9 @@ def test_seeded_key_matches_the_recomputed_one():
 
 
 def test_enumerate_computes_each_canonical_form_once(monkeypatch, capsys):
-    # one call per shape and per weighting tried; printing the keys adds none
+    # one call per shape tried and one per diagram yielded: the orbit test,
+    # not a key, drops the weightings that repeat a class; printing the
+    # keys adds none
     calls = []
 
     def counting(record):
@@ -148,7 +161,7 @@ def test_enumerate_computes_each_canonical_form_once(monkeypatch, capsys):
     monkeypatch.setattr(enriques.diagram, "canonical_form", counting)
     assert run(["enumerate", "--max-vertices", "8", "--max-weight", "6"]) == 0
     assert capsys.readouterr().out.count("\n") == 7351
-    assert len(calls) == 9300
+    assert len(calls) == 1797 + 7351
 
 
 def test_canonical_key_rejects_foreign_second_target():
@@ -223,7 +236,32 @@ def weighted_bfs(max_vertices, max_weight):
     return out
 
 
-@pytest.mark.parametrize("bound", [(8, 6), (7, 8), (9, 4), (10, 3), (11, 3)])
+def keyed_dedup(max_vertices, max_weight):
+    """The dedup the orbit test replaced: the shape-first enumeration with
+    every minimal weighting keyed by canonical_form and folded by key.
+    Returns ``(vertex count, key, largest weight)`` triples in yield order,
+    as weighted_bfs does."""
+    out = []
+    level = [((-1, -1, 0),)]
+    for size in range(1, max_vertices + 1):
+        found = {}
+        for shape in level:
+            for weights in _weightings(shape, max_weight):
+                record = [(p, s, x) for (p, s, _), x in zip(shape, weights)]
+                found.setdefault(canonical_form(record)[0], max(weights))
+        out.extend((size, key, found[key]) for key in sorted(found))
+        shapes = {}
+        for shape in level:
+            for child in _extensions(shape, max_weight):
+                shapes.setdefault(canonical_form(child)[0], child)
+        level = list(shapes.values())
+    return out
+
+
+BFS_BOUNDS = [(8, 6), (7, 8), (9, 4), (10, 3), (11, 3)]
+
+
+@pytest.mark.parametrize("bound", BFS_BOUNDS)
 def test_matches_the_weighted_bfs_at_every_smaller_bound(bound):
     oracle = weighted_bfs(*bound)
     for max_vertices in range(1, bound[0] + 1):
@@ -232,6 +270,60 @@ def test_matches_the_weighted_bfs_at_every_smaller_bound(bound):
                 key for size, key, top in oracle if size <= max_vertices and top <= max_weight
             ]
             assert keys(max_vertices, max_weight) == expected, (max_vertices, max_weight)
+
+
+@pytest.mark.parametrize("bound", BFS_BOUNDS)
+def test_orbit_test_keeps_the_classes_of_the_keyed_dedup(bound):
+    oracle = keyed_dedup(*bound)
+    for max_vertices in range(1, bound[0] + 1):
+        for max_weight in range(1, bound[1] + 1):
+            expected = [
+                key for size, key, top in oracle if size <= max_vertices and top <= max_weight
+            ]
+            assert keys(max_vertices, max_weight) == expected, (max_vertices, max_weight)
+
+
+def has_symmetry(shape):
+    # some automorphism moves a vertex exactly when two vertices, each
+    # marked alone by weight 1, give the same key
+    marked = {
+        canonical_form([(p, s, int(v == x)) for v, (p, s, _) in enumerate(shape)])[0]
+        for x in range(len(shape))
+    }
+    return len(marked) < len(shape)
+
+
+def test_orbit_test_keeps_one_weighting_per_class_and_skips_rigid_shapes(monkeypatch):
+    tried = []
+    tested = []
+    symmetric = {}
+
+    def counting_weightings(shape, max_weight):
+        for weights in _weightings(shape, max_weight):
+            tried.append(shape)
+            yield weights
+
+    def recording_pairs(shape, children):
+        pairs = _orbit_pairs(shape, children)
+        symmetric[shape] = bool(pairs)
+        return pairs
+
+    def recording_test(weights, pairs):
+        tested.append(pairs)
+        return _least_in_orbit(weights, pairs)
+
+    monkeypatch.setattr(enriques.enumeration, "_weightings", counting_weightings)
+    monkeypatch.setattr(enriques.enumeration, "_orbit_pairs", recording_pairs)
+    monkeypatch.setattr(enriques.enumeration, "_least_in_orbit", recording_test)
+    assert sum(1 for _ in enumerate_minimal_diagrams(9, 7)) == 45503
+    assert len(tried) == 46809
+    # every shape but the lone root went through _orbit_pairs; a test runs
+    # exactly for the weightings of shapes with a non-trivial group
+    assert len(symmetric) + 1 == len(set(tried))
+    for shape, pairs in symmetric.items():
+        assert pairs == has_symmetry(shape), shape
+    assert all(tested)
+    assert len(tested) == sum(symmetric.get(shape, False) for shape in tried) > 0
 
 
 def least_root_weight(shape):
@@ -292,8 +384,9 @@ def test_every_extended_shape_has_a_minimal_weighting(monkeypatch, bound):
         return _extensions(shape, max_weight)
 
     monkeypatch.setattr(enriques.enumeration, "_extensions", recording)
-    for _ in enriques.enumeration._minimal_records(*bound, 10**6):
-        pass
+    for level in enriques.enumeration._minimal_families(*bound, 10**6):
+        for _ in level:
+            pass
     assert extended
     for shape in extended:
         assert next(_weightings(shape, bound[1]), None) is not None, shape

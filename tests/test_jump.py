@@ -38,7 +38,7 @@ from enriques import (
     weighted_diagram,
 )
 from enriques.adjacency import adjacency_verdict
-from enriques.enumeration import DEFAULT_MAX_CANDIDATES, _diagrams, _minimal_records
+from enriques.enumeration import DEFAULT_MAX_CANDIDATES, _diagrams, _minimal_families
 from enriques.quasihomogeneous import bamboo_chain
 from helpers import cusp_minimal, leaning_bamboo, wd
 from test_acceptance import all_specs
@@ -371,6 +371,27 @@ def test_root_stage_routes_only_light_candidates_to_the_search(monkeypatch):
     assert [key for key, _ in report.contradictions] == [lower.key for lower in lowers]
 
 
+@pytest.mark.parametrize("extra_bound", [1, 2, 3])
+def test_verify_searches_against_the_maximal_representatives(monkeypatch, extra_bound):
+    searched = []
+
+    def recording(representatives, lower, bound):
+        searched.append([r.key for r in representatives])
+        return adjacency_verdict(representatives, lower, bound)
+
+    monkeypatch.setattr(enriques.jump, "adjacency_verdict", recording)
+    spec = QuasihomogeneousSpec(1, 1, 2, 2)
+    report = verify_maximality(spec, extra_bound=extra_bound)
+    D_min = lambda_lin(spec).D_min
+    top = sorted(
+        r.key
+        for r in class_representatives(diagram_type(D_min), extra_bound)
+        if len(r) == len(D_min) + extra_bound
+    )
+    assert len(searched) == report.examined - report.refuted_by_root > 0
+    assert all(sorted(keys) == top for keys in searched)
+
+
 def test_verify_maximality_bound_validation():
     spec = QuasihomogeneousSpec(0, 0, 6, 9)
     with pytest.raises(ValueError):
@@ -465,12 +486,45 @@ def test_verify_builds_diagrams_only_for_light_candidates(monkeypatch, spec, sea
 
 def test_record_milnor_number_matches_the_excess_definition():
     count = 0
-    for level in _minimal_records(7, 6, DEFAULT_MAX_CANDIDATES):
-        for record, w in zip(level, _diagrams(level)):
-            assert is_consistent(w)
-            assert record.milnor_number == milnor_number(w)
-            count += 1
+    for level in _minimal_families(7, 6, DEFAULT_MAX_CANDIDATES):
+        for family in level:
+            records = [family.record(weights) for weights in family.weightings]
+            for mu, w in zip(family.milnor_numbers(), _diagrams(records)):
+                assert is_consistent(w)
+                assert mu == milnor_number(w)
+                count += 1
     assert count == 3891
+
+
+def test_maximal_representatives_decide_every_light_candidate():
+    # the leaf-monotonicity lemma: a candidate no representative at level
+    # extra_bound dominates is dominated by no class representative
+    pins = json.loads(PINS.read_text())
+    enumerated = {}
+    searched = expected = 0
+    for pin in pins:
+        spec = QuasihomogeneousSpec(*map(int, pin["spec"].split(",")))
+        report = verify_maximality(spec)
+        jump = lambda_lin(spec)
+        bounds = (report.max_vertices, report.max_weight)
+        if bounds not in enumerated:
+            enumerated[bounds] = list(enumerate_minimal_diagrams(*bounds))
+        representatives = list(class_representatives(diagram_type(jump.D_min), 2))
+        maximal = [r for r in representatives if len(r) == len(jump.D_min) + 2]
+        # E_D, which a level-one representative dominates, is dominated at
+        # the top level too
+        assert adjacency_verdict(maximal, jump.E_D, 2).holds
+        for candidate in enumerated[bounds]:
+            if (
+                candidate.nu[candidate.root] <= jump.D_min.nu[jump.D_min.root]
+                and candidate.key != jump.D_min.key
+                and milnor_number(candidate) > report.mu_D - report.lambda_lin
+            ):
+                every = adjacency_verdict(representatives, candidate, 2).holds
+                assert adjacency_verdict(maximal, candidate, 2).holds == every, pin["spec"]
+                searched += 1
+        expected += report.examined - report.refuted_by_root
+    assert searched == expected > 0
 
 
 def test_maximality_reports_are_pinned():
