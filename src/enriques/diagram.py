@@ -144,15 +144,15 @@ class ProximityDiagram:
         children: dict[int, list[int]] = {v: [] for v in vertices}
         targets: dict[int, list[int]] = {v: [] for v in vertices}
         sources: dict[int, list[int]] = {v: [] for v in vertices}
-        last: object = None
+        last = None
         for child, p in self.parent_edges:
-            if last is not None and child <= last:  # type: ignore[operator]
+            if last is not None and child <= last:
                 raise DiagramError("parent_edges must list each child once, sorted")
             last = child
             children[p].append(child)
         last = None
         for pair in self.proximity:
-            if last is not None and pair <= last:  # type: ignore[operator]
+            if last is not None and pair <= last:
                 raise DiagramError("proximity must list distinct pairs, sorted")
             last = source, target = pair
             if parent.get(source) == target:

@@ -92,7 +92,7 @@ facts, axiom violations included, are computed once per shape.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .diagram import (
     DiagramError,
@@ -110,7 +110,7 @@ DEFAULT_MAX_CANDIDATES = 1_000_000
 # vertex record: (parent index, second proximity target index, weight)
 _Rec = tuple[int, int, int]
 # the weight runs of two consecutive equal-code sibling subtrees
-_Pair = tuple[Callable[[list[int]], object], Callable[[list[int]], object]]
+_Pair = tuple[itemgetter, itemgetter]
 
 
 class _Record(NamedTuple):
@@ -252,7 +252,7 @@ def _least_in_orbit(weights: list[int], pairs: tuple[_Pair, ...]) -> bool:
     """Whether ``weights`` is the one weighting of its orbit that the shape's
     non-empty ``pairs`` keep (the orbit lemma in the module docstring)."""
     for left, right in pairs:
-        if left(weights) > right(weights):  # type: ignore[operator]
+        if left(weights) > right(weights):
             return False
     return True
 
