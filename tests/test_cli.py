@@ -325,7 +325,7 @@ def test_no_command_exits_two(capsys):
     assert invoke(capsys, )[0] == 2
 
 
-PARSER_SESSION = [
+PARSER_CALLS = [
     ["verify", "0,0,2,3"],
     ["verify", "not-a-germ"],
     ["frobnicate"],
@@ -335,10 +335,10 @@ PARSER_SESSION = [
 
 
 def test_run_reuses_one_parser_as_if_each_call_had_a_fresh_one(capsys, monkeypatch):
-    reused = [invoke(capsys, *argv) for argv in PARSER_SESSION * 2]
+    reused = [invoke(capsys, *argv) for argv in PARSER_CALLS * 2]
     assert enriques.cli._parser() is enriques.cli._parser()
     monkeypatch.setattr(enriques.cli, "_parser", enriques.cli.build_parser)
-    fresh = [invoke(capsys, *argv) for argv in PARSER_SESSION * 2]
+    fresh = [invoke(capsys, *argv) for argv in PARSER_CALLS * 2]
     assert [code for code, _, _ in reused] == [0, 1, 2, 0, 0] * 2
     assert reused == fresh
     assert enriques.cli.build_parser() is not enriques.cli.build_parser()
