@@ -173,12 +173,7 @@ class ProximityDiagram:
         The one tree check: raises :class:`InvalidDiagramError` when the
         root has a parent or the walk from the root misses a vertex (a
         missing parent or a cycle off the root)."""
-        order: list[int] = []
-        stack = [] if self.root in self.parent else [self.root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            stack.extend(reversed(self.children[v]))
+        order = [] if self.root in self.parent else _preorder(self.children, self.root)
         if len(order) != len(self.vertices):
             raise InvalidDiagramError(self.violations)
         return tuple(order)
@@ -208,6 +203,20 @@ def proximity_diagram(
 
 def _frozen(lists: dict[int, list[int]]) -> dict[int, tuple[int, ...]]:
     return {v: tuple(items) for v, items in lists.items()}
+
+
+def _preorder(
+    children: Mapping[int, Sequence[int]] | Sequence[Sequence[int]], start: int
+) -> list[int]:
+    """``start`` and its descendants, each parent before its children and
+    siblings in the order ``children`` lists them: the one tree walk."""
+    order: list[int] = []
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(reversed(children[v]))
+    return order
 
 
 @dataclass(frozen=True)
@@ -275,15 +284,8 @@ class WeightedDiagram:
     def canonical_ids(self) -> Mapping[int, int]:
         """Each vertex id's canonical position, inserted in canonical order
         (see :func:`canonical_order`); the one place positions are derived."""
-        children = self._form[1]
         preorder = self.diagram.preorder
-        ids: dict[int, int] = {}
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            ids[preorder[i]] = len(ids)
-            stack.extend(reversed(children[i]))
-        return ids
+        return {preorder[i]: n for n, i in enumerate(_preorder(self._form[1], 0))}
 
     def __len__(self) -> int:
         return len(self.diagram.vertices)

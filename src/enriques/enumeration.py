@@ -79,25 +79,28 @@ twice as long as the inner runs, so a test reads at most ``2n`` weights
 on a shape without nested groups and ``O(n log n)`` at worst.
 
 So :func:`_minimal_families` keeps each minimal diagram once with no key
-at all, as the :class:`_Family` of its shape's weightings.
-:func:`~enriques.jump.verify_maximality` reads the families without
-building a diagram and keys only the candidates it searches, and
-:func:`enumerate_minimal_diagrams` keys every diagram it yields, for its
-order.  :func:`_diagrams` builds one diagram per :class:`_Record`, its
-canonical key seeded from the record, and the diagrams of one shape
-share one :class:`~enriques.diagram.ProximityDiagram`, so its cached
-facts, axiom violations included, are computed once per shape.
+at all, as the :class:`_Family` of its shape's weightings.  The diagrams
+of one family share its :attr:`_Family.structure`, one
+:class:`~enriques.diagram.ProximityDiagram` built on first use, so its
+cached facts, axiom violations included, are computed once per shape.
+:func:`~enriques.jump.verify_maximality` reads each family as it is
+yielded, builds a diagram only for a candidate it searches and keeps
+none of the others, and :func:`enumerate_minimal_diagrams` keys every
+diagram it yields, for its order, and seeds the diagram with that key.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator
 
 from .diagram import (
     DiagramError,
     ProximityDiagram,
     WeightedDiagram,
+    _preorder,
     canonical_form,
     keyed_diagram,
     proximity_diagram,
@@ -113,17 +116,8 @@ _Rec = tuple[int, int, int]
 _Pair = tuple[itemgetter, itemgetter]
 
 
-class _Record(NamedTuple):
-    """A minimal diagram with its canonical key: vertex ``i`` has parent
-    ``shape[i][0]``, second proximity target ``shape[i][1]`` and weight
-    ``weights[i]``."""
-
-    key: str
-    shape: tuple[_Rec, ...]
-    weights: tuple[int, ...]
-
-
-class _Family(NamedTuple):
+@dataclass
+class _Family:
     """The minimal weightings of one live shape, one per isomorphism class."""
 
     shape: tuple[_Rec, ...]
@@ -140,10 +134,18 @@ class _Family(NamedTuple):
         for weights in self.weightings:
             yield 1 + sum([x * (x - c) for x, c in zip(weights, coefficients)])
 
-    def record(self, weights: tuple[int, ...]) -> _Record:
-        """One weighting of the shape, keyed."""
-        form = [(p, s, x) for (p, s, _), x in zip(self.shape, weights)]
-        return _Record(canonical_form(form)[0], self.shape, weights)
+    @cached_property
+    def structure(self) -> ProximityDiagram:
+        """The shape as a diagram with vertex ids its indices, shared by every
+        weighting's diagram."""
+        shape = self.shape
+        parent = {i: shape[i][0] for i in range(1, len(shape))}
+        prox = [(i, t) for i in range(1, len(shape)) for t in shape[i][:2] if t >= 0]
+        return proximity_diagram(0, parent, prox)
+
+    def key(self, weights: tuple[int, ...]) -> str:
+        """The canonical key of one weighting of the shape."""
+        return canonical_form([(p, s, x) for (p, s, _), x in zip(self.shape, weights)])[0]
 
 
 class EnumerationLimitError(DiagramError):
@@ -234,12 +236,7 @@ def _orbit_pairs(shape: tuple[_Rec, ...], children: list[list[int]]) -> tuple[_P
     twins = [(c, d) for kids in children for c, d in zip(kids, kids[1:]) if code[c] == code[d]]
     if not twins:
         return ()
-    order: list[int] = []
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(reversed(children[v]))
+    order = _preorder(children, 0)
     at = {v: i for i, v in enumerate(order)}
     # a twin's run directly follows its left sibling's run in the preorder
     return tuple(
@@ -299,20 +296,6 @@ def _minimal_families(
         level = list(shapes.values())
 
 
-def _diagrams(records: Iterable[_Record]) -> Iterator[WeightedDiagram]:
-    """Each record's diagram, with vertex ids its indices and its canonical
-    key seeded from the record; diagrams of one shape share one
-    :class:`ProximityDiagram`."""
-    structures: dict[tuple[_Rec, ...], ProximityDiagram] = {}
-    for key, shape, weights in records:
-        diagram = structures.get(shape)
-        if diagram is None:
-            parent = {i: shape[i][0] for i in range(1, len(shape))}
-            prox = [(i, t) for i in range(1, len(shape)) for t in shape[i][:2] if t >= 0]
-            diagram = structures[shape] = proximity_diagram(0, parent, prox)
-        yield keyed_diagram(diagram, weights, key)
-
-
 def enumerate_minimal_diagrams(
     max_vertices: int,
     max_weight: int,
@@ -332,5 +315,11 @@ def enumerate_minimal_diagrams(
     :class:`EnumerationLimitError`.
     """
     for level in _minimal_families(max_vertices, max_weight, max_candidates):
-        records = [family.record(w) for family in level for w in family.weightings]
-        yield from _diagrams(sorted(records))
+        families = list(level)
+        keyed = [
+            (family.key(weights), i, weights)
+            for i, family in enumerate(families)
+            for weights in family.weightings
+        ]
+        for key, i, weights in sorted(keyed):
+            yield keyed_diagram(families[i].structure, weights, key)

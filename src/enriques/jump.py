@@ -38,7 +38,7 @@ from .diagram import (
     proximity_diagram,
     weighted_diagram,
 )
-from .enumeration import DEFAULT_MAX_CANDIDATES, _diagrams, _minimal_families
+from .enumeration import DEFAULT_MAX_CANDIDATES, _minimal_families
 from .quasihomogeneous import (
     QuasihomogeneousSpec,
     _refuse_above_bound,
@@ -272,10 +272,12 @@ def verify_maximality(
     ``r``.  The inequality fails at the root.  Such candidates are counted
     per shape as examined and refuted (and in ``refuted_by_root``),
     without a key, a diagram or a search.  Every other candidate, a light
-    one, is keyed (which also tells ``D_min``'s own class apart, as its
-    root weighs ``r``) and goes to the second stage, the bounded
-    domination search of :func:`~enriques.adjacency.adjacency_verdict`, in
-    the order of :func:`~enriques.enumeration.enumerate_minimal_diagrams`.
+    one, goes to the second stage, the bounded domination search of
+    :func:`~enriques.adjacency.adjacency_verdict`, as the enumeration
+    yields it, except ``D_min``'s own class: only a weighting with
+    ``D_min``'s vertex count and Milnor number can be that class, and
+    only such a weighting is keyed before it is searched.  The
+    contradictions are listed by vertex count, then key.
 
     The search runs against the maximal representatives only, those with
     ``extra_bound`` added leaves, by the leaf-monotonicity lemma: if ``R'``
@@ -301,7 +303,8 @@ def verify_maximality(
 
     Candidates are read off the enumeration's families (a shape and its
     minimal weightings, one per isomorphism class), and only those that
-    reach the search become diagrams, one shared structure per shape.  A
+    reach the search become diagrams, on one shared structure per shape,
+    each keyed once by the canonical form that orders the search.  A
     weighting's Milnor number is ``sum nu*(nu-1) + 1`` minus the total
     excess, and summing ``nu_P - sum of nu_Q over Q proximate to P`` over
     all ``P`` counts each weight ``nu_Q`` once for ``Q`` and once against
@@ -334,8 +337,8 @@ def verify_maximality(
     top = len(D_min) + extra_bound
     maximal = [r for r in class_representatives(diagram_type(D_min), extra_bound) if len(r) == top]
     root_weight = D_min.nu[D_min.root]
-    refuted_by_root = 0
-    light = []
+    refuted_by_root = searched = 0
+    found = []
     for level in _minimal_families(max_vertices, max_weight, DEFAULT_MAX_CANDIDATES):
         for family in level:
             for weights, mu in zip(family.weightings, family.milnor_numbers()):
@@ -344,16 +347,16 @@ def verify_maximality(
                 if weights[0] > root_weight:
                     refuted_by_root += 1
                     continue
-                record = family.record(weights)
-                if record.key != D_min.key:
-                    light.append((len(weights), record, mu))
-    light.sort()
-    contradictions: list[tuple[str, int]] = []
-    records = [record for _, record, _ in light]
-    for (_, record, mu), candidate in zip(light, _diagrams(records)):
-        if adjacency_verdict(maximal, candidate, extra_bound).holds:
-            contradictions.append((record.key, mu))
-    examined = refuted_by_root + len(light)
+                if len(weights) == len(D_min) and mu == report.mu_D:
+                    if family.key(weights) == D_min.key:
+                        continue
+                candidate = WeightedDiagram(family.structure, tuple(enumerate(weights)))
+                searched += 1
+                if adjacency_verdict(maximal, candidate, extra_bound).holds:
+                    found.append((len(candidate), candidate.key, mu))
+    found.sort()
+    contradictions = tuple((key, mu) for _, key, mu in found)
+    examined = refuted_by_root + searched
     return MaximalityReport(
         spec=spec,
         status="contradiction" if contradictions else "verified",
@@ -365,6 +368,6 @@ def verify_maximality(
         examined=examined,
         refuted=examined - len(contradictions),
         attained_max_mu=report.mu_E,
-        contradictions=tuple(contradictions),
+        contradictions=contradictions,
         refuted_by_root=refuted_by_root,
     )

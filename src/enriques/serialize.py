@@ -123,7 +123,7 @@ def diagram_to_json(w: WeightedDiagram) -> str:
 def diagram_from_json(text: str) -> WeightedDiagram:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise DiagramError(f"invalid JSON: {exc}") from None
     return diagram_from_dict(data)
 

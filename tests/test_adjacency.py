@@ -187,6 +187,47 @@ def test_checker_rejects_missing_kappa_entries():
     assert not check_geq_witness(upper, lower, replace(witness, kappa=witness.kappa[:-1]))
 
 
+def with_pairs(witness, *pairs):
+    return replace(witness, embedding=SubdiagramEmbedding(pairs=pairs))
+
+
+def tampered(w, proximity=(), weights=()):
+    """``w`` with proximity pairs added and weights replaced."""
+    nu = {**w.nu, **dict(weights)}
+    return wd(w.root, w.diagram.parent, [*w.diagram.proximity, *proximity], nu)
+
+
+# each case tampers the x^6+y^9 jump witness (vertex 2 is a satellite on
+# 1 and 0, vertex 3 a free end) or one of its diagrams
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        # the lower root proximate to a vertex breaks axiom 1
+        lambda up, lo, w: (up, tampered(lo, [(0, 1)]), w),
+        # the upper end outweighs its parent
+        lambda up, lo, w: (tampered(up, weights=[(3, 4)]), lo, w),
+        lambda up, lo, w: (up, lo, with_pairs(w, *w.embedding.pairs, (3, 3))),
+        lambda up, lo, w: (up, lo, with_pairs(w, (0, 0), (1, 1), (2, 2), (3, 9))),
+        lambda up, lo, w: (up, lo, with_pairs(w, (0, 1), (1, 0), (2, 2), (3, 3))),
+        lambda up, lo, w: (up, lo, with_pairs(w, (0, 0), (1, 1), (2, 3), (3, 2))),
+        # both ends become satellites, the upper one on the root and the
+        # lower one on vertex 1; a heavier upper root stays consistent
+        lambda up, lo, w: (tampered(up, [(3, 0)], [(0, 7)]), tampered(lo, [(3, 1)]), w),
+    ],
+    ids=[
+        "invalid-lower",
+        "inconsistent-upper",
+        "lower-vertex-twice",
+        "image-off-upper",
+        "root-off-upper-root",
+        "wrong-upper-parent",
+        "wrong-second-target",
+    ],
+)
+def test_checker_rejects_tampered_cases(tamper):
+    assert not check_geq_witness(*tamper(*fresh_case()))
+
+
 def test_checker_accepts_untampered_witnesses():
     upper, lower, witness = fresh_case()
     assert check_geq_witness(upper, lower, witness)

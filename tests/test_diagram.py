@@ -15,6 +15,7 @@ from enriques import (
     ProximityDiagram,
     UnknownVertexError,
     Violation,
+    WeightedDiagram,
     add_leaf,
     canonical_key,
     canonical_order,
@@ -254,6 +255,14 @@ def test_proximity_diagram_output_rebuilds_as_is():
         assert ProximityDiagram(d.root, d.parent_edges, d.proximity) == d
 
 
+@pytest.mark.parametrize(
+    "items", [((0, 2), (1, 1)), ((0, 2), (1, 1), (2, 1), (3, 1)), ((1, 1), (0, 2), (2, 1))]
+)
+def test_weighted_diagram_built_directly_must_weigh_each_vertex_once(items):
+    with pytest.raises(DiagramError, match="cover exactly the vertex set"):
+        WeightedDiagram(cusp_minimal().diagram, items)
+
+
 def test_require_valid_raises_with_violations():
     d = proximity_diagram(0, {1: 0}, [(1, 0), (0, 1)])
     with pytest.raises(InvalidDiagramError) as exc:
@@ -277,6 +286,13 @@ def test_classify_kinds_and_finality():
 def test_classify_unknown_vertex():
     with pytest.raises(UnknownVertexError):
         classify(single_vertex(1).diagram, 9)
+
+
+def test_classify_rejects_a_non_root_vertex_proximate_to_nothing():
+    d = proximity_diagram(0, {1: 0}, [])
+    with pytest.raises(InvalidDiagramError) as exc:
+        classify(d, 1)
+    assert [(v.axiom, v.vertices) for v in exc.value.violations] == [(2, (1,))]
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +367,20 @@ def test_is_complete():
 def test_complete_rejects_weight_one_free_leaning_on_weight_one_free():
     w = wd(0, {1: 0, 2: 1}, [(1, 0), (2, 1)], {0: 2, 1: 1, 2: 1})
     assert not is_complete(w)
+
+
+def test_complete_rejects_a_final_free_leaf_on_a_free_weight_one_vertex():
+    # every non-final excess is zero, so only the final vertex's proximity
+    # to a free weight-1 vertex makes the diagram incomplete
+    w = wd(0, {1: 0, 2: 1}, [(1, 0), (2, 1)], {0: 1, 1: 1, 2: 1})
+    assert all(excesses(w)[v] == 0 for v in (0, 1))
+    assert not is_complete(w)
+
+
+def test_is_minimal_rejects_an_inconsistent_diagram():
+    # the free vertex outweighs the root; no other minimality rule fails
+    w = wd(0, {1: 0}, [(1, 0)], {0: 1, 1: 2})
+    assert not is_minimal(w)
 
 
 def test_is_minimal():

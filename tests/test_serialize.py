@@ -100,6 +100,7 @@ def row(**fields):
         ({"root": 0, "vertices": [row(weight="3")]}, "weight must be an integer"),
         ({"root": 0, "vertices": [row(id=0.0)]}, "vertex id must be an integer"),
         ({"root": False, "vertices": [row()]}, "root must be an integer"),
+        ({"root": 5, "vertices": [row()]}, "root 5 is not among the vertex ids"),
         (
             {"root": 0, "vertices": [row(weight=2), row(id=1, parent=0.9, proximate_to=[0])]},
             "parent must be an integer",
@@ -114,6 +115,22 @@ def test_from_dict_rejects_malformed_input(data, fragment):
     with pytest.raises(DiagramError) as exc:
         diagram_from_dict(data)
     assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"root": 0,',
+        # nesting past the interpreter's recursion limit
+        "[" * 100_000,
+        # an integer past the interpreter's limit on digits converted
+        '{"root": ' + "9" * 5000 + ', "vertices": []}',
+    ],
+    ids=["truncated", "deep", "long-integer"],
+)
+def test_from_json_rejects_unreadable_text(text):
+    with pytest.raises(DiagramError, match="invalid JSON"):
+        diagram_from_json(text)
 
 
 def test_from_dict_refuses_too_many_rows_before_reading_them():

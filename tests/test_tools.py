@@ -43,3 +43,25 @@ def test_code_lines_skips_blanks_comments_and_docstrings():
     # counted: import, class, size, def grow, text, return, async def, return
     assert code_lines(SOURCE) == 8
     assert code_lines('def f():\n    """Only a docstring."""\n') == 1
+
+
+def test_summary_gives_the_median_and_the_inclusive_interquartile_range():
+    summary = load("bench_pairs").summary
+    assert summary([3.0]) == {"median": 3.0, "iqr": 0.0}
+    # inclusive quartiles of 1..5 are 2 and 4
+    assert summary([5.0, 1.0, 4.0, 2.0, 3.0]) == {"median": 3.0, "iqr": 2.0}
+    assert summary([1.0, 2.0]) == {"median": 1.5, "iqr": 0.5}
+
+
+def test_pairs_won_counts_strict_wins_in_each_metric_direction():
+    bench_pairs = load("bench_pairs")
+    runs = []
+    for pair in range(bench_pairs.PAIRS):
+        # the change is faster in the first seven pairs, tied in the rest,
+        # and uses more memory in every pair
+        speed = {"parent": 10.0, "change": 11.0 if pair < 7 else 10.0}
+        for side in bench_pairs.SIDES:
+            metrics = {"ops_per_s": speed[side], "peak_rss_mb": 20.0 + (side == "change")}
+            runs.append({"pair": pair, "side": side, "metrics": metrics})
+    better = {"ops_per_s": "higher", "peak_rss_mb": "lower"}
+    assert bench_pairs.pairs_won(runs, better) == {"ops_per_s": 7, "peak_rss_mb": 0}

@@ -11,7 +11,9 @@ cache the other lacks.  Both runs of a pair use the same seed (``--seed``
 plus the pair's index), and the side that runs first swaps from pair to
 pair, so a drift in the machine's speed falls on both sides alike.  The
 result goes to ``BENCH_<N>.json`` at the repository root: the commits,
-the interpreter, the machine, each run's ``correct``/``failed`` and
+the interpreter, the machine, the value of ``PYTHONDONTWRITEBYTECODE``
+(set, each run compiles the package from source, which ``setup_s``
+measures), each run's ``correct``/``failed`` and
 end-to-end metrics, per workload and side the median and interquartile
 range of every metric, and per workload and end-to-end metric the number
 of pairs the change won (was strictly better in, in the direction
@@ -129,6 +131,7 @@ def main(argv: list[str] | None = None) -> int:
         "change": git("rev-parse", "HEAD"),
         "python": platform.python_version(),
         "machine": machine(),
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "command": "python3 perfbench/run.py --workload W --seed S --trace 0",
         "pairs": PAIRS,
         "workloads": {},
