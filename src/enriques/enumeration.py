@@ -84,8 +84,8 @@ of one family share its :attr:`_Family.structure`, one
 :class:`~enriques.diagram.ProximityDiagram` built on first use, so its
 cached facts, axiom violations included, are computed once per shape.
 :func:`~enriques.jump.verify_maximality` reads each family as it is
-yielded, builds a diagram only for a candidate it searches and keeps
-none of the others, and :func:`enumerate_minimal_diagrams` keys every
+yielded and builds a diagram only for a candidate it searches, keeping
+none once searched; :func:`enumerate_minimal_diagrams` keys every
 diagram it yields, for its order, and seeds the diagram with that key.
 """
 

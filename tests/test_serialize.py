@@ -100,7 +100,6 @@ def row(**fields):
         ({"root": 0, "vertices": [row(weight="3")]}, "weight must be an integer"),
         ({"root": 0, "vertices": [row(id=0.0)]}, "vertex id must be an integer"),
         ({"root": False, "vertices": [row()]}, "root must be an integer"),
-        ({"root": 5, "vertices": [row()]}, "root 5 is not among the vertex ids"),
         (
             {"root": 0, "vertices": [row(weight=2), row(id=1, parent=0.9, proximate_to=[0])]},
             "parent must be an integer",
@@ -109,6 +108,7 @@ def row(**fields):
             {"root": 0, "vertices": [row(weight=2), row(id=1, parent=0, proximate_to=[0.2])]},
             "proximity target must be an integer",
         ),
+        ({"root": 5, "vertices": [row()]}, "root 5 is not among the vertex ids"),
     ],
 )
 def test_from_dict_rejects_malformed_input(data, fragment):
