@@ -21,8 +21,7 @@ number of added vertices and reports an honest
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from .diagram import (
     DiagramType,
@@ -53,10 +52,6 @@ class SubdiagramEmbedding:
 
     pairs: tuple[tuple[int, int], ...]
 
-    @cached_property
-    def mapping(self) -> Mapping[int, int]:
-        return dict(self.pairs)
-
 
 @dataclass(frozen=True)
 class GeqWitness:
@@ -73,12 +68,6 @@ class GeqWitness:
     kappa: tuple[tuple[int, int], ...]
     ord_nu: tuple[tuple[int, int], ...]
     ord_kappa: tuple[tuple[int, int], ...]
-
-    @property
-    def ord_check(self) -> tuple[tuple[int, int, int], ...]:
-        """Per-vertex triples (vertex, ord_nu, ord_kappa)."""
-        kappa_ord = dict(self.ord_kappa)
-        return tuple((v, o, kappa_ord[v]) for v, o in self.ord_nu)
 
 
 @dataclass(frozen=True)

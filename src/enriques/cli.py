@@ -9,13 +9,16 @@ minimal diagrams within bounds).
 
 Exit codes: 0 success, 1 domain error (bad spec, invalid diagram,
 enumeration cap), 2 usage error, 3 a maximality contradiction found by
-``verify``.  Results go to stdout, errors to stderr.
+``verify``.  Results go to stdout, errors to stderr.  A command whose
+stdout reader closes early stops at its next write with exit code 1 and
+no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 
@@ -239,7 +242,14 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to devnull,
+        # so the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (DiagramError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -256,7 +256,7 @@ class WeightedDiagram:
         return out
 
     @cached_property
-    def _form(self) -> tuple[str, Sequence[Sequence[int]]]:
+    def _form(self) -> tuple[str, Sequence[Sequence[int]], Sequence[tuple[int, int]]]:
         """:func:`canonical_form` of the diagram's record: one ``(parent,
         second, weight)`` entry per vertex of ``diagram.preorder``, targets
         given by preorder position.  Raises :class:`InvalidDiagramError` for
@@ -619,8 +619,10 @@ def minimalize(w: WeightedDiagram) -> WeightedDiagram:
 
 def canonical_form(
     record: Sequence[tuple[int, int, int]],
-) -> tuple[str, list[list[int]]]:
-    """Canonical key of a diagram record, and every vertex's children in key order.
+) -> tuple[str, list[list[int]], list[tuple[int, int]]]:
+    """Canonical key of a diagram record, every vertex's children in key
+    order, and the *twins*: each two consecutive children in key order with
+    equal codes.
 
     ``record[i]`` is ``(parent, second, weight)`` for vertex ``i``: the
     index of its parent, below ``i`` (``-1`` for the root at index 0), the
@@ -630,9 +632,12 @@ def canonical_form(
     letter (``r`` root, ``f`` free, ``a``/``b`` a satellite whose second
     target is the parent's first/second target) and its children's codes
     in sorted order, all in parentheses.  The key is the root's code;
-    siblings with equal codes keep their index order.
+    siblings with equal codes keep their index order, and each two of them
+    that are consecutive are a twin pair, listed bottom-up.  This is the one
+    routine that builds or compares subtree codes.
     """
     children: list[list[int]] = [[] for _ in record]
+    twins: list[tuple[int, int]] = []
     for i in range(1, len(record)):
         children[record[i][0]].append(i)
     codes = [""] * len(record)
@@ -655,9 +660,10 @@ def canonical_form(
         else:
             kids.sort(key=codes.__getitem__)
             codes[i] = f"({weight}{letter}{''.join([codes[c] for c in kids])})"
+            twins += [(c, d) for c, d in zip(kids, kids[1:]) if codes[c] == codes[d]]
             for c in kids:
                 codes[c] = ""
-    return codes[0], children
+    return codes[0], children, twins
 
 
 def canonical_key(w: WeightedDiagram) -> str:

@@ -68,9 +68,11 @@ least of its orbit, and the runs of each group of equal-code siblings,
 each least, are sorted, which is the least arrangement.  This is the
 orderly test of Read and of B. D. McKay, "Isomorph-free exhaustive
 generation", *J. Algorithms* 26 (1998), applied to weightings.  Each
-live shape's pairs of runs are found once, from the children lists of
-its :func:`~enriques.diagram.canonical_form`; a shape without equal-code
-siblings has the identity as its only automorphism and takes no test.
+live shape's pairs of runs are found once, from the children lists and
+the twins (the consecutive equal-code siblings) that its
+:func:`~enriques.diagram.canonical_form` finds while it sorts siblings;
+a shape without twins has the identity as its only automorphism and
+takes no test.
 The test makes one comparison of two runs per pair, at most ``n - 1``
 of them, and never lists the group, whose order grows factorially with
 equal siblings.  A weight is read at most twice per group of equal-code
@@ -218,29 +220,19 @@ def _weightings(shape: tuple[_Rec, ...], max_weight: int) -> Iterator[list[int]]
                 slack[t] -= 1
 
 
-def _orbit_pairs(shape: tuple[_Rec, ...], children: list[list[int]]) -> tuple[_Pair, ...]:
-    """The orbit test of ``shape``, given its children lists in key order as
-    :func:`canonical_form` returns them: for every two consecutive sibling
-    subtrees with equal codes, the getters of their weight runs in
-    canonical preorder.  Empty when the identity is the only automorphism."""
-    # one integer per subtree code: the second target's letter and the
-    # children's integers in key order
-    codes: dict[tuple[int, ...], int] = {}
-    code = [0] * len(shape)
-    size = [1] * len(shape)
-    for v in range(len(shape) - 1, 0, -1):
-        parent, second, _ = shape[v]
-        letter = 0 if second < 0 else 1 if second == shape[parent][0] else 2
-        code[v] = codes.setdefault((letter, *[code[c] for c in children[v]]), len(codes))
-        size[parent] += size[v]
-    twins = [(c, d) for kids in children for c, d in zip(kids, kids[1:]) if code[c] == code[d]]
+def _orbit_pairs(children: list[list[int]], twins: list[tuple[int, int]]) -> tuple[_Pair, ...]:
+    """The orbit test of a shape, given its children lists in key order and
+    its twins as :func:`canonical_form` returns them: for every twin pair,
+    the getters of the two subtrees' weight runs in canonical preorder.
+    Empty when the identity is the only automorphism."""
     if not twins:
         return ()
     order = _preorder(children, 0)
     at = {v: i for i, v in enumerate(order)}
-    # a twin's run directly follows its left sibling's run in the preorder
+    # a twin's run directly follows its left sibling's run, and equal codes
+    # give runs of one length
     return tuple(
-        (itemgetter(*order[at[c] : at[d]]), itemgetter(*order[at[d] : at[d] + size[d]]))
+        (itemgetter(*order[at[c] : at[d]]), itemgetter(*order[at[d] : 2 * at[d] - at[c]]))
         for c, d in twins
     )
 
@@ -289,10 +281,10 @@ def _minimal_families(
         shapes: dict[str, tuple[tuple[_Rec, ...], tuple[_Pair, ...]]] = {}
         for shape, _ in level:
             for child in _extensions(shape, max_weight):
-                key, children = canonical_form(child)
+                key, children, twins = canonical_form(child)
                 if key not in shapes:
                     seen = _admit(seen, max_candidates)
-                    shapes[key] = child, _orbit_pairs(child, children)
+                    shapes[key] = child, _orbit_pairs(children, twins)
         level = list(shapes.values())
 
 

@@ -121,10 +121,13 @@ class DerivedInvariants:
 
     ``d_tilde`` is gcd(p, q) and ``r, s`` the coprime quotients.  ``w_x``
     and ``w_y`` are the weights making the germ weighted-homogeneous of
-    degree ``W``.  The triple ``(d, t, w)`` describes the minimal diagram:
+    degree ``W``.  The triple ``(d, t, w)`` is read off the Euclid walk:
     ``t`` vertices in a chain, end weight ``d``, with ``w`` recording the
     shape (0: single vertex, 1: chain ending free, 2: chain ending in a
-    satellite).
+    satellite).  It describes the minimal diagram of every germ but the
+    node ``y*(x+y^q)`` with ``q >= 2``: there the walk gives ``(1, q, 1)``,
+    while the minimal diagram, a lone root of weight 2, is ``(2, 1, 0)``,
+    the triple that :class:`~enriques.jump.JumpReport` carries.
     """
 
     d_tilde: int

@@ -79,7 +79,8 @@ def test_geq_witness_may_exclude_vertices():
 
 def test_geq_ord_check_property():
     witness = geq(cusp_minimal(), cusp_minimal())
-    assert witness.ord_check == ((0, 2, 2), (1, 3, 3), (2, 6, 6))
+    assert witness.ord_nu == ((0, 2), (1, 3), (2, 6))
+    assert witness.ord_kappa == ((0, 2), (1, 3), (2, 6))
 
 
 def test_geq_rejects_inconsistent_upper():
@@ -113,11 +114,18 @@ def test_geq_respects_satellite_second_targets():
         [(1, 0), (2, 1), (2, 0), (3, 2), (3, 0)],
         {0: 3, 1: 2, 2: 1, 3: 1},
     )
-    witness = geq(upper, lower)
-    # the mismatched satellite cannot be mapped, only excluded
-    if witness is not None:
-        assert 3 not in witness.embedding.mapping
-        assert check_geq_witness(upper, lower, witness)
+    # the mismatched satellite cannot be mapped, only excluded, and the
+    # lower weight on it then has no image to come from
+    assert geq(upper, lower) is None
+    weightless = wd(
+        0,
+        {1: 0, 2: 1, 3: 2},
+        [(1, 0), (2, 1), (2, 0), (3, 2), (3, 0)],
+        {0: 3, 1: 2, 2: 1, 3: 0},
+    )
+    witness = geq(upper, weightless)
+    assert witness.embedding.pairs == ((0, 0), (1, 1), (2, 2))
+    assert check_geq_witness(upper, weightless, witness)
 
 
 # ---------------------------------------------------------------------------

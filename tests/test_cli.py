@@ -344,15 +344,36 @@ def test_run_reuses_one_parser_as_if_each_call_had_a_fresh_one(capsys, monkeypat
     assert enriques.cli.build_parser() is not enriques.cli.build_parser()
 
 
-def test_console_script_entry_point():
-    # the child process imports the same enriques as this one
+def child_env():
+    # a child process imports the same enriques as this one
     src = str(pathlib.Path(enriques.cli.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_console_script_entry_point():
     out = subprocess.run(
         [sys.executable, "-m", "enriques.cli", "info", "0,0,2,3"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
     )
     assert out.returncode == 0
     assert "mu 2" in out.stdout
+
+
+def test_a_reader_that_closes_stdout_early_gets_no_traceback():
+    # 214 KB of keys, far more than a pipe holds, so a write fails after
+    # the reader has gone
+    argv = ["enumerate", "--max-vertices", "8", "--max-weight", "6"]
+    child = subprocess.Popen(
+        [sys.executable, "-m", "enriques.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(),
+    )
+    assert child.stdout.readline() == b"(1r)\n"
+    child.stdout.close()
+    assert child.stderr.read() == b""
+    child.stderr.close()
+    assert child.wait() == 1

@@ -364,8 +364,10 @@ def test_is_complete():
     assert not is_complete(single_vertex(1))
 
 
-def test_complete_rejects_weight_one_free_leaning_on_weight_one_free():
+def test_complete_rejects_a_non_final_vertex_with_positive_excess():
+    # the root weighs 2 over one weight-1 source
     w = wd(0, {1: 0, 2: 1}, [(1, 0), (2, 1)], {0: 2, 1: 1, 2: 1})
+    assert excesses(w)[0] == 1
     assert not is_complete(w)
 
 

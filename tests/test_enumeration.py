@@ -1,6 +1,7 @@
 """Bounded enumeration of minimal diagrams up to isomorphism."""
 
 import hashlib
+import random
 import time
 
 import pytest
@@ -297,15 +298,21 @@ def test_orbit_test_keeps_one_weighting_per_class_and_skips_rigid_shapes(monkeyp
     tried = []
     tested = []
     symmetric = {}
+    formed = [None]
 
     def counting_weightings(shape, max_weight):
         for weights in _weightings(shape, max_weight):
             tried.append(shape)
             yield weights
 
-    def recording_pairs(shape, children):
-        pairs = _orbit_pairs(shape, children)
-        symmetric[shape] = bool(pairs)
+    def recording_form(record):
+        formed[0] = record
+        return canonical_form(record)
+
+    def recording_pairs(children, twins):
+        # the shape is the record whose canonical form was just computed
+        pairs = _orbit_pairs(children, twins)
+        symmetric[formed[0]] = bool(pairs)
         return pairs
 
     def recording_test(weights, pairs):
@@ -313,6 +320,7 @@ def test_orbit_test_keeps_one_weighting_per_class_and_skips_rigid_shapes(monkeyp
         return _least_in_orbit(weights, pairs)
 
     monkeypatch.setattr(enriques.enumeration, "_weightings", counting_weightings)
+    monkeypatch.setattr(enriques.enumeration, "canonical_form", recording_form)
     monkeypatch.setattr(enriques.enumeration, "_orbit_pairs", recording_pairs)
     monkeypatch.setattr(enriques.enumeration, "_least_in_orbit", recording_test)
     assert sum(1 for _ in enumerate_minimal_diagrams(9, 7)) == 45503
@@ -324,6 +332,55 @@ def test_orbit_test_keeps_one_weighting_per_class_and_skips_rigid_shapes(monkeyp
         assert pairs == has_symmetry(shape), shape
     assert all(tested)
     assert len(tested) == sum(symmetric.get(shape, False) for shape in tried) > 0
+
+
+def subtree_key(record, children, v):
+    # a recursive re-encoding of the subtree at v, apart from canonical_form
+    parent, second, weight = record[v]
+    letter = "r" if parent < 0 else "f" if second < 0 else "ab"[second != record[parent][0]]
+    kids = sorted(subtree_key(record, children, c) for c in children[v])
+    return f"({weight}{letter}{''.join(kids)})"
+
+
+def assert_twins_are_equal_keyed_neighbours(record):
+    key, children, twins = canonical_form(record)
+    by_index = [[] for _ in record]
+    for v in range(1, len(record)):
+        by_index[record[v][0]].append(v)
+    keys = [subtree_key(record, by_index, v) for v in range(len(record))]
+    assert key == keys[0]
+    expected = []
+    for kids in by_index:
+        kids.sort(key=keys.__getitem__)
+        expected += [(c, d) for c, d in zip(kids, kids[1:]) if keys[c] == keys[d]]
+    assert children == by_index, record
+    assert sorted(twins) == sorted(expected), record
+    return len(twins)
+
+
+def test_canonical_form_twins_match_a_re_encoding_on_random_records():
+    # small weights on random trees give many equal sibling subtrees
+    rng = random.Random(16)
+    found = 0
+    for _ in range(3000):
+        record = [(-1, -1, rng.randint(0, 1))]
+        for v in range(1, rng.randint(1, 12)):
+            parent = rng.randrange(v)
+            second = rng.choice([-1, *(t for t in record[parent][:2] if t >= 0)])
+            record.append((parent, second, rng.randint(0, 1)))
+        found += assert_twins_are_equal_keyed_neighbours(record)
+    assert found > 500
+
+
+def test_canonical_form_twins_match_a_re_encoding_on_every_live_shape():
+    shapes = [
+        family.shape
+        for level in enriques.enumeration._minimal_families(9, 7, 10**6)
+        for family in level
+    ]
+    assert len(shapes) == 2538
+    symmetric = sum(assert_twins_are_equal_keyed_neighbours(shape) > 0 for shape in shapes)
+    assert symmetric == 311
 
 
 def least_root_weight(shape):

@@ -1,6 +1,8 @@
 """The repository's own measuring scripts under ``tools/``."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -65,3 +67,53 @@ def test_pairs_won_counts_strict_wins_in_each_metric_direction():
             runs.append({"pair": pair, "side": side, "metrics": metrics})
     better = {"ops_per_s": "higher", "peak_rss_mb": "lower"}
     assert bench_pairs.pairs_won(runs, better) == {"ops_per_s": 7, "peak_rss_mb": 0}
+
+
+SAMPLE = '''def reached(x):
+    """Docstring,
+    over two lines."""
+    if x > 0:
+        return x + 1
+    return -x
+
+
+def unreached():
+    global STATE
+    STATE = 1
+    return STATE
+'''
+
+SAMPLE_TEST = '''import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).parent / "lib"))
+
+from sample import reached
+
+
+def test_reached():
+    assert reached(1) == 2
+'''
+
+
+def test_unreached_lines_prints_the_body_statements_no_test_ran(tmp_path):
+    (tmp_path / "lib").mkdir()
+    (tmp_path / "lib" / "sample.py").write_text(SAMPLE)
+    (tmp_path / "test_sample.py").write_text(SAMPLE_TEST)
+    tool = str(TOOLS / "unreached_lines.py")
+    pytest_args = [str(tmp_path / "test_sample.py"), "-q", "-p", "no:cacheprovider"]
+    out = subprocess.run(
+        [sys.executable, tool, str(tmp_path / "lib"), *pytest_args],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "1 passed" in out.stderr
+    # docstrings, the def lines and the global statement are not reported
+    assert out.stdout.splitlines() == [
+        "sample.py:6 return -x",
+        "sample.py:11 STATE = 1",
+        "sample.py:12 return STATE",
+        "3 unreached statements",
+    ]
