@@ -221,18 +221,19 @@ def _preorder(
 
 @dataclass(frozen=True)
 class WeightedDiagram:
-    """A proximity diagram together with one integer weight per vertex."""
+    """A proximity diagram together with one integer weight per vertex:
+    ``weights[i]`` weighs ``diagram.vertices[i]``."""
 
     diagram: ProximityDiagram
-    weight_items: tuple[tuple[int, int], ...]
+    weights: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if tuple(v for v, _ in self.weight_items) != self.diagram.vertices:
-            raise DiagramError("weights must cover exactly the vertex set")
+        if len(self.weights) != len(self.diagram.vertices):
+            raise DiagramError("weights must give one weight per vertex")
 
     @cached_property
     def nu(self) -> Mapping[int, int]:
-        return dict(self.weight_items)
+        return dict(zip(self.diagram.vertices, self.weights))
 
     @property
     def root(self) -> int:
@@ -256,13 +257,13 @@ class WeightedDiagram:
         return out
 
     @cached_property
-    def _form(self) -> tuple[str, Sequence[Sequence[int]], Sequence[tuple[int, int]]]:
-        """:func:`canonical_form` of the diagram's record: one ``(parent,
-        second, weight)`` entry per vertex of ``diagram.preorder``, targets
-        given by preorder position.  Raises :class:`InvalidDiagramError` for
-        a parent map that is not a tree below the root (through
-        ``diagram.preorder``) or a satellite whose second target is not one
-        of its parent's targets."""
+    def _form(self) -> tuple[str, Mapping[int, int]]:
+        """The key and the canonical ids, from :func:`canonical_form` of the
+        diagram's record: one ``(parent, second, weight)`` entry per vertex
+        of ``diagram.preorder``, targets given by preorder position.  Raises
+        :class:`InvalidDiagramError` for a parent map that is not a tree
+        below the root (through ``diagram.preorder``) or a satellite whose
+        second target is not one of its parent's targets."""
         d = self.diagram
         position = {v: i for i, v in enumerate(d.preorder)}
         record = [(-1, -1, self.nu[d.root])]
@@ -273,19 +274,20 @@ class WeightedDiagram:
                 raise InvalidDiagramError(d.violations)
             second = position[targets[1]] if len(targets) > 1 else -1
             record.append((position[parent], second, self.nu[v]))
-        return canonical_form(record)
+        key, children, _ = canonical_form(record)
+        return key, {d.preorder[i]: n for n, i in enumerate(_preorder(children, 0))}
 
     @cached_property
     def key(self) -> str:
         """Canonical key, see :func:`canonical_key`."""
         return self._form[0]
 
-    @cached_property
+    @property
     def canonical_ids(self) -> Mapping[int, int]:
         """Each vertex id's canonical position, inserted in canonical order
-        (see :func:`canonical_order`); the one place positions are derived."""
-        preorder = self.diagram.preorder
-        return {preorder[i]: n for n, i in enumerate(_preorder(self._form[1], 0))}
+        (see :func:`canonical_order`); ``_form``, which caches it with the
+        key, is the one place positions are derived."""
+        return self._form[1]
 
     def __len__(self) -> int:
         return len(self.diagram.vertices)
@@ -296,13 +298,13 @@ def weighted_diagram(diagram: ProximityDiagram, nu: Mapping[int, int]) -> Weight
     weight (not a bool) and weigh nothing else, else :class:`DiagramError`
     is raised."""
     try:
-        items = tuple((v, _integer(nu[v], "weight")) for v in diagram.vertices)
+        weights = tuple([_integer(nu[v], "weight") for v in diagram.vertices])
     except KeyError as exc:
         raise DiagramError(f"no weight for vertex {exc.args[0]!r}") from None
-    if len(nu) != len(items):
+    if len(nu) != len(weights):
         strays = [v for v in nu if v not in diagram.children]
         raise DiagramError(f"weights for ids that are not vertices: {strays}")
-    return WeightedDiagram(diagram=diagram, weight_items=items)
+    return WeightedDiagram(diagram, weights)
 
 
 def _integer(value: object, what: str) -> int:
@@ -313,10 +315,10 @@ def _integer(value: object, what: str) -> int:
     return value
 
 
-def keyed_diagram(diagram: ProximityDiagram, weights: Sequence[int], key: str) -> WeightedDiagram:
-    """Weight the ``i``-th vertex id of ``diagram`` by ``weights[i]``, its
-    canonical key ``key`` already known (it is not checked)."""
-    w = WeightedDiagram(diagram, tuple(zip(diagram.vertices, weights)))
+def keyed_diagram(diagram: ProximityDiagram, weights: tuple[int, ...], key: str) -> WeightedDiagram:
+    """``WeightedDiagram(diagram, weights)`` with its canonical key ``key``
+    already known (it is not checked)."""
+    w = WeightedDiagram(diagram, weights)
     w.__dict__["key"] = key
     return w
 

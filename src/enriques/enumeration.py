@@ -126,10 +126,17 @@ class _Family:
     weightings: list[tuple[int, ...]]
 
     def milnor_numbers(self) -> Iterator[int]:
-        """Each weighting's ``sum nu*(nu-1) + 1 - root weight + satellite
-        weights``, which is :func:`~enriques.diagram.milnor_number` for a
-        consistent weighting (the derivation is in
-        :func:`~enriques.jump.verify_maximality`)."""
+        """Each weighting's Milnor number, ``sum nu*(nu-1) + 1 - root weight
+        + satellite weights``.
+
+        :func:`~enriques.diagram.milnor_number` is ``sum nu*(nu-1) + 1``
+        minus the total excess, and summing ``nu_P - sum of nu_Q over Q
+        proximate to P`` over all ``P`` counts each weight ``nu_Q`` once for
+        ``Q`` and once against each of its proximity targets: the total
+        excess is ``sum nu_Q*(1 - |targets(Q)|)``.  The root has no target,
+        a free vertex one and a satellite two, so the total excess is the
+        root weight minus the satellites' weights.  Every enumerated
+        weighting is consistent, so its Milnor number is defined."""
         # the root weight counts twice against its square, a free vertex's
         # once and a satellite's not at all
         coefficients = [2] + [1 if second < 0 else 0 for _, second, _ in self.shape[1:]]
@@ -186,7 +193,9 @@ def _extensions(shape: tuple[_Rec, ...], max_weight: int) -> Iterator[tuple[_Rec
 def _weightings(shape: tuple[_Rec, ...], max_weight: int) -> Iterator[list[int]]:
     """Every minimal consistent weighting of ``shape`` with weights at most
     ``max_weight``, by an iterative search over the vertices in index order
-    (the yielded list is reused)."""
+    (the yielded list is reused).  ``shape`` must be live: the lone root,
+    or a shape :func:`_extensions` yields for ``max_weight``, so that no
+    least weight, the root's being the largest, exceeds ``max_weight``."""
     n = len(shape)
     targets = [[t for t in entry[:2] if t >= 0] for entry in shape]
     propped = {t for p, s, _ in shape if s >= 0 for t in (p, s)}  # a satellite is proximate
@@ -194,8 +203,6 @@ def _weightings(shape: tuple[_Rec, ...], max_weight: int) -> Iterator[list[int]]
     least = [0] * n
     for v in range(n - 1, -1, -1):
         least[v] = max(owed[v], 2 if len(targets[v]) == 1 and v not in propped else 1)
-        if least[v] > max_weight:
-            return  # the root would weigh at least as much
         for t in targets[v]:
             owed[t] += least[v]
     # weights[u] is least[u] for every u after v; slack[t] is what a weighted
@@ -251,9 +258,11 @@ def _minimal_families(
 ) -> Iterator[Iterator[_Family]]:
     """For each vertex count from 1 to ``max_vertices``, an iterator over the
     live shapes of that count, each with its minimal weightings within the
-    bounds, one per isomorphism class.  Each iterator must be exhausted
-    before the next is drawn.  Arguments and the candidate cap are as for
-    :func:`enumerate_minimal_diagrams`.
+    bounds, one per isomorphism class.  The counts stop before the first
+    one with no live shape: by the reachability lemma in the module
+    docstring, no larger count has one either.  Each iterator must be
+    exhausted before the next is drawn.  Arguments and the candidate cap
+    are as for :func:`enumerate_minimal_diagrams`.
     """
     if max_vertices < 1:
         raise ValueError(f"max_vertices must be positive, got {max_vertices}")
@@ -285,6 +294,8 @@ def _minimal_families(
                 if key not in shapes:
                     seen = _admit(seen, max_candidates)
                     shapes[key] = child, _orbit_pairs(children, twins)
+        if not shapes:
+            return
         level = list(shapes.values())
 
 

@@ -36,6 +36,7 @@ from .diagram import (
     milnor_number,
     minimalize,
     proximity_diagram,
+    remove_vertices,
     weighted_diagram,
 )
 from .enumeration import DEFAULT_MAX_CANDIDATES, _minimal_families
@@ -126,9 +127,10 @@ def construct_adjacent_diagram(D: WeightedDiagram) -> WeightedDiagram:
     simply becomes the weight-1 single vertex); for ``d >= 3`` lower the
     end to ``d - 1``, attach a free vertex of weight 2, and below it a
     run of ``d - 3`` weight-1 vertices each proximate to its parent and
-    to the chain end.  The edit is made on copies of ``D``'s maps, new
-    vertices taking the ids after ``D``'s largest, and the one diagram it
-    gives is minimalized; the result is always of a different type than ``D``.
+    to the chain end.  A drop is :func:`~enriques.diagram.remove_vertices`;
+    the other edits are made on copies of ``D``'s maps, new vertices taking
+    the ids after ``D``'s largest.  The one diagram the surgery gives is
+    minimalized; the result is always of a different type than ``D``.
     The surgery's vertex count, ``t + d - 2`` (``t + 1`` for ``d = 2`` and
     ``t > 1``), bounds the result and is known up front: above
     :data:`~enriques.quasihomogeneous.MAX_DIAGRAM_VERTICES` it raises
@@ -147,13 +149,12 @@ def construct_adjacent_diagram(D: WeightedDiagram) -> WeightedDiagram:
     # d = 2 adds one satellite, none to a lone root; otherwise d - 2 vertices
     _refuse_above_bound(t + (t > 1 if d == 2 else d - 2), "the adjacent diagram E_D")
 
-    parent = dict(D.diagram.parent)
-    prox = list(D.diagram.proximity)
-    nu = dict(D.nu)
     if d == 1:
-        del parent[end], nu[end]
-        prox = [pair for pair in prox if pair[0] != end]
+        result = minimalize(remove_vertices(D, [end]))
     else:
+        parent = dict(D.diagram.parent)
+        prox = list(D.diagram.proximity)
+        nu = dict(D.nu)
         nu[end] = d - 1
         if d == 2:
             run = [(chain[-2], 1)] if t > 1 else []
@@ -164,7 +165,7 @@ def construct_adjacent_diagram(D: WeightedDiagram) -> WeightedDiagram:
             parent[new], nu[new] = at, weight
             prox.extend((new, target) for target in (at, second) if target is not None)
             at = new
-    result = minimalize(weighted_diagram(proximity_diagram(D.root, parent, prox), nu))
+        result = minimalize(weighted_diagram(proximity_diagram(D.root, parent, prox), nu))
 
     if result.key == D.key:
         raise RuntimeError("adjacent-diagram surgery failed to change the type")
@@ -304,15 +305,9 @@ def verify_maximality(
     Candidates are read off the enumeration's families (a shape and its
     minimal weightings, one per isomorphism class), and only those that
     reach the search become diagrams, on one shared structure per shape,
-    each keyed once by the canonical form that orders the search.  A
-    weighting's Milnor number is ``sum nu*(nu-1) + 1`` minus the total
-    excess, and summing ``nu_P - sum of nu_Q over Q proximate to P`` over
-    all ``P`` counts each weight ``nu_Q`` once for ``Q`` and once against
-    each of its proximity targets: the total excess is ``sum nu_Q*(1 -
-    |targets(Q)|)``.  The root has no target, a free vertex one and a
-    satellite two, so the total excess is the root weight minus the
-    satellites' weights.  Every enumerated weighting is consistent, so
-    this is the Milnor number :func:`milnor_number` gives.
+    each keyed once by the canonical form that orders the search.  Each
+    weighting's Milnor number is read off its shape, as derived at
+    :meth:`~enriques.enumeration._Family.milnor_numbers`.
     """
     report = lambda_lin(spec)
     D_min = report.D_min
@@ -350,7 +345,7 @@ def verify_maximality(
                 if len(weights) == len(D_min) and mu == report.mu_D:
                     if family.key(weights) == D_min.key:
                         continue
-                candidate = WeightedDiagram(family.structure, tuple(enumerate(weights)))
+                candidate = WeightedDiagram(family.structure, weights)
                 searched += 1
                 if adjacency_verdict(maximal, candidate, extra_bound).holds:
                     found.append((len(candidate), candidate.key, mu))

@@ -255,11 +255,9 @@ def test_proximity_diagram_output_rebuilds_as_is():
         assert ProximityDiagram(d.root, d.parent_edges, d.proximity) == d
 
 
-@pytest.mark.parametrize(
-    "items", [((0, 2), (1, 1)), ((0, 2), (1, 1), (2, 1), (3, 1)), ((1, 1), (0, 2), (2, 1))]
-)
+@pytest.mark.parametrize("items", [(2, 1), (2, 1, 1, 1)])
 def test_weighted_diagram_built_directly_must_weigh_each_vertex_once(items):
-    with pytest.raises(DiagramError, match="cover exactly the vertex set"):
+    with pytest.raises(DiagramError, match="one weight per vertex"):
         WeightedDiagram(cusp_minimal().diagram, items)
 
 

@@ -143,7 +143,7 @@ def test_seeded_key_matches_the_recomputed_one():
     # fresh diagram computes from its own record
     count = 0
     for w in enumerate_minimal_diagrams(8, 6):
-        assert w.key == WeightedDiagram(w.diagram, w.weight_items).key
+        assert w.key == WeightedDiagram(w.diagram, w.weights).key
         count += 1
     assert count == 7351
 
@@ -460,4 +460,9 @@ def test_weighting_search_on_a_deep_free_chain():
 def test_deep_narrow_bounds_run_fast():
     start = time.perf_counter()
     assert keys(1000, 1) == ["(1r)"]
+    # at weight 1 only the lone root is live, and by the reachability lemma
+    # no level follows the first empty one
+    levels = [list(level) for level in enriques.enumeration._minimal_families(10**6, 1, 10**6)]
+    assert [[family.weightings for family in level] for level in levels] == [[[(1,)]]]
+    assert keys(10**9, 1) == ["(1r)"]
     assert time.perf_counter() - start < 10

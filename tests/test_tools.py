@@ -1,6 +1,7 @@
 """The repository's own measuring scripts under ``tools/``."""
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -45,6 +46,11 @@ def test_code_lines_skips_blanks_comments_and_docstrings():
     # counted: import, class, size, def grow, text, return, async def, return
     assert code_lines(SOURCE) == 8
     assert code_lines('def f():\n    """Only a docstring."""\n') == 1
+
+
+def test_bench_pairs_runs_every_workload_of_the_benchmark():
+    spec = json.loads((TOOLS.parent / "BENCHMARK.json").read_text())
+    assert load("bench_pairs").workloads() == [entry["name"] for entry in spec["workloads"]]
 
 
 def test_summary_gives_the_median_and_the_inclusive_interquartile_range():

@@ -5,9 +5,9 @@
 Extracts revision ``REV`` and ``HEAD`` with ``git archive`` into two new
 temporary directories, then runs ``python3 perfbench/run.py --workload W
 --seed S --trace 0`` (the benchmark's own run length) in each, alternately,
-ten times per workload, for every workload.  Both sides run from their
-committed files alone, so neither sees uncommitted edits or a bytecode
-cache the other lacks.  Both runs of a pair use the same seed (``--seed``
+ten times per workload, for every workload that ``BENCHMARK.json``
+lists.  Both sides run from their committed files alone, so neither sees
+uncommitted edits or a bytecode cache the other lacks.  Both runs of a pair use the same seed (``--seed``
 plus the pair's index), and the side that runs first swaps from pair to
 pair, so a drift in the machine's speed falls on both sides alike.  The
 result goes to ``BENCH_<N>.json`` at the repository root: the commits,
@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Any
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("verify", "sweep", "large")
+BENCHMARK = ROOT / "BENCHMARK.json"
 SIDES = ("parent", "change")
 PAIRS = 10  # a gain counts only if the change wins nine pairs of ten
 
@@ -85,9 +85,14 @@ def summary(values: list[float]) -> dict[str, float]:
     return {"median": statistics.median(values), "iqr": high - low}
 
 
+def workloads() -> list[str]:
+    """The names of the workloads in ``BENCHMARK.json``, in its order."""
+    return [entry["name"] for entry in json.loads(BENCHMARK.read_text())["workloads"]]
+
+
 def better_directions() -> dict[str, str]:
     """Each end-to-end metric of ``BENCHMARK.json`` and which way is better."""
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    spec = json.loads(BENCHMARK.read_text())
     return {entry["name"]: entry["better"] for entry in spec["end_to_end"]}
 
 
@@ -141,7 +146,7 @@ def main(argv: list[str] | None = None) -> int:
         trees = {side: Path(scratch) / side for side in SIDES}
         for side in SIDES:
             extract(record[side], trees[side])
-        for workload in WORKLOADS:
+        for workload in workloads():
             runs = []
             for pair in range(PAIRS):
                 seed = args.seed + pair
