@@ -127,11 +127,12 @@ class ProximityDiagram:
     proximate to the target.  Both must be sorted, each child listed once,
     as :func:`proximity_diagram` makes them, else :class:`DiagramError` is
     raised: one pass over them, when the diagram is built, checks the
-    order and derives the maps.  ``vertices`` holds the sorted
-    ids and ``parent`` maps each child to its parent; ``children``,
-    ``prox_targets`` and ``prox_sources`` are keyed in vertex order, with
-    children and sources sorted and targets listing the immediate
-    predecessor first, then the rest sorted.
+    order and derives the four maps.  ``vertices`` holds the sorted
+    ids and ``parent`` maps each child to its parent; ``children`` and
+    ``prox_targets`` are keyed in vertex order, with children sorted and
+    targets listing the immediate predecessor first, then the rest
+    sorted.  The inverse relation, the vertices proximate to each vertex,
+    is not kept: its readers (excess, minimality) walk ``prox_targets``.
     """
 
     root: int
@@ -143,7 +144,6 @@ class ProximityDiagram:
         parent = dict(self.parent_edges)
         children: dict[int, list[int]] = {v: [] for v in vertices}
         targets: dict[int, list[int]] = {v: [] for v in vertices}
-        sources: dict[int, list[int]] = {v: [] for v in vertices}
         last = None
         for child, p in self.parent_edges:
             if last is not None and child <= last:
@@ -159,12 +159,10 @@ class ProximityDiagram:
                 targets[source].insert(0, target)
             else:
                 targets[source].append(target)
-            sources[target].append(source)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "children", _frozen(children))
         object.__setattr__(self, "prox_targets", _frozen(targets))
-        object.__setattr__(self, "prox_sources", _frozen(sources))
 
     @cached_property
     def preorder(self) -> tuple[int, ...]:
@@ -241,11 +239,14 @@ class WeightedDiagram:
 
     @cached_property
     def excess(self) -> Mapping[int, int]:
-        nu = self.nu
-        return {
-            v: nu[v] - sum(nu[s] for s in self.diagram.prox_sources[v])
-            for v in self.diagram.vertices
-        }
+        """Each vertex's weight less the weights of the vertices proximate
+        to it: every vertex's weight is taken off each of its targets."""
+        out = dict(self.nu)
+        targets = self.diagram.prox_targets
+        for v, weight in self.nu.items():
+            for t in targets[v]:
+                out[t] -= weight
+        return out
 
     @cached_property
     def orders(self) -> Mapping[int, int]:
@@ -513,11 +514,6 @@ def is_complete(w: WeightedDiagram) -> bool:
     return True
 
 
-def _has_satellite_source(w: WeightedDiagram, v: int) -> bool:
-    d = w.diagram
-    return any(len(d.prox_targets[s]) == 2 for s in d.prox_sources[v])
-
-
 def is_minimal(w: WeightedDiagram) -> bool:
     """True for the distinguished representative of an equivalence class.
 
@@ -530,13 +526,14 @@ def is_minimal(w: WeightedDiagram) -> bool:
     if w.nu[w.root] < 1:
         return False
     d = w.diagram
+    pinned = {t for targets in d.prox_targets.values() if len(targets) == 2 for t in targets}
     for v in d.vertices:
         if v == d.root or len(d.prox_targets[v]) != 1:
             continue
         weight = w.nu[v]
         if weight == 0:
             return False
-        if weight == 1 and not _has_satellite_source(w, v):
+        if weight == 1 and v not in pinned:
             return False
     return True
 

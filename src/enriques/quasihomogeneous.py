@@ -431,12 +431,11 @@ def is_bamboo(w: WeightedDiagram) -> bool:
 
 
 def bamboo_chain(w: WeightedDiagram) -> list[int]:
-    """Vertices of a bamboo from the root to the end of the chain."""
-    d = w.diagram
-    chain = [d.root]
-    while d.children[chain[-1]]:
-        chain.append(d.children[chain[-1]][0])
-    return chain
+    """Vertices of a bamboo from the root to the end of the chain.
+
+    ``w`` must be a bamboo (see :func:`is_bamboo`): each vertex's one child
+    follows it in ``diagram.preorder``, so the preorder is the chain."""
+    return list(w.diagram.preorder)
 
 
 def bamboo_invariants(w: WeightedDiagram) -> tuple[int, int, int]:

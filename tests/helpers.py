@@ -123,9 +123,12 @@ def random_consistent(rng: random.Random, max_vertices=8, max_excess=2) -> Weigh
     minimal member and lies outside every operation's useful domain.
     """
     d = random_proximity(rng, max_vertices)
+    sources = {v: [] for v in d.vertices}
+    for source, target in d.proximity:
+        sources[target].append(source)
     nu = {}
     for v in reversed(d.preorder):
-        nu[v] = rng.randint(0, max_excess) + sum(nu[q] for q in d.prox_sources[v])
+        nu[v] = rng.randint(0, max_excess) + sum(nu[q] for q in sources[v])
         if nu[v] == 0 and len(d.prox_targets[v]) == 2:
             nu[v] = 1
     if nu[d.root] == 0:
@@ -134,7 +137,7 @@ def random_consistent(rng: random.Random, max_vertices=8, max_excess=2) -> Weigh
 
 
 def reference_maps(d: ProximityDiagram) -> dict:
-    """The five structural maps of ``d``, each derived on its own from the
+    """The four structural maps of ``d``, each derived on its own from the
     pairs and re-sorted: a second opinion on the single pass that builds
     them with the diagram."""
     seen = {d.root}
@@ -163,15 +166,9 @@ def reference_maps(d: ProximityDiagram) -> dict:
             prox_targets[v] = (p, *rest)
         else:
             prox_targets[v] = tuple(sorted(targets))
-
-    out = {v: [] for v in vertices}
-    for source, target in d.proximity:
-        out[target].append(source)
-    prox_sources = {v: tuple(sorted(s)) for v, s in out.items()}
     return {
         "vertices": vertices,
         "parent": parent,
         "children": children,
         "prox_targets": prox_targets,
-        "prox_sources": prox_sources,
     }

@@ -59,6 +59,40 @@ def test_mu_is_invariant_under_leaf_addition_and_minimalization():
         assert milnor_number(add_leaf(w, anywhere, 0)) == mu, f"case {case}"
 
 
+def test_excess_consistency_and_minimality_match_references_from_the_pairs():
+    # the references read the proximity pairs alone; raising one weight
+    # makes some targets' excesses negative, so both verdicts of each
+    # predicate occur
+    rng = random.Random(1729)
+    verdicts = set()
+    for case in range(2000):
+        w = random_consistent(rng)
+        if case % 2:
+            nu = dict(w.nu)
+            nu[rng.choice(w.diagram.vertices)] += rng.randint(1, 2)
+            w = weighted_diagram(w.diagram, nu)
+        d = w.diagram
+        excess = {v: w.nu[v] for v in d.vertices}
+        satellites = {s for s, _ in d.proximity if sum(a == s for a, _ in d.proximity) == 2}
+        pinned = set()
+        for source, target in d.proximity:
+            excess[target] -= w.nu[source]
+            if source in satellites:
+                pinned.add(target)
+        consistent = min(excess.values()) >= 0
+        free = [v for v in d.vertices if v != d.root and v not in satellites]
+        minimal = (
+            consistent
+            and w.nu[d.root] >= 1
+            and all(w.nu[v] >= 2 or (w.nu[v] == 1 and v in pinned) for v in free)
+        )
+        assert w.excess == excess and list(w.excess) == list(excess), f"case {case}"
+        assert is_consistent(w) == consistent, f"case {case}"
+        assert is_minimal(w) == minimal, f"case {case}"
+        verdicts.add((consistent, minimal))
+    assert verdicts == {(True, True), (True, False), (False, False)}
+
+
 def test_canonical_key_matches_independent_isomorphism_checker():
     rng = random.Random(5772)
     for case in range(1000):
