@@ -179,18 +179,27 @@ def check_geq_witness(
     and predecessor-closedness of the embedding, preservation of root,
     parent, kind and satellite targets, the transported weights, both
     value systems recomputed from scratch, and the domination inequality
-    at every vertex of ``lower``.  Any defect, including a tampered array,
-    returns False.
+    at every vertex of ``lower``.  The upper excesses and both value
+    systems are derived here from the weights and the pairs that
+    :func:`~enriques.diagram.validate_axioms` has just checked, never read
+    from the diagrams' cached facts.  Any defect, including a tampered or
+    malformed array, returns False.
     """
     if validate_axioms(upper.diagram) or validate_axioms(lower.diagram):
         return False
-    if not is_consistent(upper):
-        return False
     lo = lower.diagram
     up = upper.diagram
-    image = dict(witness.embedding.pairs)
-    if len(image) != len(witness.embedding.pairs):
+    upper_nu = dict(zip(up.vertices, upper.weights))
+    upper_excess = dict(upper_nu)
+    for source, target in up.proximity:
+        upper_excess[target] -= upper_nu[source]
+    if min(upper_excess.values()) < 0:
         return False
+    arrays = [witness.embedding.pairs, witness.kappa, witness.ord_nu, witness.ord_kappa]
+    maps = [_int_pairs(array) for array in arrays]
+    if None in maps:
+        return False
+    image, kappa, claimed_ord_nu, claimed_ord_kappa = maps
     if len(set(image.values())) != len(image):
         return False
     lower_vertices = set(lo.vertices)
@@ -215,22 +224,36 @@ def check_geq_witness(
         if len(v_targets) == 2 and image.get(v_targets[1]) != u_targets[1]:
             return False
 
-    kappa = dict(witness.kappa)
-    if set(kappa) != lower_vertices or len(kappa) != len(witness.kappa):
+    if set(kappa) != lower_vertices:
         return False
     for v in lo.vertices:
-        expected = upper.nu[image[v]] if v in image else 0
+        expected = upper_nu[image[v]] if v in image else 0
         if kappa[v] != expected:
             return False
 
+    lower_nu = dict(zip(lo.vertices, lower.weights))
+    ord_nu: dict[int, int] = {}
     ord_kappa: dict[int, int] = {}
     for v in lo.preorder:
+        ord_nu[v] = lower_nu[v] + sum(ord_nu[t] for t in lo.prox_targets[v])
         ord_kappa[v] = kappa[v] + sum(ord_kappa[t] for t in lo.prox_targets[v])
-    if dict(witness.ord_nu) != dict(lower.orders):
+    if claimed_ord_nu != ord_nu or claimed_ord_kappa != ord_kappa:
         return False
-    if dict(witness.ord_kappa) != ord_kappa:
-        return False
-    return all(lower.orders[v] <= ord_kappa[v] for v in lo.vertices)
+    return all(ord_nu[v] <= ord_kappa[v] for v in lo.vertices)
+
+
+def _int_pairs(array: object) -> dict[int, int] | None:
+    """``array`` as a dict when it is a tuple of ``(int, int)`` tuples whose
+    first entries are distinct (bools are not ints here); None otherwise."""
+    if type(array) is not tuple:
+        return None
+    for pair in array:
+        if type(pair) is not tuple or len(pair) != 2:
+            return None
+        if type(pair[0]) is not int or type(pair[1]) is not int:
+            return None
+    out = dict(array)
+    return out if len(out) == len(array) else None
 
 
 def class_representatives(

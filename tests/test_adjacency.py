@@ -221,6 +221,9 @@ def tampered(w, proximity=(), weights=()):
         # both ends become satellites, the upper one on the root and the
         # lower one on vertex 1; a heavier upper root stays consistent
         lambda up, lo, w: (tampered(up, [(3, 0)], [(0, 7)]), tampered(lo, [(3, 1)]), w),
+        # a kappa entry of three numbers, and an unhashable vertex
+        lambda up, lo, w: (up, lo, replace(w, kappa=((0, 1, 2),))),
+        lambda up, lo, w: (up, lo, replace(w, ord_nu=(([0], 1), *w.ord_nu[1:]))),
     ],
     ids=[
         "invalid-lower",
@@ -230,10 +233,34 @@ def tampered(w, proximity=(), weights=()):
         "root-off-upper-root",
         "wrong-upper-parent",
         "wrong-second-target",
+        "kappa-triple",
+        "unhashable-vertex",
     ],
 )
 def test_checker_rejects_tampered_cases(tamper):
     assert not check_geq_witness(*tamper(*fresh_case()))
+
+
+def test_checker_derives_the_lower_value_system_itself():
+    # a copy of E_D whose cached orders are one lower at every vertex, and
+    # a witness that repeats them: the checker must not read the cache
+    upper, lower, witness = fresh_case()
+    corrupt = weighted_diagram(lower.diagram, lower.nu)
+    corrupt.__dict__["orders"] = {v: o - 1 for v, o in lower.orders.items()}
+    lowered = replace(witness, ord_nu=tuple(sorted(corrupt.orders.items())))
+    assert not check_geq_witness(upper, corrupt, lowered)
+    assert check_geq_witness(upper, corrupt, witness)
+
+
+def test_checker_derives_the_upper_excesses_itself():
+    # the upper end outweighs its parent, but the excess cache claims
+    # every excess is zero; the search trusts the cache and finds a witness
+    upper, lower, _ = fresh_case()
+    heavy = tampered(upper, weights=[(3, 4)])
+    heavy.__dict__["excess"] = {v: 0 for v in heavy.diagram.vertices}
+    witness = geq(heavy, lower)
+    assert witness is not None
+    assert not check_geq_witness(heavy, lower, witness)
 
 
 def test_checker_accepts_untampered_witnesses():
