@@ -27,6 +27,7 @@ from .diagram import (
     DiagramType,
     InconsistentDiagramError,
     WeightedDiagram,
+    _integer,
     add_leaf,
     canonical_order,
     is_consistent,
@@ -267,6 +268,7 @@ def class_representatives(
     key.  Within a level the order follows the canonical keys, so the
     stream is deterministic.
     """
+    _integer(extra_vertices, "extra_vertices", ValueError)
     level = {source.representative.key: source.representative}
     yield source.representative
     for _ in range(extra_vertices):
@@ -299,6 +301,7 @@ def linear_adjacent(
     """
     if extra_bound is None:
         extra_bound = len(target.representative)
+    _integer(extra_bound, "extra_bound", ValueError)
     if extra_bound < 0:
         raise ValueError(f"extra_bound must be nonnegative, got {extra_bound}")
     return adjacency_verdict(

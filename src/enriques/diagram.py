@@ -124,8 +124,9 @@ class ProximityDiagram:
 
     ``parent_edges`` holds ``(child, parent)`` pairs and ``proximity``
     holds distinct ``(source, target)`` pairs, where the source is
-    proximate to the target.  Both must be sorted, each child listed once,
-    as :func:`proximity_diagram` makes them, else :class:`DiagramError` is
+    proximate to the target.  Every id must be an ``int`` (not a bool),
+    and both tuples must be sorted, each child listed once, as
+    :func:`proximity_diagram` makes them, else :class:`DiagramError` is
     raised: one pass over them, when the diagram is built, checks the
     order and derives the four maps.  ``vertices`` holds the sorted
     ids and ``parent`` maps each child to its parent; ``children`` and
@@ -140,7 +141,10 @@ class ProximityDiagram:
     proximity: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        vertices = tuple(sorted({self.root}.union(*self.parent_edges, *self.proximity)))
+        ids = {self.root}.union(*self.parent_edges, *self.proximity)
+        for v in ids:
+            _integer(v, "vertex id")
+        vertices = tuple(sorted(ids))
         parent = dict(self.parent_edges)
         children: dict[int, list[int]] = {v: [] for v in vertices}
         targets: dict[int, list[int]] = {v: [] for v in vertices}
@@ -192,11 +196,12 @@ def proximity_diagram(
     proximity: Iterable[tuple[int, int]],
 ) -> ProximityDiagram:
     """Build a :class:`ProximityDiagram` from a parent map and proximity pairs."""
-    return ProximityDiagram(
-        root=root,
-        parent_edges=tuple(sorted(parent.items())),
-        proximity=tuple(sorted(set(proximity))),
-    )
+    edges, pairs = tuple(parent.items()), tuple(set(proximity))
+    try:
+        edges, pairs = tuple(sorted(edges)), tuple(sorted(pairs))
+    except TypeError:
+        pass  # ids that do not compare are not all ints, which the diagram refuses
+    return ProximityDiagram(root=root, parent_edges=edges, proximity=pairs)
 
 
 def _frozen(lists: dict[int, list[int]]) -> dict[int, tuple[int, ...]]:
@@ -308,11 +313,12 @@ def weighted_diagram(diagram: ProximityDiagram, nu: Mapping[int, int]) -> Weight
     return WeightedDiagram(diagram, weights)
 
 
-def _integer(value: object, what: str) -> int:
-    """``value`` itself when it is an ``int`` and not a bool; the one check
-    of outside integers, shared with JSON input."""
+def _integer(value: object, what: str, error: type[Exception] = DiagramError) -> int:
+    """``value`` itself when it is an ``int`` and not a bool, else ``error``
+    naming ``what``: the one check of outside integers (weights, vertex ids,
+    JSON input, and, with ``ValueError``, the search bounds)."""
     if type(value) is not int:
-        raise DiagramError(f"{what} must be an integer, got {value!r}")
+        raise error(f"{what} must be an integer, got {value!r}")
     return value
 
 

@@ -102,6 +102,7 @@ from .diagram import (
     DiagramError,
     ProximityDiagram,
     WeightedDiagram,
+    _integer,
     _preorder,
     canonical_form,
     keyed_diagram,
@@ -264,6 +265,12 @@ def _minimal_families(
     exhausted before the next is drawn.  Arguments and the candidate cap
     are as for :func:`enumerate_minimal_diagrams`.
     """
+    for name, bound in [
+        ("max_vertices", max_vertices),
+        ("max_weight", max_weight),
+        ("max_candidates", max_candidates),
+    ]:
+        _integer(bound, name, ValueError)
     if max_vertices < 1:
         raise ValueError(f"max_vertices must be positive, got {max_vertices}")
     if max_weight < 1:

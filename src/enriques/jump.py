@@ -30,6 +30,7 @@ from .adjacency import GeqWitness, adjacency_verdict, class_representatives, geq
 from .diagram import (
     DiagramError,
     WeightedDiagram,
+    _integer,
     add_leaf,
     diagram_type,
     is_minimal,
@@ -309,6 +310,13 @@ def verify_maximality(
     weighting's Milnor number is read off its shape, as derived at
     :meth:`~enriques.enumeration._Family.milnor_numbers`.
     """
+    for name, bound in [
+        ("max_vertices", max_vertices),
+        ("max_weight", max_weight),
+        ("extra_bound", extra_bound),
+    ]:
+        if bound is not None:
+            _integer(bound, name, ValueError)
     report = lambda_lin(spec)
     D_min = report.D_min
     if max_vertices is None:

@@ -318,6 +318,15 @@ def test_linear_adjacent_rejects_negative_bound():
         linear_adjacent(t, t, extra_bound=-1)
 
 
+@pytest.mark.parametrize("bound", [1.5, True, "2"])
+def test_linear_adjacent_bound_must_be_an_integer(bound):
+    t = diagram_type(single_vertex(2))
+    with pytest.raises(ValueError, match="extra_bound must be an integer"):
+        linear_adjacent(t, t, extra_bound=bound)
+    with pytest.raises(ValueError, match="extra_vertices must be an integer"):
+        list(class_representatives(t, bound))
+
+
 def test_linear_adjacent_is_reflexive():
     t = diagram_type(cusp_minimal())
     assert linear_adjacent(t, t, extra_bound=0).holds

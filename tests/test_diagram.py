@@ -602,6 +602,28 @@ def test_relabel_requires_bijection():
         relabel(cusp_minimal(), {0: 0, 1: 1, 2: 1})
 
 
+@pytest.mark.parametrize(
+    "mapping",
+    [{0: "a", 1: 2, 2: 3}, {0: 0.0, 1: 1.5, 2: 2.5}, {0: False, 1: True, 2: 2}],
+)
+def test_relabel_refuses_ids_that_are_not_integers(mapping):
+    with pytest.raises(DiagramError, match="vertex id must be an integer"):
+        relabel(cusp_minimal(), mapping)
+
+
+@pytest.mark.parametrize(
+    "root, edges, pairs",
+    [
+        (0, (("1", 0),), (("1", 0),)),
+        (0.0, ((1, 0.0),), ((1, 0.0),)),
+        (0, ((True, 0),), ((True, 0),)),
+    ],
+)
+def test_diagram_refuses_ids_that_are_not_integers(root, edges, pairs):
+    with pytest.raises(DiagramError, match="vertex id must be an integer"):
+        ProximityDiagram(root=root, parent_edges=edges, proximity=pairs)
+
+
 def test_relabel_names_a_vertex_the_mapping_misses():
     w = wd(0, {1: 0}, [(1, 0)], {0: 2, 1: 1})
     with pytest.raises(DiagramError, match="vertex 1"):

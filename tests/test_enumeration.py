@@ -111,6 +111,17 @@ def test_argument_validation():
         list(enumerate_minimal_diagrams(2, 2, max_candidates=0))
 
 
+@pytest.mark.parametrize(
+    "bounds, name",
+    [((5.5, 3), "max_vertices"), ((4, 3.0), "max_weight"), ((True, 3), "max_vertices")],
+)
+def test_bounds_must_be_integers(bounds, name):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        list(enumerate_minimal_diagrams(*bounds))
+    with pytest.raises(ValueError, match="max_candidates must be an integer"):
+        list(enumerate_minimal_diagrams(4, 3, max_candidates=10.0**6))
+
+
 def test_monotone_in_bounds():
     small = set(keys(3, 2))
     assert small <= set(keys(4, 2))

@@ -404,6 +404,16 @@ def test_verify_maximality_bound_validation():
         verify_maximality(spec, extra_bound=0)
 
 
+@pytest.mark.parametrize(
+    "bound",
+    [{"max_vertices": 5.5}, {"max_weight": 4.0}, {"extra_bound": 1.5}, {"extra_bound": True}],
+)
+def test_verify_maximality_bounds_must_be_integers(bound):
+    (name,) = bound
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        verify_maximality(QuasihomogeneousSpec(0, 0, 6, 9), **bound)
+
+
 def test_verify_maximality_attained_value_is_mu_of_e():
     spec = QuasihomogeneousSpec(0, 0, 2, 4)
     report = verify_maximality(spec)
