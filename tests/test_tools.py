@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
@@ -75,6 +77,39 @@ def test_pairs_won_counts_strict_wins_in_each_metric_direction():
     assert bench_pairs.pairs_won(runs, better) == {"ops_per_s": 7, "peak_rss_mb": 0}
 
 
+def test_verdict_flags_a_metric_worse_than_its_bound():
+    bench_pairs = load("bench_pairs")
+    runs = []
+    for pair in range(bench_pairs.PAIRS):
+        # the change is 30% slower and uses 20% more memory in every pair
+        for side, slower, larger in [("parent", 1.0, 1.0), ("change", 0.7, 1.2)]:
+            metrics = {"ops_per_s": 100.0 * slower, "peak_rss_mb": 50.0 * larger}
+            runs.append({"pair": pair, "side": side, "metrics": metrics})
+    sides = {
+        side: {
+            name: bench_pairs.summary([r["metrics"][name] for r in runs if r["side"] == side])
+            for name in ("ops_per_s", "peak_rss_mb")
+        }
+        for side in bench_pairs.SIDES
+    }
+    metrics = {
+        "ops_per_s": {"better": "higher", "bound": 0.25},
+        "peak_rss_mb": {"better": "lower", "bound": 0.25},
+    }
+    checked = bench_pairs.verdict(sides, metrics)
+    assert checked["ops_per_s"]["worse_than_bound"]
+    assert checked["ops_per_s"]["relative_change"] == pytest.approx(-0.3)
+    assert not checked["peak_rss_mb"]["worse_than_bound"]
+    assert checked["peak_rss_mb"]["relative_change"] == pytest.approx(0.2)
+
+
+def test_verdict_reads_the_direction_and_bound_of_every_benchmark_metric():
+    spec = json.loads((TOOLS.parent / "BENCHMARK.json").read_text())
+    metrics = load("bench_pairs").end_to_end()
+    assert list(metrics) == [entry["name"] for entry in spec["end_to_end"]]
+    assert all({"better", "bound"} <= set(entry) for entry in metrics.values())
+
+
 SAMPLE = '''def reached(x):
     """Docstring,
     over two lines."""
@@ -91,6 +126,8 @@ def unreached():
 
 SAMPLE_TEST = '''import sys
 from pathlib import Path
+
+import pytest
 
 sys.path.insert(0, str(Path(__file__).parent / "lib"))
 

@@ -17,7 +17,10 @@ measures), each run's ``correct``/``failed`` and
 end-to-end metrics, per workload and side the median and interquartile
 range of every metric, and per workload and end-to-end metric the number
 of pairs the change won (was strictly better in, in the direction
-``BENCHMARK.json`` gives as ``better``).  Uses the standard library only.
+``BENCHMARK.json`` gives as ``better``) and the no-regression verdict: the
+relative change of the medians and whether it is worse than the metric's
+``bound``.  The metrics worse than their bound are printed at the end and
+listed under ``worse_than_bound``.  Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -90,10 +93,11 @@ def workloads() -> list[str]:
     return [entry["name"] for entry in json.loads(BENCHMARK.read_text())["workloads"]]
 
 
-def better_directions() -> dict[str, str]:
-    """Each end-to-end metric of ``BENCHMARK.json`` and which way is better."""
+def end_to_end() -> dict[str, dict[str, Any]]:
+    """Each end-to-end metric of ``BENCHMARK.json`` with its entry, which
+    gives ``better`` (the better direction) and ``bound``."""
     spec = json.loads(BENCHMARK.read_text())
-    return {entry["name"]: entry["better"] for entry in spec["end_to_end"]}
+    return {entry["name"]: entry for entry in spec["end_to_end"]}
 
 
 def pairs_won(runs: list[dict[str, Any]], better: dict[str, str]) -> dict[str, int]:
@@ -107,6 +111,20 @@ def pairs_won(runs: list[dict[str, Any]], better: dict[str, str]) -> dict[str, i
             for pair in range(PAIRS)
         )
     return won
+
+
+def verdict(
+    sides: dict[str, dict[str, dict[str, float]]], metrics: dict[str, dict[str, Any]]
+) -> dict[str, dict[str, Any]]:
+    """Per end-to-end metric, ``relative_change``, the change's median over
+    the parent's less one, and ``worse_than_bound``: whether it is worse,
+    in the metric's ``better`` direction, by more than its ``bound``."""
+    out = {}
+    for name, entry in metrics.items():
+        relative = sides["change"][name]["median"] / sides["parent"][name]["median"] - 1
+        worse = -relative if entry["better"] == "higher" else relative
+        out[name] = {"relative_change": relative, "worse_than_bound": worse > entry["bound"]}
+    return out
 
 
 def machine() -> dict[str, Any]:
@@ -141,7 +159,9 @@ def main(argv: list[str] | None = None) -> int:
         "pairs": PAIRS,
         "workloads": {},
     }
-    better = better_directions()
+    metrics = end_to_end()
+    better = {name: entry["better"] for name, entry in metrics.items()}
+    flagged = []
     with tempfile.TemporaryDirectory() as scratch:
         trees = {side: Path(scratch) / side for side in SIDES}
         for side in SIDES:
@@ -163,9 +183,15 @@ def main(argv: list[str] | None = None) -> int:
                     for name in mine[0]["metrics"]
                 }
             won = pairs_won(runs, better)
+            checked = verdict(sides, metrics)
+            flagged += [f"{workload}.{name}" for name, v in checked.items() if v["worse_than_bound"]]
             print(workload, "pairs won by the change:", json.dumps(won), flush=True)
-            record["workloads"][workload] = {**sides, "pairs_won": won, "runs": runs}
+            record["workloads"][workload] = {
+                **sides, "pairs_won": won, "verdict": checked, "runs": runs,
+            }
+    record["worse_than_bound"] = flagged
     out.write_text(json.dumps(record, indent=1) + "\n")
+    print("worse than their bound:", ", ".join(flagged) if flagged else "none")
     print(f"wrote {out}")
     return 0
 
