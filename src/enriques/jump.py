@@ -310,13 +310,6 @@ def verify_maximality(
     weighting's Milnor number is read off its shape, as derived at
     :meth:`~enriques.enumeration._Family.milnor_numbers`.
     """
-    for name, bound in [
-        ("max_vertices", max_vertices),
-        ("max_weight", max_weight),
-        ("extra_bound", extra_bound),
-    ]:
-        if bound is not None:
-            _integer(bound, name, ValueError)
     report = lambda_lin(spec)
     D_min = report.D_min
     if max_vertices is None:
@@ -325,6 +318,12 @@ def verify_maximality(
         max_weight = D_min.nu[D_min.root] + 2
     if extra_bound is None:
         extra_bound = 2
+    for name, bound in [
+        ("max_vertices", max_vertices),
+        ("max_weight", max_weight),
+        ("extra_bound", extra_bound),
+    ]:
+        _integer(bound, name, ValueError)
     if max_vertices < len(D_min):
         raise ValueError(
             f"max_vertices {max_vertices} is below the minimal diagram size {len(D_min)}"
