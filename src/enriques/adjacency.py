@@ -4,10 +4,11 @@ A consistent diagram (D', nu') dominates (D, nu) when some
 predecessor-closed piece of D embeds into D' preserving the root, parents
 and the proximity pattern, such that transporting the weights of D' back
 onto D through the embedding (zero off the embedded part) gives a system
-of values at least that of nu at every vertex of D.  The embedding plus
-the transported weights and both value systems form a
-:class:`GeqWitness`, independently re-checkable by
-:func:`check_geq_witness` without trusting the search.
+of values at least that of nu at every vertex of D.  The embedding and
+the transported weights form a :class:`GeqWitness`; both value systems
+are functions of the lower diagram and those weights, so
+:func:`check_geq_witness` derives them itself, without trusting the
+search.
 
 One singularity type is *linear adjacent* to another when some consistent
 representative of the first class dominates the minimal diagram of the
@@ -59,16 +60,14 @@ class GeqWitness:
     """Certificate that the upper diagram dominates the lower one.
 
     ``kappa`` holds the transported weights on the lower diagram's
-    vertices (upper weight at the image, zero off the embedded part);
-    ``ord_nu`` and ``ord_kappa`` are the value systems of the lower
-    weights and of ``kappa``, both computed in the lower diagram.  All
-    three are (vertex, value) pairs sorted by vertex.
+    vertices (upper weight at the image, zero off the embedded part), as
+    (vertex, value) pairs sorted by vertex.  The value systems of the
+    lower weights and of ``kappa`` are not stored: both are computed in
+    the lower diagram by whoever reads them.
     """
 
     embedding: SubdiagramEmbedding
     kappa: tuple[tuple[int, int], ...]
-    ord_nu: tuple[tuple[int, int], ...]
-    ord_kappa: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -164,8 +163,6 @@ def geq(upper: WeightedDiagram, lower: WeightedDiagram) -> GeqWitness | None:
             return GeqWitness(
                 embedding=SubdiagramEmbedding(pairs=tuple(sorted(image.items()))),
                 kappa=tuple(sorted(kappa.items())),
-                ord_nu=tuple(sorted(ord_nu.items())),
-                ord_kappa=tuple(sorted(ord_kappa.items())),
             )
         pending.append(iter(candidates(order[len(pending)])))
     return None
@@ -174,17 +171,17 @@ def geq(upper: WeightedDiagram, lower: WeightedDiagram) -> GeqWitness | None:
 def check_geq_witness(
     upper: WeightedDiagram, lower: WeightedDiagram, witness: GeqWitness
 ) -> bool:
-    """Re-derive everything a witness claims; True only if all of it holds.
+    """Check a witness's embedding and transported weights, then the
+    domination inequality; True only if all of it holds.
 
     Checks are independent of the search: diagram validity, injectivity
     and predecessor-closedness of the embedding, preservation of root,
-    parent, kind and satellite targets, the transported weights, both
-    value systems recomputed from scratch, and the domination inequality
-    at every vertex of ``lower``.  The upper excesses and both value
-    systems are derived here from the weights and the pairs that
-    :func:`~enriques.diagram.validate_axioms` has just checked, never read
-    from the diagrams' cached facts.  Any defect, including a tampered or
-    malformed array, returns False.
+    parent, kind and satellite targets, the transported weights, and the
+    inequality ord_nu <= ord_kappa at every vertex of ``lower``.  The
+    upper excesses and both value systems are derived here from the
+    weights and the pairs that :func:`~enriques.diagram.validate_axioms`
+    has just checked, never read from the diagrams' cached facts.  Any
+    defect, including a tampered or malformed array, returns False.
     """
     if validate_axioms(upper.diagram) or validate_axioms(lower.diagram):
         return False
@@ -196,11 +193,9 @@ def check_geq_witness(
         upper_excess[target] -= upper_nu[source]
     if min(upper_excess.values()) < 0:
         return False
-    arrays = [witness.embedding.pairs, witness.kappa, witness.ord_nu, witness.ord_kappa]
-    maps = [_int_pairs(array) for array in arrays]
-    if None in maps:
+    image, kappa = _int_pairs(witness.embedding.pairs), _int_pairs(witness.kappa)
+    if image is None or kappa is None:
         return False
-    image, kappa, claimed_ord_nu, claimed_ord_kappa = maps
     if len(set(image.values())) != len(image):
         return False
     lower_vertices = set(lo.vertices)
@@ -238,8 +233,6 @@ def check_geq_witness(
     for v in lo.preorder:
         ord_nu[v] = lower_nu[v] + sum(ord_nu[t] for t in lo.prox_targets[v])
         ord_kappa[v] = kappa[v] + sum(ord_kappa[t] for t in lo.prox_targets[v])
-    if claimed_ord_nu != ord_nu or claimed_ord_kappa != ord_kappa:
-        return False
     return all(ord_nu[v] <= ord_kappa[v] for v in lo.vertices)
 
 

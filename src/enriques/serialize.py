@@ -11,8 +11,10 @@ Diagram JSON schema::
 
 with dense ids in canonical order and, for non-root vertices, the parent
 listed first in ``proximate_to`` followed by the remaining target.
-Witness JSON carries both diagrams plus the embedding pairs and the
-weight/value arrays indexed by the lower diagram's canonical ids.  DOT
+Witness JSON carries both diagrams plus the embedding pairs, the
+transported weights and the two value systems, which are derived from
+the lower diagram and those weights when the witness is emitted; the
+arrays are indexed by the lower diagram's canonical ids.  DOT
 output marks satellite vertices gray and tags every edge with the kind of
 its child vertex; text output is an indented outline, one vertex per line,
 indented at most 64 levels deep.
@@ -169,21 +171,25 @@ def diagram_to_text(w: WeightedDiagram, indent: str = "") -> str:
 def witness_to_dict(
     upper: WeightedDiagram, lower: WeightedDiagram, witness: GeqWitness
 ) -> dict[str, Any]:
-    """Witness as a JSON-ready dict, arrays indexed by lower canonical ids."""
+    """Witness as a JSON-ready dict, arrays indexed by lower canonical ids.
+
+    ``ord_nu`` and ``ord_kappa`` are the value systems
+    (:attr:`~enriques.diagram.WeightedDiagram.orders`) of the lower
+    weights and of ``kappa`` on the lower diagram."""
     upper_ids = upper.canonical_ids
     lower_ids = lower.canonical_ids
     embedding = sorted(
         [lower_ids[v], upper_ids[u]] for v, u in witness.embedding.pairs
     )
     kappa = dict(witness.kappa)
-    ord_nu = dict(witness.ord_nu)
-    ord_kappa = dict(witness.ord_kappa)
+    d = lower.diagram
+    ord_kappa = WeightedDiagram(d, tuple([kappa[v] for v in d.vertices])).orders
     return {
         "upper": diagram_to_dict(upper),
         "lower": diagram_to_dict(lower),
         "embedding": embedding,
         "kappa": [kappa[v] for v in lower_ids],
-        "ord_nu": [ord_nu[v] for v in lower_ids],
+        "ord_nu": [lower.orders[v] for v in lower_ids],
         "ord_kappa": [ord_kappa[v] for v in lower_ids],
     }
 

@@ -23,6 +23,7 @@ from enriques import (
     proximity_diagram,
     single_vertex,
     weighted_diagram,
+    witness_to_dict,
 )
 from enriques.adjacency import class_representatives
 from helpers import cusp_complete, cusp_minimal, leaning_bamboo, wd
@@ -37,7 +38,7 @@ def test_geq_is_reflexive():
     witness = geq(w, w)
     assert witness is not None
     assert witness.embedding.pairs == ((0, 0), (1, 1), (2, 2))
-    assert witness.ord_nu == witness.ord_kappa
+    assert witness.kappa == ((0, 2), (1, 1), (2, 1))
     assert check_geq_witness(w, w, witness)
 
 
@@ -78,9 +79,10 @@ def test_geq_witness_may_exclude_vertices():
 
 
 def test_geq_ord_check_property():
-    witness = geq(cusp_minimal(), cusp_minimal())
-    assert witness.ord_nu == ((0, 2), (1, 3), (2, 6))
-    assert witness.ord_kappa == ((0, 2), (1, 3), (2, 6))
+    w = cusp_minimal()
+    data = witness_to_dict(w, w, geq(w, w))
+    assert data["ord_nu"] == [2, 3, 6]
+    assert data["ord_kappa"] == [2, 3, 6]
 
 
 def test_geq_rejects_inconsistent_upper():
@@ -139,18 +141,6 @@ def fresh_case():
     return grown, e, geq(grown, e)
 
 
-def test_checker_rejects_tampered_ord_kappa():
-    upper, lower, witness = fresh_case()
-    doctored = tuple((v, o - 1) if v == 2 else (v, o) for v, o in witness.ord_kappa)
-    assert not check_geq_witness(upper, lower, replace(witness, ord_kappa=doctored))
-
-
-def test_checker_rejects_tampered_ord_nu():
-    upper, lower, witness = fresh_case()
-    doctored = tuple((v, o + 1) if v == 0 else (v, o) for v, o in witness.ord_nu)
-    assert not check_geq_witness(upper, lower, replace(witness, ord_nu=doctored))
-
-
 def test_checker_rejects_tampered_kappa():
     upper, lower, witness = fresh_case()
     doctored = tuple((v, k + 1) if v == 1 else (v, k) for v, k in witness.kappa)
@@ -179,8 +169,6 @@ def test_checker_rejects_kind_mismatch():
     forced = GeqWitness(
         embedding=SubdiagramEmbedding(pairs=((0, 0), (1, 1), (2, 2))),
         kappa=((0, 9), (1, 4), (2, 4)),
-        ord_nu=((0, 2), (1, 3), (2, 6)),
-        ord_kappa=((0, 9), (1, 13), (2, 26)),
     )
     assert not check_geq_witness(upper, lower, forced)
 
@@ -223,7 +211,7 @@ def tampered(w, proximity=(), weights=()):
         lambda up, lo, w: (tampered(up, [(3, 0)], [(0, 7)]), tampered(lo, [(3, 1)]), w),
         # a kappa entry of three numbers, and an unhashable vertex
         lambda up, lo, w: (up, lo, replace(w, kappa=((0, 1, 2),))),
-        lambda up, lo, w: (up, lo, replace(w, ord_nu=(([0], 1), *w.ord_nu[1:]))),
+        lambda up, lo, w: (up, lo, replace(w, kappa=(([0], 1), *w.kappa[1:]))),
     ],
     ids=[
         "invalid-lower",
@@ -242,13 +230,19 @@ def test_checker_rejects_tampered_cases(tamper):
 
 
 def test_checker_derives_the_lower_value_system_itself():
-    # a copy of E_D whose cached orders are one lower at every vertex, and
-    # a witness that repeats them: the checker must not read the cache
+    # a copy of the cusp whose cached orders are zero: the search trusts
+    # the cache and finds a witness that maps the root alone, which the
+    # checker, deriving the orders 2, 3, 6 itself, must reject
+    cusp = cusp_minimal()
+    zeroed = weighted_diagram(cusp.diagram, cusp.nu)
+    zeroed.__dict__["orders"] = {v: 0 for v in cusp.diagram.vertices}
+    witness = geq(single_vertex(2), zeroed)
+    assert witness.embedding.pairs == ((0, 0),)
+    assert not check_geq_witness(single_vertex(2), zeroed, witness)
+    # and a sound witness stays accepted whatever the lower cache says
     upper, lower, witness = fresh_case()
     corrupt = weighted_diagram(lower.diagram, lower.nu)
     corrupt.__dict__["orders"] = {v: o - 1 for v, o in lower.orders.items()}
-    lowered = replace(witness, ord_nu=tuple(sorted(corrupt.orders.items())))
-    assert not check_geq_witness(upper, corrupt, lowered)
     assert check_geq_witness(upper, corrupt, witness)
 
 
