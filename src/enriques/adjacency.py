@@ -227,13 +227,23 @@ def check_geq_witness(
         if kappa[v] != expected:
             return False
 
+    # every target of a vertex is an ancestor, so a walk from the root over
+    # the checked parent map orders the values; the cached preorder is not read
+    below: dict[int, list[int]] = {}
+    for v, p in lo.parent.items():
+        below.setdefault(p, []).append(v)
+    order = [lo.root]
+    for v in order:
+        order.extend(below.get(v, ()))
+    if len(order) != len(lo.vertices):
+        return False
     lower_nu = dict(zip(lo.vertices, lower.weights))
     ord_nu: dict[int, int] = {}
     ord_kappa: dict[int, int] = {}
-    for v in lo.preorder:
+    for v in order:
         ord_nu[v] = lower_nu[v] + sum(ord_nu[t] for t in lo.prox_targets[v])
         ord_kappa[v] = kappa[v] + sum(ord_kappa[t] for t in lo.prox_targets[v])
-    return all(ord_nu[v] <= ord_kappa[v] for v in lo.vertices)
+    return all(ord_nu[v] <= ord_kappa[v] for v in order)
 
 
 def _int_pairs(array: object) -> dict[int, int] | None:

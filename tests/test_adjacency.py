@@ -17,6 +17,7 @@ from enriques import (
     construct_adjacent_diagram,
     diagram_type,
     geq,
+    lambda_lin,
     linear_adjacent,
     milnor_number,
     minimal_diagram,
@@ -244,6 +245,17 @@ def test_checker_derives_the_lower_value_system_itself():
     corrupt = weighted_diagram(lower.diagram, lower.nu)
     corrupt.__dict__["orders"] = {v: o - 1 for v, o in lower.orders.items()}
     assert check_geq_witness(upper, corrupt, witness)
+
+
+def test_checker_walks_no_cached_preorder():
+    # the x^6+y^9 jump's E_D, copied with its preorder cache reversed: the
+    # checker orders the values from the parent map and still accepts
+    report = lambda_lin(QuasihomogeneousSpec(0, 0, 6, 9))
+    d = report.E_D.diagram
+    copy = proximity_diagram(d.root, d.parent, d.proximity)
+    copy.__dict__["preorder"] = tuple(reversed(d.preorder))
+    lower = weighted_diagram(copy, report.E_D.nu)
+    assert check_geq_witness(report.representative, lower, report.adjacency_witness)
 
 
 def test_checker_derives_the_upper_excesses_itself():
