@@ -141,32 +141,36 @@ class ProximityDiagram:
     proximity: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        ids = {self.root}.union(*self.parent_edges, *self.proximity)
-        for v in ids:
-            _integer(v, "vertex id")
-        vertices = tuple(sorted(ids))
-        parent = dict(self.parent_edges)
-        children: dict[int, list[int]] = {v: [] for v in vertices}
-        targets: dict[int, list[int]] = {v: [] for v in vertices}
+        ids = {_integer(self.root, "vertex id")}
+        parent: dict[int, int] = {}
+        children: dict[int, list[int]] = {}
+        targets: dict[int, list[int]] = {}
         last = None
         for child, p in self.parent_edges:
+            ids.add(_integer(child, "vertex id"))
+            ids.add(_integer(p, "vertex id"))
             if last is not None and child <= last:
                 raise DiagramError("parent_edges must list each child once, sorted")
             last = child
-            children[p].append(child)
+            parent[child] = p
+            children.setdefault(p, []).append(child)
         last = None
         for pair in self.proximity:
+            source, target = pair
+            ids.add(_integer(source, "vertex id"))
+            ids.add(_integer(target, "vertex id"))
             if last is not None and pair <= last:
                 raise DiagramError("proximity must list distinct pairs, sorted")
-            last = source, target = pair
+            last = pair
             if parent.get(source) == target:
-                targets[source].insert(0, target)
+                targets.setdefault(source, []).insert(0, target)
             else:
-                targets[source].append(target)
+                targets.setdefault(source, []).append(target)
+        vertices = tuple(sorted(ids))
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "children", _frozen(children))
-        object.__setattr__(self, "prox_targets", _frozen(targets))
+        object.__setattr__(self, "children", _frozen(children, vertices))
+        object.__setattr__(self, "prox_targets", _frozen(targets, vertices))
 
     @cached_property
     def preorder(self) -> tuple[int, ...]:
@@ -204,8 +208,9 @@ def proximity_diagram(
     return ProximityDiagram(root=root, parent_edges=edges, proximity=pairs)
 
 
-def _frozen(lists: dict[int, list[int]]) -> dict[int, tuple[int, ...]]:
-    return {v: tuple(items) for v, items in lists.items()}
+def _frozen(lists: dict[int, list[int]], vertices: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
+    """``lists`` as tuples keyed in ``vertices`` order, empty where absent."""
+    return {v: tuple(lists.get(v, ())) for v in vertices}
 
 
 def _preorder(

@@ -36,6 +36,7 @@ from math import gcd
 from .diagram import (
     DiagramError,
     WeightedDiagram,
+    _integer,
     is_complete,
     is_minimal,
     milnor_number,
@@ -93,8 +94,7 @@ class QuasihomogeneousSpec:
 
     def __post_init__(self) -> None:
         for name, value in zip("klpq", (self.k, self.l, self.p, self.q)):
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _integer(value, name, ValueError)
         if self.k not in (0, 1) or self.l not in (0, 1):
             raise ValueError(f"k and l must be 0 or 1, got k={self.k}, l={self.l}")
         if self.p < 1:

@@ -3,6 +3,7 @@
 import hashlib
 import random
 import time
+from itertools import permutations
 
 import pytest
 
@@ -617,11 +618,22 @@ def test_relabel_refuses_ids_that_are_not_integers(mapping):
         (0, (("1", 0),), (("1", 0),)),
         (0.0, ((1, 0.0),), ((1, 0.0),)),
         (0, ((True, 0),), ((True, 0),)),
+        # True equals the id 1 listed before it, so a set of the ids hides it
+        (0, ((1, 0),), ((True, 0),)),
     ],
 )
 def test_diagram_refuses_ids_that_are_not_integers(root, edges, pairs):
     with pytest.raises(DiagramError, match="vertex id must be an integer"):
         ProximityDiagram(root=root, parent_edges=edges, proximity=pairs)
+
+
+def test_relabel_refuses_true_in_any_insertion_order():
+    w = cusp_minimal()
+    for values in permutations([0, True, 2]):
+        for order in permutations(w.diagram.vertices):
+            mapping = {v: values[v] for v in order}
+            with pytest.raises(DiagramError, match="vertex id must be an integer"):
+                relabel(w, mapping)
 
 
 def test_relabel_names_a_vertex_the_mapping_misses():
