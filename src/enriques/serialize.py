@@ -198,7 +198,10 @@ def jump_report_to_dict(report: JumpReport) -> dict[str, Any]:
     """Jump report as a JSON-ready dict in the frozen key order.
 
     A jump report carries no maximality verdict, so that block is constant.
+    ``E_D`` is the witness's lower diagram, so ``"E_D"`` and the
+    witness's ``"lower"`` are one dict, built once.
     """
+    witness = witness_to_dict(report.representative, report.E_D, report.adjacency_witness)
     out: dict[str, Any] = {
         "spec": [report.spec.k, report.spec.l, report.spec.p, report.spec.q],
         "d": report.d,
@@ -206,10 +209,8 @@ def jump_report_to_dict(report: JumpReport) -> dict[str, Any]:
         "w": report.w,
         "mu": report.mu_D,
         "lambda_lin": report.lambda_lin,
-        "E_D": diagram_to_dict(report.E_D),
-        "witness": witness_to_dict(
-            report.representative, report.E_D, report.adjacency_witness
-        ),
+        "E_D": witness["lower"],
+        "witness": witness,
         "maximality": {
             "status": "unverified",
             "max_vertices": None,
