@@ -17,12 +17,14 @@ from enriques import (
     geq,
     is_consistent,
     is_minimal,
+    lambda_lin,
     milnor_number,
     minimal_diagram,
     minimalize,
     relabel,
     validate_axioms,
     weighted_diagram,
+    witness_to_dict,
 )
 from enriques.quasihomogeneous import bamboo_invariants, is_bamboo
 from helpers import isomorphic, random_consistent, random_proximity
@@ -155,3 +157,41 @@ def test_builder_profile_matches_derived_invariants():
                     m = minimal_diagram(spec)
                     assert is_bamboo(m)
                     assert bamboo_invariants(m) == (inv.d, inv.t, inv.w), spec
+
+
+def values_from_pairs(d, weight):
+    """System of values of ``weight`` read off the proximity pairs alone:
+    a vertex's value is its weight plus its targets' values, found once
+    every target's value is known."""
+    targets = {v: [t for s, t in d.proximity if s == v] for v in d.vertices}
+    out = {}
+    while len(out) < len(targets):
+        for v, ts in targets.items():
+            if v not in out and all(t in out for t in ts):
+                out[v] = weight[v] + sum(out[t] for t in ts)
+    return out
+
+
+def test_witness_value_systems_match_references_from_the_pairs():
+    # every germ with q <= 12: the emitted ord_nu and ord_kappa of the
+    # jump's witness are the value systems of the lower weights and of
+    # kappa, and ord_nu <= ord_kappa at every vertex
+    germs = 0
+    for p in range(1, 13):
+        for q in range(p, 13):
+            for k in (0, 1):
+                for l in (0, 1):
+                    if k + l + p < 2:
+                        continue
+                    spec = QuasihomogeneousSpec(k, l, p, q)
+                    report = lambda_lin(spec)
+                    lower, witness = report.E_D, report.adjacency_witness
+                    data = witness_to_dict(report.representative, lower, witness)
+                    order = list(lower.canonical_ids)
+                    ord_nu = values_from_pairs(lower.diagram, lower.nu)
+                    ord_kappa = values_from_pairs(lower.diagram, dict(witness.kappa))
+                    assert data["ord_nu"] == [ord_nu[v] for v in order], spec
+                    assert data["ord_kappa"] == [ord_kappa[v] for v in order], spec
+                    assert all(map(int.__le__, data["ord_nu"], data["ord_kappa"])), spec
+                    germs += 1
+    assert germs == 300
