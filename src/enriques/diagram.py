@@ -127,13 +127,14 @@ class ProximityDiagram:
     proximate to the target.  Every id must be an ``int`` (not a bool),
     and both tuples must be sorted, each child listed once, as
     :func:`proximity_diagram` makes them, else :class:`DiagramError` is
-    raised: one pass over them, when the diagram is built, checks the
-    order and derives the four maps.  ``vertices`` holds the sorted
-    ids and ``parent`` maps each child to its parent; ``children`` and
-    ``prox_targets`` are keyed in vertex order, with children sorted and
-    targets listing the immediate predecessor first, then the rest
-    sorted.  The inverse relation, the vertices proximate to each vertex,
-    is not kept: its readers (excess, minimality) walk ``prox_targets``.
+    raised: one pass over them, when the diagram is built, checks every
+    occurrence of an id and the order, and derives the four maps.
+    ``vertices`` holds the sorted ids and ``parent`` maps each child to
+    its parent; ``children`` and ``prox_targets`` are keyed in vertex
+    order, with children sorted and targets listing the immediate
+    predecessor first, then the rest sorted.  The inverse relation, the
+    vertices proximate to each vertex, is not kept: its readers (excess,
+    minimality) walk ``prox_targets``.
     """
 
     root: int
@@ -208,9 +209,9 @@ def proximity_diagram(
     return ProximityDiagram(root=root, parent_edges=edges, proximity=pairs)
 
 
-def _frozen(lists: dict[int, list[int]], vertices: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
-    """``lists`` as tuples keyed in ``vertices`` order, empty where absent."""
-    return {v: tuple(lists.get(v, ())) for v in vertices}
+def _frozen(lists: dict[int, list[int]], keys: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
+    """``lists`` as tuples keyed in ``keys`` order, empty where absent."""
+    return {v: tuple(lists.get(v, ())) for v in keys}
 
 
 def _preorder(
@@ -321,7 +322,8 @@ def weighted_diagram(diagram: ProximityDiagram, nu: Mapping[int, int]) -> Weight
 def _integer(value: object, what: str, error: type[Exception] = DiagramError) -> int:
     """``value`` itself when it is an ``int`` and not a bool, else ``error``
     naming ``what``: the one check of outside integers (weights, vertex ids,
-    JSON input, and, with ``ValueError``, the search bounds)."""
+    JSON input, and, with ``ValueError``, the search bounds and the germ
+    exponents)."""
     if type(value) is not int:
         raise error(f"{what} must be an integer, got {value!r}")
     return value
