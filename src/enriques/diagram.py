@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -205,7 +205,10 @@ def proximity_diagram(
     try:
         edges, pairs = tuple(sorted(edges)), tuple(sorted(pairs))
     except TypeError:
-        pass  # ids that do not compare are not all ints, which the diagram refuses
+        # ids that do not compare are not all ints: name one before the
+        # diagram meets the unsorted pairs and reports those instead
+        for v in chain(*edges, *pairs):
+            _integer(v, "vertex id")
     return ProximityDiagram(root=root, parent_edges=edges, proximity=pairs)
 
 

@@ -620,6 +620,14 @@ def test_relabel_refuses_ids_that_are_not_integers(mapping):
             relabel(cusp_minimal(), {v: mapping[v] for v in order})
 
 
+def test_relabel_names_the_id_that_is_not_an_integer():
+    # the renamed pairs cannot be sorted, and the first two edges are out
+    # of order: the string id is what is reported
+    w = wd(0, {1: 0, 2: 1, 3: 2}, [(1, 0), (2, 1), (3, 2)], {0: 4, 1: 2, 2: 1, 3: 1})
+    with pytest.raises(DiagramError, match="vertex id must be an integer, got 'x'"):
+        relabel(w, {0: 0, 1: 2, 2: 1, 3: "x"})
+
+
 @pytest.mark.parametrize(
     "root, edges, pairs",
     [
