@@ -125,10 +125,13 @@ class ProximityDiagram:
     ``parent_edges`` holds ``(child, parent)`` pairs and ``proximity``
     holds distinct ``(source, target)`` pairs, where the source is
     proximate to the target.  Every id must be an ``int`` (not a bool),
-    and both tuples must be sorted, each child listed once, as
-    :func:`proximity_diagram` makes them, else :class:`DiagramError` is
-    raised: one pass over them, when the diagram is built, checks every
-    occurrence of an id and the order, and derives the four maps.
+    and both tuples must be sorted, each child listed once, else
+    :class:`DiagramError` is raised: one pass over them, when the diagram
+    is built, checks every occurrence of an id and the order, and derives
+    the four maps.  This is the one place both checks live, so a builder
+    that already holds sorted pairs (a leaf added, vertices removed, the
+    Euclid walk, an enumerated shape) calls it directly, and one that
+    emits unsorted or repeated pairs fails here.
     ``vertices`` holds the sorted ids and ``parent`` maps each child to
     its parent; ``children`` and ``prox_targets`` are keyed in vertex
     order, with children sorted and targets listing the immediate
@@ -200,7 +203,10 @@ def proximity_diagram(
     parent: Mapping[int, int],
     proximity: Iterable[tuple[int, int]],
 ) -> ProximityDiagram:
-    """Build a :class:`ProximityDiagram` from a parent map and proximity pairs."""
+    """Build a :class:`ProximityDiagram` from a parent map and proximity
+    pairs in any order, repeats allowed: the adapter for callers that hold
+    a map.  It sorts and dedupes them and names a non-integer id when they
+    cannot be sorted; the diagram makes every other check."""
     edges, pairs = tuple(parent.items()), tuple(set(proximity))
     try:
         edges, pairs = tuple(sorted(edges)), tuple(sorted(pairs))
@@ -234,7 +240,13 @@ def _preorder(
 @dataclass(frozen=True)
 class WeightedDiagram:
     """A proximity diagram together with one integer weight per vertex:
-    ``weights[i]`` weighs ``diagram.vertices[i]``."""
+    ``weights[i]`` weighs ``diagram.vertices[i]``.
+
+    Every construction checks, in this one place, that there is one
+    weight per vertex and that each is an ``int`` (not a bool), else
+    :class:`DiagramError` is raised.  Builders that hold the weights in
+    vertex order call it directly; :func:`weighted_diagram` is the adapter
+    for a map of weights by vertex id."""
 
     diagram: ProximityDiagram
     weights: tuple[int, ...]
@@ -242,6 +254,9 @@ class WeightedDiagram:
     def __post_init__(self) -> None:
         if len(self.weights) != len(self.diagram.vertices):
             raise DiagramError("weights must give one weight per vertex")
+        for weight in self.weights:
+            if type(weight) is not int:
+                _integer(weight, "weight")
 
     @cached_property
     def nu(self) -> Mapping[int, int]:
@@ -309,17 +324,18 @@ class WeightedDiagram:
 
 
 def weighted_diagram(diagram: ProximityDiagram, nu: Mapping[int, int]) -> WeightedDiagram:
-    """Attach weights to ``diagram``; ``nu`` must give every vertex an ``int``
-    weight (not a bool) and weigh nothing else, else :class:`DiagramError`
-    is raised."""
+    """Attach the weights of a map by vertex id to ``diagram``: the adapter
+    for callers that hold a map.  ``nu`` must weigh every vertex, with the
+    type check of :class:`WeightedDiagram`, and nothing else, else
+    :class:`DiagramError` is raised, in that order."""
     try:
-        weights = tuple([_integer(nu[v], "weight") for v in diagram.vertices])
+        w = WeightedDiagram(diagram, tuple([nu[v] for v in diagram.vertices]))
     except KeyError as exc:
         raise DiagramError(f"no weight for vertex {exc.args[0]!r}") from None
-    if len(nu) != len(weights):
+    if len(nu) != len(w.weights):
         strays = [v for v in nu if v not in diagram.children]
         raise DiagramError(f"weights for ids that are not vertices: {strays}")
-    return WeightedDiagram(diagram, weights)
+    return w
 
 
 def _integer(value: object, what: str, error: type[Exception] = DiagramError) -> int:
@@ -569,12 +585,10 @@ def remove_vertices(w: WeightedDiagram, drop: Iterable[int]) -> WeightedDiagram:
         for child in d.children[v]:
             if child not in dropped:
                 raise DiagramError(f"vertex {v} still has successor {child}")
-    parent = {v: p for v, p in d.parent_edges if v not in dropped}
-    prox = [
-        (s, t) for s, t in d.proximity if s not in dropped and t not in dropped
-    ]
-    nu = {v: w.nu[v] for v in d.vertices if v not in dropped}
-    return weighted_diagram(proximity_diagram(d.root, parent, prox), nu)
+    edges = tuple([e for e in d.parent_edges if e[0] not in dropped])
+    pairs = tuple([(s, t) for s, t in d.proximity if s not in dropped and t not in dropped])
+    weights = tuple([x for v, x in zip(d.vertices, w.weights) if v not in dropped])
+    return WeightedDiagram(ProximityDiagram(d.root, edges, pairs), weights)
 
 
 def add_leaf(
@@ -583,22 +597,20 @@ def add_leaf(
     """Attach a new final vertex of the given weight below ``at``.
 
     The new vertex takes the next unused id and is proximate to ``at``
-    and, when ``second`` is given, to ``second`` as well, which makes it
-    a satellite; otherwise it is free.
+    and, when ``second`` is given and is not ``at``, to ``second`` as
+    well, which makes it a satellite; otherwise it is free.  The new id is
+    the largest, so its pairs and weight are appended to the sorted ones.
     """
     d = w.diagram
     d.require_vertex(at)
-    new = max(d.vertices) + 1
-    parent = dict(d.parent_edges)
-    parent[new] = at
-    prox = list(d.proximity)
-    prox.append((new, at))
+    new = d.vertices[-1] + 1
+    targets = {at}
     if second is not None:
         d.require_vertex(second)
-        prox.append((new, second))
-    nu = dict(w.nu)
-    nu[new] = weight
-    return weighted_diagram(proximity_diagram(d.root, parent, prox), nu)
+        targets.add(second)
+    edges = (*d.parent_edges, (new, at))
+    pairs = (*d.proximity, *[(new, t) for t in sorted(targets)])
+    return WeightedDiagram(ProximityDiagram(d.root, edges, pairs), (*w.weights, weight))
 
 
 def minimalize(w: WeightedDiagram) -> WeightedDiagram:

@@ -106,7 +106,6 @@ from .diagram import (
     _preorder,
     canonical_form,
     keyed_diagram,
-    proximity_diagram,
 )
 
 __all__ = ["EnumerationLimitError", "enumerate_minimal_diagrams", "DEFAULT_MAX_CANDIDATES"]
@@ -147,11 +146,12 @@ class _Family:
     @cached_property
     def structure(self) -> ProximityDiagram:
         """The shape as a diagram with vertex ids its indices, shared by every
-        weighting's diagram."""
-        shape = self.shape
-        parent = {i: shape[i][0] for i in range(1, len(shape))}
-        prox = [(i, t) for i in range(1, len(shape)) for t in shape[i][:2] if t >= 0]
-        return proximity_diagram(0, parent, prox)
+        weighting's diagram.  A second target is one of the parent's targets,
+        so it is listed before the parent."""
+        rest = list(enumerate(self.shape[1:], 1))
+        edges = tuple([(i, parent) for i, (parent, _, _) in rest])
+        pairs = tuple([(i, t) for i, (parent, second, _) in rest for t in (second, parent) if t >= 0])
+        return ProximityDiagram(0, edges, pairs)
 
     def key(self, weights: tuple[int, ...]) -> str:
         """The canonical key of one weighting of the shape."""

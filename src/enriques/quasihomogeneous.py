@@ -35,13 +35,12 @@ from math import gcd
 
 from .diagram import (
     DiagramError,
+    ProximityDiagram,
     WeightedDiagram,
     _integer,
     is_complete,
     is_minimal,
     milnor_number,
-    proximity_diagram,
-    weighted_diagram,
 )
 
 __all__ = [
@@ -323,9 +322,10 @@ def _chain_length(spec: QuasihomogeneousSpec, inv: DerivedInvariants) -> int:
 
 def _chain(
     spec: QuasihomogeneousSpec, inv: DerivedInvariants, built: str, leaves: int
-) -> tuple[dict[int, int], list[tuple[int, int]], dict[int, int], int]:
-    """The resolution walk's chain: parent map, proximity pairs, weights and
-    the last vertex still on the x axis.
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]], list[int], int]:
+    """The resolution walk's chain: parent edges, proximity pairs and
+    weights, each in vertex id order (a vertex's targets sorted), and the
+    last vertex still on the x axis.
 
     A subtractive Euclid walk on the coprime pair (r, s) creates one chain
     vertex per state, numbered from the root 0, for :func:`_chain_length`
@@ -345,9 +345,9 @@ def _chain(
     a, b = inv.r, inv.s
     side_a: int | None = None  # newest vertex on the x side
     side_b: int | None = None  # newest vertex on the y side
-    parent: dict[int, int] = {}
+    edges: list[tuple[int, int]] = []
     prox: list[tuple[int, int]] = []
-    nu: dict[int, int] = {}
+    weights: list[int] = []
     x_axis = 0
     for vertex in range(length):
         weight = inv.d_tilde * min(a, b)
@@ -356,19 +356,17 @@ def _chain(
             x_axis = vertex
         if side_b is None:
             weight += spec.l
-        nu[vertex] = weight
+        weights.append(weight)
         if vertex:
-            parent[vertex] = vertex - 1
-            for target in (side_a, side_b):
-                if target is not None:
-                    prox.append((vertex, target))
+            edges.append((vertex, vertex - 1))
+            prox += sorted([(vertex, t) for t in (side_a, side_b) if t is not None])
         if a < b:
             b -= a
             side_b = vertex
         else:
             a -= b
             side_a = vertex
-    return parent, prox, nu, x_axis
+    return edges, prox, weights, x_axis
 
 
 def build_enriques_diagram(spec: QuasihomogeneousSpec) -> WeightedDiagram:
@@ -377,7 +375,8 @@ def build_enriques_diagram(spec: QuasihomogeneousSpec) -> WeightedDiagram:
     The walk's chain (see :func:`minimal_diagram`), then gcd(p, q) free
     simple points on the chain end and one final simple point per active
     axis (the x axis on its last chain vertex, the y axis on the root) fill
-    one set of maps, and the diagram is constructed once.
+    the walk's lists, each leaf taking the next id, and the diagram is
+    constructed once.
 
     The result is verified to be complete and to have the Milnor number
     predicted by :func:`milnor_orlik`; any mismatch raises RuntimeError.
@@ -386,16 +385,16 @@ def build_enriques_diagram(spec: QuasihomogeneousSpec) -> WeightedDiagram:
     raises :class:`~enriques.diagram.DiagramError` instead.
     """
     inv = derived_invariants(spec)
-    parent, prox, nu, x_axis = _chain(
+    edges, prox, weights, x_axis = _chain(
         spec, inv, "complete diagram", inv.d_tilde + spec.k + spec.l
     )
-    end = len(nu) - 1
+    end = len(weights) - 1
     for at in [end] * inv.d_tilde + [x_axis] * spec.k + [0] * spec.l:
-        vertex = len(nu)
-        parent[vertex] = at
+        vertex = len(weights)
+        edges.append((vertex, at))
         prox.append((vertex, at))
-        nu[vertex] = 1
-    result = weighted_diagram(proximity_diagram(0, parent, prox), nu)
+        weights.append(1)
+    result = WeightedDiagram(ProximityDiagram(0, tuple(edges), tuple(prox)), tuple(weights))
 
     if not is_complete(result):
         raise RuntimeError(f"constructed diagram for {spec} is not complete")
@@ -415,8 +414,8 @@ def minimal_diagram(spec: QuasihomogeneousSpec) -> WeightedDiagram:
     :data:`MAX_DIAGRAM_VERTICES` vertices it raises
     :class:`~enriques.diagram.DiagramError` before building anything.
     """
-    parent, prox, nu, _ = _chain(spec, derived_invariants(spec), "minimal diagram", 0)
-    result = weighted_diagram(proximity_diagram(0, parent, prox), nu)
+    edges, prox, weights, _ = _chain(spec, derived_invariants(spec), "minimal diagram", 0)
+    result = WeightedDiagram(ProximityDiagram(0, tuple(edges), tuple(prox)), tuple(weights))
 
     if not is_minimal(result):
         raise RuntimeError(f"constructed diagram for {spec} is not minimal")

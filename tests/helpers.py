@@ -53,6 +53,24 @@ def leaning_bamboo(weights):
     return wd(0, parent, prox, dict(enumerate(weights)))
 
 
+def count_constructions(monkeypatch, most=None) -> list:
+    """The list every :class:`WeightedDiagram` built from here on is
+    appended to, through its ``__post_init__``, which every construction
+    runs whichever builder makes it.  Past ``most`` constructions the
+    next one raises, so a builder that rebuilds per vertex fails fast."""
+    built = []
+    post_init = WeightedDiagram.__post_init__
+
+    def counting(self):
+        built.append(self)
+        if most is not None and len(built) > most:
+            raise AssertionError(f"more than {most} weighted diagrams constructed")
+        post_init(self)
+
+    monkeypatch.setattr(WeightedDiagram, "__post_init__", counting)
+    return built
+
+
 def _second_target(d: ProximityDiagram, v: int):
     p = d.parent.get(v)
     for t in d.prox_targets[v]:

@@ -7,7 +7,6 @@ from itertools import permutations
 
 import pytest
 
-import enriques.diagram
 from enriques import (
     DiagramError,
     InconsistentDiagramError,
@@ -39,6 +38,7 @@ from enriques import (
     weighted_diagram,
 )
 from helpers import (
+    count_constructions,
     cusp_complete,
     cusp_minimal,
     isomorphic,
@@ -489,19 +489,11 @@ def test_minimalize_removes_a_long_free_chain_in_one_construction(monkeypatch):
         dict.fromkeys(range(n), 1),
     )
     expected = single_vertex(1)
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        if len(calls) > 1:
-            raise AssertionError("minimalize constructed more than one diagram")
-        return weighted_diagram(*args)
-
-    monkeypatch.setattr(enriques.diagram, "weighted_diagram", counting)
+    built = count_constructions(monkeypatch, most=1)
     started = time.perf_counter()
     m = minimalize(w)
     assert time.perf_counter() - started < 5
-    assert len(calls) == 1
+    assert len(built) == 1
     assert m == expected
 
 

@@ -11,7 +11,6 @@ import enriques.jump
 import enriques.quasihomogeneous
 from enriques import (
     AdjacencyVerdict,
-    WeightedDiagram,
     DiagramError,
     QuasihomogeneousSpec,
     add_leaf,
@@ -40,7 +39,7 @@ from enriques import (
 from enriques.adjacency import adjacency_verdict
 from enriques.enumeration import DEFAULT_MAX_CANDIDATES, _minimal_families
 from enriques.quasihomogeneous import bamboo_chain
-from helpers import cusp_minimal, leaning_bamboo, wd
+from helpers import count_constructions, cusp_minimal, leaning_bamboo, wd
 from test_acceptance import all_specs
 
 PINS = Path(__file__).resolve().parent.parent / "perfbench" / "verify_pins.json"
@@ -167,24 +166,15 @@ def test_adjacent_matches_the_leaf_by_leaf_surgery():
 def test_adjacent_diagram_is_constructed_once(monkeypatch):
     # one construction for the surgery and at most one removal in
     # minimalize; a rebuild per new vertex would make 29 for x^30+y^30
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        if len(calls) > 2:
-            raise AssertionError("the surgery constructed more than two diagrams")
-        return weighted_diagram(*args)
-
     sources = [
         minimal_diagram(QuasihomogeneousSpec(*spec))
         for spec in [(0, 0, 30, 30), (0, 0, 2, 3), (0, 0, 4, 6), (0, 0, 6, 9), (1, 1, 3, 5)]
     ] + [single_vertex(2), leaning_bamboo([8, 3, 3])]
-    monkeypatch.setattr(enriques.jump, "weighted_diagram", counting)
-    monkeypatch.setattr(enriques.diagram, "weighted_diagram", counting)
+    built = count_constructions(monkeypatch, most=2)
     for D in sources:
-        calls.clear()
+        built.clear()
         construct_adjacent_diagram(D)
-        assert 1 <= len(calls) <= 2
+        assert 1 <= len(built) <= 2
 
 
 # ---------------------------------------------------------------------------
@@ -464,20 +454,14 @@ def test_verify_builds_diagrams_only_for_light_candidates(monkeypatch, spec, sea
     spec = QuasihomogeneousSpec(*spec)
     light = light_candidates(spec)
     assert (len(light), len(set(light))) == (searched, shapes)
-    built = []
+    built = count_constructions(monkeypatch)
     validated = []
-    post_init = WeightedDiagram.__post_init__
     validate_axioms = enriques.diagram.validate_axioms
-
-    def counting_post_init(self):
-        built.append(self)
-        post_init(self)
 
     def counting_validate(diagram):
         validated.append(diagram)
         return validate_axioms(diagram)
 
-    monkeypatch.setattr(WeightedDiagram, "__post_init__", counting_post_init)
     monkeypatch.setattr(enriques.diagram, "validate_axioms", counting_validate)
     # the constant part: the jump, the representatives, each validated, and
     # the attainment check

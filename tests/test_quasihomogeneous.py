@@ -32,10 +32,9 @@ from enriques import (
     minimalize,
     parse_spec,
     single_vertex,
-    weighted_diagram,
 )
 from enriques.quasihomogeneous import bamboo_invariants, is_bamboo
-from helpers import leaning_bamboo, wd
+from helpers import count_constructions, leaning_bamboo, wd
 from test_acceptance import all_specs
 
 
@@ -488,27 +487,19 @@ def test_complete_diagrams_and_jump_reports_are_pinned():
 
 
 def test_build_constructs_one_diagram(monkeypatch):
-    # every weighted diagram is made through weighted_diagram; count the
-    # calls from both modules that the builders could reach, and fail on
-    # any minimalize call
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return weighted_diagram(*args)
-
+    # count every weighted diagram constructed, whichever builder makes
+    # it, and fail on any minimalize call
     def refusing(w):
         raise AssertionError("minimalize called")
 
     assert "minimalize" not in vars(enriques.quasihomogeneous)
-    monkeypatch.setattr(enriques.quasihomogeneous, "weighted_diagram", counting)
-    monkeypatch.setattr(enriques.diagram, "weighted_diagram", counting)
     monkeypatch.setattr(enriques.diagram, "minimalize", refusing)
+    built = count_constructions(monkeypatch)
     for build in (build_enriques_diagram, minimal_diagram):
         for k, l, p, q in [(0, 0, 6, 9), (1, 1, 4, 6), (0, 1, 1, 9), (0, 0, 30, 30)]:
-            calls.clear()
+            built.clear()
             build(QuasihomogeneousSpec(k, l, p, q))
-            assert len(calls) == 1, (build.__name__, k, l, p, q)
+            assert len(built) == 1, (build.__name__, k, l, p, q)
 
 
 def test_build_refuses_exactly_the_germs_above_the_vertex_bound(monkeypatch):
