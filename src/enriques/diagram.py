@@ -151,8 +151,11 @@ class ProximityDiagram:
         targets: dict[int, list[int]] = {}
         last = None
         for child, p in self.parent_edges:
-            ids.add(_integer(child, "vertex id"))
-            ids.add(_integer(p, "vertex id"))
+            if type(child) is not int or type(p) is not int:
+                _integer(child, "vertex id")
+                _integer(p, "vertex id")
+            ids.add(child)
+            ids.add(p)
             if last is not None and child <= last:
                 raise DiagramError("parent_edges must list each child once, sorted")
             last = child
@@ -161,8 +164,11 @@ class ProximityDiagram:
         last = None
         for pair in self.proximity:
             source, target = pair
-            ids.add(_integer(source, "vertex id"))
-            ids.add(_integer(target, "vertex id"))
+            if type(source) is not int or type(target) is not int:
+                _integer(source, "vertex id")
+                _integer(target, "vertex id")
+            ids.add(source)
+            ids.add(target)
             if last is not None and pair <= last:
                 raise DiagramError("proximity must list distinct pairs, sorted")
             last = pair

@@ -635,6 +635,21 @@ def test_diagram_refuses_ids_that_are_not_integers(root, edges, pairs):
         ProximityDiagram(root=root, parent_edges=edges, proximity=pairs)
 
 
+@pytest.mark.parametrize(
+    "edges, pairs, named",
+    [
+        ((("c", "p"),), (("c", "p"),), "'c'"),
+        (((1, "p"),), ((1, "t"),), "'p'"),
+        (((1, 0),), (("s", "t"),), "'s'"),
+        (((1, 0),), ((1, "t"),), "'t'"),
+    ],
+)
+def test_diagram_names_the_first_id_that_is_not_an_integer(edges, pairs, named):
+    # ids are checked child, parent, then source, target, pair by pair
+    with pytest.raises(DiagramError, match=f"vertex id must be an integer, got {named}$"):
+        ProximityDiagram(root=0, parent_edges=edges, proximity=pairs)
+
+
 def test_relabel_names_a_vertex_the_mapping_misses():
     w = wd(0, {1: 0}, [(1, 0)], {0: 2, 1: 1})
     with pytest.raises(DiagramError, match="vertex 1"):
