@@ -34,12 +34,12 @@ from .quasihomogeneous import (
     parse_spec,
 )
 from .serialize import (
+    _witness_arrays,
     diagram_to_dict,
     diagram_to_dot,
     diagram_to_json,
     diagram_to_text,
     jump_report_to_dict,
-    witness_to_dict,
 )
 
 __all__ = ["run", "parse_spec", "build_parser"]
@@ -116,9 +116,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _print_witness(upper: WeightedDiagram, lower: WeightedDiagram, witness: GeqWitness) -> None:
-    data = witness_to_dict(upper, lower, witness)
-    for field in ("embedding", "kappa", "ord_nu", "ord_kappa"):
-        print(f"witness {field} {json.dumps(data[field])}")
+    for field, array in _witness_arrays(upper, lower, witness).items():
+        print(f"witness {field} {json.dumps(array)}")
 
 
 def _cmd_info(args: argparse.Namespace) -> int:

@@ -168,30 +168,35 @@ def diagram_to_text(w: WeightedDiagram, indent: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
-def witness_to_dict(
+def _witness_arrays(
     upper: WeightedDiagram, lower: WeightedDiagram, witness: GeqWitness
-) -> dict[str, Any]:
-    """Witness as a JSON-ready dict, arrays indexed by lower canonical ids.
+) -> dict[str, list]:
+    """The witness's four arrays, indexed by lower canonical ids, as
+    :func:`witness_to_dict` and the CLI's text output give them.
 
     ``ord_nu`` and ``ord_kappa`` are the value systems
     (:attr:`~enriques.diagram.WeightedDiagram.orders`) of the lower
     weights and of ``kappa`` on the lower diagram."""
     upper_ids = upper.canonical_ids
-    lower_ids = lower.canonical_ids
-    embedding = sorted(
-        [lower_ids[v], upper_ids[u]] for v, u in witness.embedding.pairs
-    )
+    ids = lower.canonical_ids
     kappa = dict(witness.kappa)
     d = lower.diagram
     ord_kappa = WeightedDiagram(d, tuple([kappa[v] for v in d.vertices])).orders
     return {
-        "upper": diagram_to_dict(upper),
-        "lower": diagram_to_dict(lower),
-        "embedding": embedding,
-        "kappa": [kappa[v] for v in lower_ids],
-        "ord_nu": [lower.orders[v] for v in lower_ids],
-        "ord_kappa": [ord_kappa[v] for v in lower_ids],
+        "embedding": sorted([ids[v], upper_ids[u]] for v, u in witness.embedding.pairs),
+        "kappa": [kappa[v] for v in ids],
+        "ord_nu": [lower.orders[v] for v in ids],
+        "ord_kappa": [ord_kappa[v] for v in ids],
     }
+
+
+def witness_to_dict(
+    upper: WeightedDiagram, lower: WeightedDiagram, witness: GeqWitness
+) -> dict[str, Any]:
+    """Witness as a JSON-ready dict: both diagrams, then the arrays of
+    :func:`_witness_arrays`."""
+    arrays = _witness_arrays(upper, lower, witness)
+    return {"upper": diagram_to_dict(upper), "lower": diagram_to_dict(lower), **arrays}
 
 
 def jump_report_to_dict(report: JumpReport) -> dict[str, Any]:
