@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+import enriques.adjacency
 from enriques import (
     AdjacencyVerdict,
     GeqWitness,
@@ -213,6 +214,8 @@ def tampered(w, proximity=(), weights=()):
         # a kappa entry of three numbers, and an unhashable vertex
         lambda up, lo, w: (up, lo, replace(w, kappa=((0, 1, 2),))),
         lambda up, lo, w: (up, lo, replace(w, kappa=(([0], 1), *w.kappa[1:]))),
+        # the right entries, in a list instead of a tuple
+        lambda up, lo, w: (up, lo, replace(w, kappa=list(w.kappa))),
     ],
     ids=[
         "invalid-lower",
@@ -224,6 +227,7 @@ def tampered(w, proximity=(), weights=()):
         "wrong-second-target",
         "kappa-triple",
         "unhashable-vertex",
+        "kappa-list",
     ],
 )
 def test_checker_rejects_tampered_cases(tamper):
@@ -267,6 +271,19 @@ def test_checker_derives_the_upper_excesses_itself():
     witness = geq(heavy, lower)
     assert witness is not None
     assert not check_geq_witness(heavy, lower, witness)
+
+
+def test_checker_rejects_a_lower_vertex_its_walk_misses(monkeypatch):
+    # vertices 1 and 2 are each other's parent, a cycle off the root; with
+    # the axiom check stubbed out, the embedding and kappa pass, and the
+    # walk from the root that orders the values misses both
+    lower = wd(0, {1: 2, 2: 1}, [(1, 2), (2, 1)], {0: 1, 1: 1, 2: 1})
+    witness = GeqWitness(
+        embedding=SubdiagramEmbedding(pairs=((0, 0),)),
+        kappa=((0, 1), (1, 0), (2, 0)),
+    )
+    monkeypatch.setattr(enriques.adjacency, "validate_axioms", lambda diagram: [])
+    assert not check_geq_witness(single_vertex(1), lower, witness)
 
 
 def test_checker_accepts_untampered_witnesses():

@@ -150,6 +150,13 @@ def test_mu_with_oracle_check(capsys):
     assert out == "2\noracle 2 match\n"
 
 
+def test_mu_check_reports_a_mismatch_with_exit_1(capsys, monkeypatch):
+    # an oracle one above the diagram's Milnor number
+    monkeypatch.setattr(enriques.cli, "milnor_orlik", lambda spec: 3)
+    code, out, _ = invoke(capsys, "mu", "--check", "0,0,2,3")
+    assert (code, out) == (1, "2\noracle 3 MISMATCH\n")
+
+
 def test_diagram_complete_flag(capsys):
     code, out, _ = invoke(capsys, "diagram", "--complete", "0,0,2,3")
     assert code == 0
