@@ -15,8 +15,6 @@ import pytest
 
 from enriques import (
     DiagramError,
-    ProximityDiagram,
-    QuasihomogeneousSpec,
     WeightedDiagram,
     add_leaf,
     build_enriques_diagram,
@@ -134,16 +132,11 @@ def test_add_leaf_matches_the_map_recipe_at_every_vertex():
     for w in random_diagrams():
         d = w.diagram
         for at in d.vertices:
-            # free, a repeated target (still free), and each second target
+            # free, the parent given again (still free), and each second target
             for second in (None, at, *d.prox_targets[at]):
                 assert_same(add_leaf(w, at, 1, second), reference_add_leaf(w, at, 1, second))
                 leaves += 1
     assert leaves > 3000
-
-
-def test_add_leaf_with_its_own_parent_as_second_target_is_free():
-    w = add_leaf(cusp_minimal(), 2, 1, second=2)
-    assert w.diagram.prox_targets[3] == (2,)
 
 
 def test_remove_vertices_matches_the_map_recipe_for_every_final_vertex():
@@ -187,16 +180,3 @@ def test_weighted_diagram_built_directly_takes_only_int_weights():
     # the check lives in the constructor, so no builder can skip it
     with pytest.raises(DiagramError, match="weight must be an integer"):
         WeightedDiagram(cusp_minimal().diagram, (2.5, 1, True))
-
-
-def test_a_builder_that_emits_unsorted_pairs_fails():
-    # a second target listed after the parent, as a builder might emit it
-    with pytest.raises(DiagramError, match="sorted"):
-        ProximityDiagram(0, ((1, 0), (2, 1)), ((1, 0), (2, 1), (2, 0)))
-
-
-def test_germ_builders_emit_sorted_satellite_targets():
-    # x^6+y^9: vertex 2 is a satellite on 1 and 0, listed 0 first
-    d = minimal_diagram(QuasihomogeneousSpec(0, 0, 6, 9)).diagram
-    assert d.proximity == ((1, 0), (2, 0), (2, 1))
-    assert d.prox_targets[2] == (1, 0)
