@@ -1,5 +1,6 @@
 """Command line interface: golden outputs, exit codes, round trips."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -195,6 +196,31 @@ def test_adjacent_explicit_bound(capsys):
     code, out, _ = invoke(capsys, "adjacent", "x^2+y^2", "x^2+y^3", "--extra-bound", "5")
     assert code == 0
     assert out == "NoUpToBound extra_vertex_bound=5\n"
+
+
+def test_adjacent_outputs_are_pinned(capsys):
+    # SHA-256 of stdout and exit code of `adjacent A B --extra-bound 2` over
+    # every ordered pair of the 55 germs with q <= 5, recorded at e33fd9b
+    germs = [
+        f"{k},{l},{p},{q}"
+        for p in range(1, 6)
+        for q in range(p, 6)
+        for k in (0, 1)
+        for l in (0, 1)
+        if k + l + p >= 2
+    ]
+    assert len(germs) == 55
+    digest = hashlib.sha256()
+    yes = 0
+    for source in germs:
+        for target in germs:
+            code, out, _ = invoke(capsys, "adjacent", source, target, "--extra-bound", "2")
+            yes += out.startswith("Yes")
+            digest.update(f"{out}exit {code}\n".encode())
+    assert yes == 1381
+    assert digest.hexdigest() == (
+        "755eadeb12eb4caf7d368191041582b0f9ba16b9be84aeb482aca6ee2f1e6225"
+    )
 
 
 def test_enumerate_text(capsys):
