@@ -30,7 +30,6 @@ from .diagram import (
     WeightedDiagram,
     _integer,
     add_leaf,
-    canonical_order,
     is_consistent,
     require_valid,
     validate_axioms,
@@ -91,14 +90,14 @@ def geq(upper: WeightedDiagram, lower: WeightedDiagram) -> GeqWitness | None:
     """Search for a witness that ``upper`` dominates ``lower``.
 
     ``upper`` must be a valid consistent diagram; ``lower`` must be valid.
-    Lower vertices are processed root-first in canonical order, each being
-    either mapped to an unused child of its parent's image with the same
-    kind (a satellite's second target must correspond) or excluded
-    together with its whole subtree.  Every decision fixes the transported
-    value at that vertex, so a violated inequality prunes immediately.
-    Candidate images are tried in canonical order before exclusion, which
-    makes the returned witness the lexicographically smallest one.
-    Returns None when no embedding satisfies all inequalities.
+    Lower vertices are taken in ``lower.diagram.preorder``, each mapped
+    to an unused child of its parent's image with the same kind (a
+    satellite's second target must correspond) or excluded with its
+    subtree.  A constraint at a vertex reads only its ancestors, so any
+    root-first order gives the same verdict.  Images are tried by id
+    before exclusion: the witness is the first in lower preorder with
+    upper children by id, so a relabelling of a branching diagram may
+    pick another valid one.  Returns None when there is no witness.
     """
     require_valid(upper.diagram)
     require_valid(lower.diagram)
@@ -107,13 +106,11 @@ def geq(upper: WeightedDiagram, lower: WeightedDiagram) -> GeqWitness | None:
 
     lo = lower.diagram
     up = upper.diagram
-    order = canonical_order(lower)
-    upper_ids = upper.canonical_ids
+    order = lo.preorder
     ord_nu = lower.orders
 
     image: dict[int, int] = {}
     used: set[int] = set()
-    kappa: dict[int, int] = {}
     ord_kappa: dict[int, int] = {}
 
     def candidates(v: int) -> list[int | None]:
@@ -125,7 +122,7 @@ def geq(upper: WeightedDiagram, lower: WeightedDiagram) -> GeqWitness | None:
             v_targets = lo.prox_targets[v]
             parent_image = image.get(lo.parent[v])
             if parent_image is not None:
-                for u in sorted(up.children[parent_image], key=upper_ids.__getitem__):
+                for u in up.children[parent_image]:
                     if u in used:
                         continue
                     u_targets = up.prox_targets[u]
@@ -142,9 +139,9 @@ def geq(upper: WeightedDiagram, lower: WeightedDiagram) -> GeqWitness | None:
     pending = [iter(candidates(order[0]))]
     while pending:
         v = order[len(pending) - 1]
-        if v in kappa:  # a deeper vertex ran out of choices: undo this one
+        if v in ord_kappa:  # a deeper vertex ran out of choices: undo this one
             used.discard(image.pop(v, None))
-            del kappa[v], ord_kappa[v]
+            del ord_kappa[v]
         v_targets = lo.prox_targets[v]
         for choice in pending[-1]:
             value = upper.nu[choice] if choice is not None else 0
@@ -157,12 +154,12 @@ def geq(upper: WeightedDiagram, lower: WeightedDiagram) -> GeqWitness | None:
         if choice is not None:
             image[v] = choice
             used.add(choice)
-        kappa[v] = value
         ord_kappa[v] = ord_value
         if len(pending) == len(order):
+            nu = upper.nu
             return GeqWitness(
                 embedding=SubdiagramEmbedding(pairs=tuple(sorted(image.items()))),
-                kappa=tuple(sorted(kappa.items())),
+                kappa=tuple([(v, nu[image[v]] if v in image else 0) for v in lo.vertices]),
             )
         pending.append(iter(candidates(order[len(pending)])))
     return None
@@ -299,7 +296,7 @@ def linear_adjacent(
     Tries every consistent representative of the source class with up to
     ``extra_bound`` added free weight-1 vertices (default: the number of
     vertices of the target's minimal diagram) against the target's minimal
-    diagram; the first domination witness in canonical order is returned.
+    diagram, in key order, and returns the first :func:`geq` witness.
     A negative verdict is only conclusive up to the bound.
     """
     if extra_bound is None:

@@ -130,8 +130,8 @@ def construct_adjacent_diagram(D: WeightedDiagram) -> WeightedDiagram:
     run of ``d - 3`` weight-1 vertices each proximate to its parent and
     to the chain end.  A drop is :func:`~enriques.diagram.remove_vertices`;
     the other edits are made on copies of ``D``'s maps, new vertices taking
-    the ids after ``D``'s largest.  The one diagram the surgery gives is
-    minimalized; the result is always of a different type than ``D``.
+    the ids after ``D``'s largest.  The surgery's one diagram is
+    minimalized; a Milnor number not below ``D``'s raises RuntimeError.
     The surgery's vertex count, ``t + d - 2`` (``t + 1`` for ``d = 2`` and
     ``t > 1``), bounds the result and is known up front: above
     :data:`~enriques.quasihomogeneous.MAX_DIAGRAM_VERTICES` it raises
@@ -168,8 +168,8 @@ def construct_adjacent_diagram(D: WeightedDiagram) -> WeightedDiagram:
             at = new
         result = minimalize(weighted_diagram(proximity_diagram(D.root, parent, prox), nu))
 
-    if result.key == D.key:
-        raise RuntimeError("adjacent-diagram surgery failed to change the type")
+    if milnor_number(result) >= milnor_number(D):
+        raise RuntimeError("adjacent-diagram surgery failed to lower the Milnor number")
     return result
 
 
@@ -306,7 +306,7 @@ def verify_maximality(
     Candidates are read off the enumeration's families (a shape and its
     minimal weightings, one per isomorphism class), and only those that
     reach the search become diagrams, on one shared structure per shape,
-    each keyed once by the canonical form that orders the search.  Each
+    keyed only for the ``D_min`` class check and contradictions.  Each
     weighting's Milnor number is read off its shape, as derived at
     :meth:`~enriques.enumeration._Family.milnor_numbers`.
     """

@@ -5,6 +5,8 @@ from dataclasses import replace
 import pytest
 
 import enriques.adjacency
+import enriques.diagram
+import enriques.enumeration
 from enriques import (
     AdjacencyVerdict,
     GeqWitness,
@@ -13,6 +15,7 @@ from enriques import (
     QuasihomogeneousSpec,
     SubdiagramEmbedding,
     add_leaf,
+    canonical_form,
     canonical_key,
     check_geq_witness,
     construct_adjacent_diagram,
@@ -130,6 +133,23 @@ def test_geq_respects_satellite_second_targets():
     witness = geq(upper, weightless)
     assert witness.embedding.pairs == ((0, 0), (1, 1), (2, 2))
     assert check_geq_witness(upper, weightless, witness)
+
+
+def test_geq_and_lambda_lin_compute_no_canonical_form(monkeypatch):
+    # the search walks the lower preorder and the upper children by id, and
+    # the jump's self-check compares Milnor numbers, so neither keys anything
+    calls = []
+
+    def counting(record):
+        calls.append(len(record))
+        return canonical_form(record)
+
+    monkeypatch.setattr(enriques.enumeration, "canonical_form", counting)
+    monkeypatch.setattr(enriques.diagram, "canonical_form", counting)
+    assert geq(cusp_complete(), cusp_minimal()) is not None
+    assert geq(single_vertex(2), cusp_minimal()) is None
+    lambda_lin(QuasihomogeneousSpec(0, 0, 6, 9))
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

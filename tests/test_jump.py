@@ -163,6 +163,13 @@ def test_adjacent_matches_the_leaf_by_leaf_surgery():
         assert construct_adjacent_diagram(D) == adjacent_by_leaves(D), spec
 
 
+def test_a_surgery_that_keeps_the_milnor_number_raises(monkeypatch):
+    D = minimal_diagram(QuasihomogeneousSpec(0, 0, 6, 9))
+    monkeypatch.setattr(enriques.jump, "minimalize", lambda w: D)
+    with pytest.raises(RuntimeError, match="lower the Milnor number"):
+        construct_adjacent_diagram(D)
+
+
 def test_adjacent_diagram_is_constructed_once(monkeypatch):
     # one construction for the surgery and at most one removal in
     # minimalize; a rebuild per new vertex would make 29 for x^30+y^30

@@ -22,6 +22,7 @@ from enriques import (
     minimal_diagram,
     minimalize,
     relabel,
+    remove_vertices,
     validate_axioms,
     weighted_diagram,
     witness_to_dict,
@@ -129,6 +130,52 @@ def test_geq_is_reflexive_with_checkable_witness():
         witness = geq(w, w)
         assert witness is not None, f"case {case}"
         assert check_geq_witness(w, w, witness), f"case {case}"
+
+
+def _dominated_pair(rng, case):
+    """A seeded ``(upper, lower)`` pair: unrelated diagrams, the upper with
+    final vertices removed (a weight raised in every other case), or the
+    lower with free leaves added where the excess allows."""
+    upper = random_consistent(rng, max_vertices=7)
+    if case % 3 == 0:
+        return upper, random_consistent(rng, max_vertices=7)
+    if case % 3 == 1:
+        lower = upper
+        for _ in range(rng.randrange(len(upper))):
+            d = lower.diagram
+            finals = [v for v in d.vertices if v != d.root and not d.children[v]]
+            lower = remove_vertices(lower, [rng.choice(finals)])
+        if case % 2:
+            nu = dict(lower.nu)
+            nu[rng.choice(lower.diagram.vertices)] += 1
+            lower = weighted_diagram(lower.diagram, nu)
+        return upper, lower
+    lower = upper
+    for _ in range(rng.randint(1, 3)):
+        at = rng.choice(upper.diagram.vertices)
+        upper = add_leaf(upper, at, rng.randint(0, upper.excess[at]))
+    return upper, lower
+
+
+def test_geq_verdict_does_not_depend_on_the_labelling():
+    # every constraint at a lower vertex reads only its ancestors, so any
+    # root-first order decides the same: relabelling both diagrams reorders
+    # the lower preorder and the upper children but keeps the verdict, and
+    # each witness, whichever the labelling picks, passes the checker
+    rng = random.Random(2111)
+    verdicts = []
+    for case in range(600):
+        upper, lower = _dominated_pair(rng, case)
+        found = geq(upper, lower)
+        verdicts.append(found is not None)
+        for _ in range(3):
+            u = relabel(upper, dict(zip(upper.diagram.vertices, rng.sample(range(50), len(upper)))))
+            l = relabel(lower, dict(zip(lower.diagram.vertices, rng.sample(range(50), len(lower)))))
+            witness = geq(u, l)
+            assert (witness is not None) == verdicts[-1], f"case {case}"
+            assert witness is None or check_geq_witness(u, l, witness), f"case {case}"
+        assert found is None or check_geq_witness(upper, lower, found), f"case {case}"
+    assert 150 < sum(verdicts) < 500
 
 
 def test_canonical_order_is_a_root_first_permutation():
