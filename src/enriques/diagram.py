@@ -364,7 +364,7 @@ def keyed_diagram(diagram: ProximityDiagram, weights: tuple[int, ...], key: str)
 
 def single_vertex(weight: int) -> WeightedDiagram:
     """The one-vertex diagram of the given weight (vertex id 0)."""
-    return weighted_diagram(proximity_diagram(0, {}, []), {0: weight})
+    return WeightedDiagram(ProximityDiagram(0, (), ()), (weight,))
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from math import gcd
 from .adjacency import GeqWitness, adjacency_verdict, class_representatives, geq
 from .diagram import (
     DiagramError,
+    ProximityDiagram,
     WeightedDiagram,
     _integer,
     add_leaf,
@@ -36,9 +37,7 @@ from .diagram import (
     is_minimal,
     milnor_number,
     minimalize,
-    proximity_diagram,
     remove_vertices,
-    weighted_diagram,
 )
 from .enumeration import DEFAULT_MAX_CANDIDATES, _minimal_families
 from .quasihomogeneous import (
@@ -129,8 +128,8 @@ def construct_adjacent_diagram(D: WeightedDiagram) -> WeightedDiagram:
     end to ``d - 1``, attach a free vertex of weight 2, and below it a
     run of ``d - 3`` weight-1 vertices each proximate to its parent and
     to the chain end.  A drop is :func:`~enriques.diagram.remove_vertices`;
-    the other edits are made on copies of ``D``'s maps, new vertices taking
-    the ids after ``D``'s largest.  The surgery's one diagram is
+    the other edits extend copies of ``D``'s sorted tuples, new vertices
+    taking the ids after ``D``'s largest.  The surgery's one diagram is
     minimalized; a Milnor number not below ``D``'s raises RuntimeError.
     The surgery's vertex count, ``t + d - 2`` (``t + 1`` for ``d = 2`` and
     ``t > 1``), bounds the result and is known up front: above
@@ -153,20 +152,21 @@ def construct_adjacent_diagram(D: WeightedDiagram) -> WeightedDiagram:
     if d == 1:
         result = minimalize(remove_vertices(D, [end]))
     else:
-        parent = dict(D.diagram.parent)
-        prox = list(D.diagram.proximity)
-        nu = dict(D.nu)
-        nu[end] = d - 1
+        edges, pairs = list(D.diagram.parent_edges), list(D.diagram.proximity)
+        weights = list(D.weights)
+        weights[D.diagram.vertices.index(end)] = d - 1
         if d == 2:
             run = [(chain[-2], 1)] if t > 1 else []
         else:
             run = [(None, 2)] + [(end, 1)] * (d - 3)
         at = end
-        for new, (second, weight) in enumerate(run, max(D.diagram.vertices) + 1):
-            parent[new], nu[new] = at, weight
-            prox.extend((new, target) for target in (at, second) if target is not None)
+        for new, (second, weight) in enumerate(run, D.diagram.vertices[-1] + 1):
+            edges.append((new, at))
+            pairs += sorted([(new, target) for target in (at, second) if target is not None])
+            weights.append(weight)
             at = new
-        result = minimalize(weighted_diagram(proximity_diagram(D.root, parent, prox), nu))
+        diagram = ProximityDiagram(D.root, tuple(edges), tuple(pairs))
+        result = minimalize(WeightedDiagram(diagram, tuple(weights)))
 
     if milnor_number(result) >= milnor_number(D):
         raise RuntimeError("adjacent-diagram surgery failed to lower the Milnor number")
