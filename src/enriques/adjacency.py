@@ -156,10 +156,9 @@ def geq(upper: WeightedDiagram, lower: WeightedDiagram) -> GeqWitness | None:
             used.add(choice)
         ord_kappa[v] = ord_value
         if len(pending) == len(order):
-            nu = upper.nu
             return GeqWitness(
                 embedding=SubdiagramEmbedding(pairs=tuple(sorted(image.items()))),
-                kappa=tuple([(v, nu[image[v]] if v in image else 0) for v in lo.vertices]),
+                kappa=tuple([(v, upper.nu[image[v]] if v in image else 0) for v in lo.vertices]),
             )
         pending.append(iter(candidates(order[len(pending)])))
     return None
