@@ -199,9 +199,11 @@ class ProximityDiagram:
         """Axiom violations, found once by :func:`validate_axioms`."""
         return tuple(validate_axioms(self))
 
-    def require_vertex(self, v: int) -> None:
-        if v not in self.children:
+    def require_vertex(self, v: int) -> int:
+        """``v`` itself when it is an ``int`` vertex id here, else DiagramError."""
+        if _integer(v, "vertex id") not in self.children:
             raise UnknownVertexError(f"unknown vertex id {v!r}")
+        return v
 
 
 def proximity_diagram(
@@ -582,12 +584,11 @@ def is_minimal(w: WeightedDiagram) -> bool:
 
 def remove_vertices(w: WeightedDiagram, drop: Iterable[int]) -> WeightedDiagram:
     """Drop a successor-closed set of vertices (no member may have a kept child)."""
-    dropped = set(drop)
+    d = w.diagram
+    dropped = {d.require_vertex(v) for v in drop}
     if w.root in dropped:
         raise DiagramError("cannot remove the root")
-    d = w.diagram
     for v in dropped:
-        d.require_vertex(v)
         for child in d.children[v]:
             if child not in dropped:
                 raise DiagramError(f"vertex {v} still has successor {child}")

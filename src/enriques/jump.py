@@ -36,7 +36,6 @@ from .diagram import (
     diagram_type,
     is_minimal,
     milnor_number,
-    minimalize,
     remove_vertices,
 )
 from .enumeration import DEFAULT_MAX_CANDIDATES, _minimal_families
@@ -121,20 +120,20 @@ def construct_adjacent_diagram(D: WeightedDiagram) -> WeightedDiagram:
     """Minimal diagram of an adjacent type exactly one jump below ``D``.
 
     ``D`` must be a minimal chain with end weight ``d`` and length ``t``,
-    ``d*t > 1``.  The surgery depends on the end vertex: for ``d = 1``
-    drop it; for ``d = 2`` lower it to 1 and hang a new weight-1 vertex
-    proximate to the last two chain vertices (a lone root of weight 2
-    simply becomes the weight-1 single vertex); for ``d >= 3`` lower the
-    end to ``d - 1``, attach a free vertex of weight 2, and below it a
-    run of ``d - 3`` weight-1 vertices each proximate to its parent and
-    to the chain end.  A drop is :func:`~enriques.diagram.remove_vertices`;
-    the other edits extend copies of ``D``'s sorted tuples, new vertices
-    taking the ids after ``D``'s largest.  The surgery's one diagram is
-    minimalized; a Milnor number not below ``D``'s raises RuntimeError.
-    The surgery's vertex count, ``t + d - 2`` (``t + 1`` for ``d = 2`` and
-    ``t > 1``), bounds the result and is known up front: above
-    :data:`~enriques.quasihomogeneous.MAX_DIAGRAM_VERTICES` it raises
-    :class:`DiagramError` before the run is allocated.
+    ``d*t > 1``.  For ``d = 1`` the end, a satellite, is dropped with its
+    parent when that is free of weight 1, in one
+    :func:`~enriques.diagram.remove_vertices`; the rest is minimal, as a
+    dropped parent's parent weighs at least 2 and the others keep a child.
+    Otherwise the end is lowered to ``d - 1`` and gains a child: for
+    ``d = 2`` a weight-1 satellite of the last two chain vertices (a lone
+    root just becomes the weight-1 single vertex); for ``d >= 3`` a free
+    weight-2 vertex and below it ``d - 3`` weight-1 satellites of their
+    parent and the end.  Every other vertex keeps weight and children, so
+    the copy of ``D``'s sorted tuples, new ids after its largest, is
+    minimal as built.  A Milnor number not below ``D``'s raises
+    RuntimeError.  Above :data:`~enriques.quasihomogeneous.MAX_DIAGRAM_VERTICES`
+    vertices, ``t + d - 2`` (``t + 1`` for ``d = 2`` and ``t > 1``),
+    :class:`DiagramError` is raised before the run is allocated.
     """
     if not is_minimal(D):
         raise DiagramError("adjacent-diagram construction requires a minimal diagram")
@@ -150,7 +149,8 @@ def construct_adjacent_diagram(D: WeightedDiagram) -> WeightedDiagram:
     _refuse_above_bound(t + (t > 1 if d == 2 else d - 2), "the adjacent diagram E_D")
 
     if d == 1:
-        result = minimalize(remove_vertices(D, [end]))
+        free = len(D.diagram.prox_targets[chain[-2]]) == 1
+        result = remove_vertices(D, chain[-2:] if free and D.nu[chain[-2]] == 1 else [end])
     else:
         edges, pairs = list(D.diagram.parent_edges), list(D.diagram.proximity)
         weights = list(D.weights)
@@ -166,7 +166,7 @@ def construct_adjacent_diagram(D: WeightedDiagram) -> WeightedDiagram:
             weights.append(weight)
             at = new
         diagram = ProximityDiagram(D.root, tuple(edges), tuple(pairs))
-        result = minimalize(WeightedDiagram(diagram, tuple(weights)))
+        result = WeightedDiagram(diagram, tuple(weights))
 
     if milnor_number(result) >= milnor_number(D):
         raise RuntimeError("adjacent-diagram surgery failed to lower the Milnor number")

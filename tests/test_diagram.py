@@ -287,6 +287,20 @@ def test_classify_unknown_vertex():
         classify(single_vertex(1).diagram, 9)
 
 
+def test_vertex_ids_must_be_integers():
+    # a float or bool id once matched vertex 3 or 1, and a list raised TypeError
+    w = cusp_complete()
+    calls = [
+        lambda: remove_vertices(w, [3.0]),
+        lambda: classify(w.diagram, True),
+        lambda: classify(w.diagram, [1]),
+        lambda: remove_vertices(w, [[3]]),
+    ]
+    for call in calls:
+        with pytest.raises(DiagramError, match="vertex id must be an integer, got"):
+            call()
+
+
 def test_classify_rejects_a_non_root_vertex_proximate_to_nothing():
     d = proximity_diagram(0, {1: 0}, [])
     with pytest.raises(InvalidDiagramError) as exc:

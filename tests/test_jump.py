@@ -38,7 +38,7 @@ from enriques import (
 )
 from enriques.adjacency import adjacency_verdict
 from enriques.enumeration import DEFAULT_MAX_CANDIDATES, _minimal_families
-from enriques.quasihomogeneous import bamboo_chain
+from enriques.quasihomogeneous import bamboo_chain, is_bamboo
 from helpers import count_constructions, cusp_minimal, leaning_bamboo, wd
 from test_acceptance import all_specs
 
@@ -163,25 +163,39 @@ def test_adjacent_matches_the_leaf_by_leaf_surgery():
         assert construct_adjacent_diagram(D) == adjacent_by_leaves(D), spec
 
 
+def test_adjacent_matches_the_leaf_by_leaf_surgery_on_every_minimal_bamboo():
+    # any minimal bamboo, not only a germ's chain; equal as objects, and minimal
+    checked = ends_of_weight_one = 0
+    for D in enumerate_minimal_diagrams(8, 6):
+        if not is_bamboo(D) or D.nu[bamboo_chain(D)[-1]] * len(D) <= 1:
+            continue
+        E = construct_adjacent_diagram(D)
+        assert E == adjacent_by_leaves(D) and is_minimal(E), canonical_key(D)
+        checked += 1
+        ends_of_weight_one += D.nu[bamboo_chain(D)[-1]] == 1
+    assert (checked, ends_of_weight_one) == (3254, 1581)
+
+
 def test_a_surgery_that_keeps_the_milnor_number_raises(monkeypatch):
+    # x^6+y^9 has d = 3: the surgery's one construction is made to return D
     D = minimal_diagram(QuasihomogeneousSpec(0, 0, 6, 9))
-    monkeypatch.setattr(enriques.jump, "minimalize", lambda w: D)
+    monkeypatch.setattr(enriques.jump, "WeightedDiagram", lambda diagram, weights: D)
     with pytest.raises(RuntimeError, match="lower the Milnor number"):
         construct_adjacent_diagram(D)
 
 
 def test_adjacent_diagram_is_constructed_once(monkeypatch):
-    # one construction for the surgery and at most one removal in
-    # minimalize; a rebuild per new vertex would make 29 for x^30+y^30
+    # one construction, a drop or the grown chain; a rebuild per new
+    # vertex would make 29 for x^30+y^30
     sources = [
         minimal_diagram(QuasihomogeneousSpec(*spec))
         for spec in [(0, 0, 30, 30), (0, 0, 2, 3), (0, 0, 4, 6), (0, 0, 6, 9), (1, 1, 3, 5)]
     ] + [single_vertex(2), leaning_bamboo([8, 3, 3])]
-    built = count_constructions(monkeypatch, most=2)
+    built = count_constructions(monkeypatch, most=1)
     for D in sources:
         built.clear()
         construct_adjacent_diagram(D)
-        assert 1 <= len(built) <= 2
+        assert len(built) == 1
 
 
 # ---------------------------------------------------------------------------
