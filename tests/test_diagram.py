@@ -288,7 +288,7 @@ def test_classify_unknown_vertex():
 
 
 def test_vertex_ids_must_be_integers():
-    # a float or bool id once matched vertex 3 or 1, and a list raised TypeError
+    # 3.0 and True hash like the ids 3 and 1, and a list is unhashable
     w = cusp_complete()
     calls = [
         lambda: remove_vertices(w, [3.0]),
