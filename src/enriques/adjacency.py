@@ -265,9 +265,11 @@ def class_representatives(
     one more pendant free weight-1 vertex at any vertex whose excess
     allows it (keeping the diagram consistent), deduplicated by canonical
     key.  Within a level the order follows the canonical keys, so the
-    stream is deterministic.
+    stream is deterministic.  A negative or non-``int`` ``extra_vertices``
+    raises ``ValueError`` when the stream is first read.
     """
-    _integer(extra_vertices, "extra_vertices", ValueError)
+    if _integer(extra_vertices, "extra_vertices", ValueError) < 0:
+        raise ValueError(f"extra_vertices must be nonnegative, got {extra_vertices}")
     level = {source.representative.key: source.representative}
     yield source.representative
     for _ in range(extra_vertices):

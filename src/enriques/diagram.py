@@ -555,27 +555,29 @@ def is_complete(w: WeightedDiagram) -> bool:
 
 
 def is_minimal(w: WeightedDiagram) -> bool:
-    """True for the distinguished representative of an equivalence class.
+    """True for the distinguished representative of an equivalence class:
+    ``w`` is consistent, every weight is at least 1, and every final free
+    vertex weighs at least 2.
 
-    A minimal diagram is consistent, has a root of positive weight, no free
-    vertex of weight zero, and free vertices of weight one only where a
-    satellite is proximate to them.
+    Without a weight-0 satellite, this says a free vertex weighs 1 only
+    where a satellite is proximate to it.  Consistency makes every weight
+    at least 0 (a leaf's excess is its weight); only descendants are
+    proximate to a final vertex; and below a free vertex of weight at most
+    1 that no satellite is proximate to, every child is free, weighs at
+    most 1 and, by consistency, has no satellite proximate to it, so
+    walking down reaches a final free vertex of weight 0 or 1.  A weight-0
+    satellite, which no class move removes, is never minimal.
     """
-    if not is_consistent(w):
-        return False
-    if w.nu[w.root] < 1:
-        return False
     d = w.diagram
-    pinned = {t for targets in d.prox_targets.values() if len(targets) == 2 for t in targets}
-    for v in d.vertices:
-        if v == d.root or len(d.prox_targets[v]) != 1:
-            continue
-        weight = w.nu[v]
-        if weight == 0:
-            return False
-        if weight == 1 and v not in pinned:
-            return False
-    return True
+    return (
+        is_consistent(w)
+        and min(w.weights) >= 1
+        and all(
+            x >= 2
+            for v, x in zip(d.vertices, w.weights)
+            if not d.children[v] and len(d.prox_targets[v]) == 1
+        )
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -630,9 +632,9 @@ def minimalize(w: WeightedDiagram) -> WeightedDiagram:
     because a satellite proximate to ``v`` is a descendant of ``v`` and is
     never removable, so ``v`` becomes final exactly when every child is
     removed.  The set is dropped by one :func:`remove_vertices` (``w`` is
-    returned when it is empty).  The Milnor number is preserved.  A root
-    of weight below one raises :class:`DiagramError`: no minimal diagram
-    has one.
+    returned when it is empty).  The Milnor number is preserved, and the
+    result is minimal unless a satellite weighs 0.  A root of weight below
+    one raises :class:`DiagramError`: no minimal diagram has one.
     """
     if not is_consistent(w):
         raise InconsistentDiagramError("minimalize requires a consistent diagram")

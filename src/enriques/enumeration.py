@@ -16,12 +16,12 @@ live shapes are kept.
 *Least-weight lemma.*  A shape's least minimal weighting gives a final
 vertex ``c`` = 2 if it is a free non-root vertex and ``c`` = 1 if it is a
 satellite or the lone root, and every other vertex the sum of its
-proximity sources' weights (the bound of 2 on a free vertex adds nothing
-once it has a child: a free child already weighs 2, and a satellite
-child is proximate to it, which lifts the bound).  Every vertex weighs at
-most its parent, so the root weight is the largest, and unrolling the
-sums gives the least minimal root weight ``m = sum over final f of
-paths[f] * c[f]``, with ``paths[v] = paths[parent] + paths[second]`` and
+proximity sources' weights, at least 1 as a child is a source (this is
+:func:`~enriques.diagram.is_minimal`'s rule: every weight at least 1 and
+every final free vertex at least 2).  Every vertex weighs at most its
+parent, so the root weight is the largest, and unrolling the sums gives
+the least minimal root weight ``m = sum over final f of paths[f] *
+c[f]``, with ``paths[v] = paths[parent] + paths[second]`` and
 ``paths`` of the root 1.  A new final vertex ``x`` adds ``paths[x] *
 c[x]`` to ``m`` and, when its parent ``p`` had no child, takes away
 ``paths[p] * c[p]``, so each placement is checked in constant time.
@@ -42,12 +42,12 @@ live at weight 2 with the weighting ``(2r(2f))``, the minimal diagram of
 
 The weights of a shape are chosen in index order, so every target comes
 before its sources.  A vertex weighs at least the sum of its sources'
-least weights, and at least 2 when it is a free non-root vertex that no
-satellite is proximate to; these least weights are the least minimal
-weighting.  A vertex weighs at most ``max_weight`` and at most what each
-target can spare once the target's unweighted sources take their least
-weights.  Every range is therefore non-empty and every completed
-weighting is minimal and consistent.
+least weights, at least 1, and at least 2 when it is a final free
+vertex; these least weights are the least minimal weighting.  A vertex
+weighs at most ``max_weight`` and at most what each target can spare
+once the target's unweighted sources take their least weights.  Every
+range is therefore non-empty and every completed weighting is minimal
+and consistent.
 
 *Orbit lemma.*  The shapes of one vertex count are pairwise
 non-isomorphic, so two weightings give isomorphic diagrams exactly when
@@ -199,11 +199,11 @@ def _weightings(shape: tuple[_Rec, ...], max_weight: int) -> Iterator[list[int]]
     least weight, the root's being the largest, exceeds ``max_weight``."""
     n = len(shape)
     targets = [[t for t in entry[:2] if t >= 0] for entry in shape]
-    propped = {t for p, s, _ in shape if s >= 0 for t in (p, s)}  # a satellite is proximate
     owed = [0] * n  # the sources' least weights
     least = [0] * n
     for v in range(n - 1, -1, -1):
-        least[v] = max(owed[v], 2 if len(targets[v]) == 1 and v not in propped else 1)
+        # a child is a source, so only a final vertex owes nothing
+        least[v] = owed[v] or (2 if len(targets[v]) == 1 else 1)
         for t in targets[v]:
             owed[t] += least[v]
     # weights[u] is least[u] for every u after v; slack[t] is what a weighted

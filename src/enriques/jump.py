@@ -122,17 +122,17 @@ def construct_adjacent_diagram(D: WeightedDiagram) -> WeightedDiagram:
     ``D`` must be a minimal chain with end weight ``d`` and length ``t``,
     ``d*t > 1``.  For ``d = 1`` the end, a satellite, is dropped with its
     parent when that is free of weight 1, in one
-    :func:`~enriques.diagram.remove_vertices`; the rest is minimal, as a
-    dropped parent's parent weighs at least 2 and the others keep a child.
-    Otherwise the end is lowered to ``d - 1`` and gains a child: for
-    ``d = 2`` a weight-1 satellite of the last two chain vertices (a lone
-    root just becomes the weight-1 single vertex); for ``d >= 3`` a free
-    weight-2 vertex and below it ``d - 3`` weight-1 satellites of their
-    parent and the end.  Every other vertex keeps weight and children, so
-    the copy of ``D``'s sorted tuples, new ids after its largest, is
-    minimal as built.  A Milnor number not below ``D``'s raises
-    RuntimeError.  Above :data:`~enriques.quasihomogeneous.MAX_DIAGRAM_VERTICES`
-    vertices, ``t + d - 2`` (``t + 1`` for ``d = 2`` and ``t > 1``),
+    :func:`~enriques.diagram.remove_vertices`.  Otherwise the end is
+    lowered to ``d - 1`` and gains a child: for ``d = 2`` a weight-1
+    satellite of the last two chain vertices (a lone root just becomes the
+    weight-1 single vertex); for ``d >= 3`` a free weight-2 vertex and
+    below it ``d - 3`` weight-1 satellites of their parent and the end,
+    with ids after ``D``'s largest.  Every weight stays at least 1 and the
+    new end is a satellite, the root or free of weight at least 2 (a
+    dropped parent's parent weighs 2 or more), so ``E_D`` is minimal as
+    built.  A Milnor number not below ``D``'s raises RuntimeError.  Above
+    :data:`~enriques.quasihomogeneous.MAX_DIAGRAM_VERTICES` vertices,
+    ``t + d - 2`` (``t + 1`` for ``d = 2`` and ``t > 1``),
     :class:`DiagramError` is raised before the run is allocated.
     """
     if not is_minimal(D):
@@ -174,7 +174,10 @@ def construct_adjacent_diagram(D: WeightedDiagram) -> WeightedDiagram:
 
 
 def expected_jump(d: int, w: int) -> int:
-    """Closed form of the jump in terms of the chain profile (d, w)."""
+    """Closed form of the jump in terms of the chain profile (d, w); a
+    ``d`` or ``w`` that is not an ``int`` raises ``ValueError``."""
+    _integer(d, "d", ValueError)
+    _integer(w, "w", ValueError)
     if d < 1 or w not in (0, 1, 2):
         raise ValueError(f"need d >= 1 and w in {{0,1,2}}, got d={d}, w={w}")
     if d == 1:

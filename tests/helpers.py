@@ -36,6 +36,14 @@ def cusp_complete():
     )
 
 
+def zero_satellite_chain():
+    """Valid and consistent 3-vertex chain (2, 1, 0) whose weight-0
+    satellite end leans on the free weight-1 vertex and the root: in a
+    class with no minimal member."""
+    d = ProximityDiagram(0, ((1, 0), (2, 1)), ((1, 0), (2, 0), (2, 1)))
+    return WeightedDiagram(d, (2, 1, 0))
+
+
 def leaning_bamboo(weights):
     """Chain whose third and later vertices lean on their grandparent.
 

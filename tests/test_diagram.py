@@ -47,6 +47,7 @@ from helpers import (
     random_proximity,
     reference_maps,
     wd,
+    zero_satellite_chain,
 )
 
 
@@ -407,6 +408,10 @@ def test_is_minimal():
     # free weight-0 vertex
     assert not is_minimal(wd(0, {1: 0}, [(1, 0)], {0: 2, 1: 0}))
     assert not is_minimal(single_vertex(0))
+    # valid and consistent, but its end is a weight-0 satellite
+    w = zero_satellite_chain()
+    assert w.diagram.violations == () and is_consistent(w)
+    assert not is_minimal(w)
 
 
 def test_minimalize_cusp():

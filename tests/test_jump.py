@@ -39,7 +39,7 @@ from enriques import (
 from enriques.adjacency import adjacency_verdict
 from enriques.enumeration import DEFAULT_MAX_CANDIDATES, _minimal_families
 from enriques.quasihomogeneous import bamboo_chain, is_bamboo
-from helpers import count_constructions, cusp_minimal, leaning_bamboo, wd
+from helpers import count_constructions, cusp_minimal, leaning_bamboo, wd, zero_satellite_chain
 from test_acceptance import all_specs
 
 PINS = Path(__file__).resolve().parent.parent / "perfbench" / "verify_pins.json"
@@ -103,6 +103,8 @@ def test_adjacent_requires_minimal_bamboo():
         construct_adjacent_diagram(
             wd(0, {1: 0, 2: 0}, [(1, 0), (2, 0)], {0: 4, 1: 2, 2: 2})
         )
+    with pytest.raises(DiagramError, match="requires a minimal diagram"):
+        construct_adjacent_diagram(zero_satellite_chain())
 
 
 def test_adjacent_rejects_the_smooth_point():
@@ -220,6 +222,9 @@ def test_expected_jump_domain():
         expected_jump(0, 0)
     with pytest.raises(ValueError):
         expected_jump(2, 3)
+    for d, w, named in [(2.5, 1, "d"), (True, True, "d"), (3, 1.0, "w"), (2, "1", "w")]:
+        with pytest.raises(ValueError, match=f"{named} must be an integer"):
+            expected_jump(d, w)
 
 
 # ---------------------------------------------------------------------------

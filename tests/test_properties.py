@@ -96,6 +96,57 @@ def test_excess_consistency_and_minimality_match_references_from_the_pairs():
     assert verdicts == {(True, True), (True, False), (False, False)}
 
 
+def pinned_rule(w):
+    """The earlier minimality predicate, kept as an oracle: consistent, a
+    root of positive weight, and every free vertex of weight at least 2,
+    or of weight 1 where a satellite is proximate to it."""
+    if not is_consistent(w) or w.nu[w.root] < 1:
+        return False
+    d = w.diagram
+    pinned = {t for targets in d.prox_targets.values() if len(targets) == 2 for t in targets}
+    for v in d.vertices:
+        if v == d.root or len(d.prox_targets[v]) != 1:
+            continue
+        if w.nu[v] == 0 or (w.nu[v] == 1 and v not in pinned):
+            return False
+    return True
+
+
+def test_is_minimal_matches_the_pinned_rule_unless_a_satellite_weighs_zero():
+    # weights are an extra of 0-3 over the sources' weights, so weight-0
+    # satellites occur; every fourth diagram has one weight raised, which
+    # leaves some targets with a negative excess
+    rng = random.Random(2323)
+    seen = set()
+    for case in range(6000):
+        d = random_proximity(rng)
+        sources = {v: [] for v in d.vertices}
+        for source, target in d.proximity:
+            sources[target].append(source)
+        nu = {}
+        for v in reversed(d.preorder):
+            nu[v] = rng.choice((0, 0, 1, 1, 2, 3)) + sum(nu[s] for s in sources[v])
+        if case % 4 == 0:
+            nu[rng.choice(d.vertices)] += rng.randint(1, 2)
+        w = weighted_diagram(d, nu)
+        zero_satellite = any(
+            nu[v] == 0 for v in d.vertices if len(d.prox_targets[v]) == 2
+        )
+        minimal = is_minimal(w)
+        if zero_satellite:
+            assert not minimal, f"case {case}"
+        else:
+            assert minimal == pinned_rule(w), f"case {case}"
+        if is_consistent(w) and nu[d.root] >= 1 and not zero_satellite:
+            m = minimalize(w)
+            assert is_minimal(m), f"case {case}"
+            assert minimal == (m is w), f"case {case}"
+        seen.add((zero_satellite, minimal, pinned_rule(w)))
+    # both verdicts occur without a weight-0 satellite, and so does a
+    # weight-0 satellite that the pinned rule passes
+    assert {(False, True, True), (False, False, False), (True, False, True)} <= seen
+
+
 def test_canonical_key_matches_independent_isomorphism_checker():
     rng = random.Random(5772)
     for case in range(1000):

@@ -34,7 +34,7 @@ from enriques import (
     single_vertex,
 )
 from enriques.quasihomogeneous import bamboo_invariants, is_bamboo
-from helpers import count_constructions, leaning_bamboo, wd
+from helpers import count_constructions, leaning_bamboo, wd, zero_satellite_chain
 from test_acceptance import all_specs
 
 
@@ -354,6 +354,8 @@ def test_non_bamboo_report_is_all_none():
 def test_q_membership_requires_minimal_input():
     with pytest.raises(DiagramError):
         check_Q_membership(wd(0, {1: 0}, [(1, 0)], {0: 2, 1: 1}))
+    with pytest.raises(DiagramError, match="requires a minimal diagram"):
+        check_Q_membership(zero_satellite_chain())
 
 
 def test_q_membership_certifies_a_germ_whose_complete_diagram_exceeds_the_bound():
