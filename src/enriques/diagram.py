@@ -24,11 +24,11 @@ diagram is *consistent* when every excess is nonnegative.  Consistent
 diagrams are exactly the ones realised by curve germs, and two weighted
 diagrams describe the same topological type precisely when they differ in
 free vertices of weight one (or removable free vertices of weight zero).
-Each such equivalence class contains a unique *minimal* diagram, computed
-here by :func:`minimalize`, and is identified by the relabelling-invariant
-:func:`canonical_key` of that minimal member.  Keys and canonical orders
-come from one routine, :func:`canonical_form`, which the bounded
-enumeration shares.
+Each such equivalence class without a weight-0 satellite contains a
+unique *minimal* diagram, computed here by :func:`minimalize`, and is
+identified by the relabelling-invariant :func:`canonical_key` of that
+minimal member.  Keys and canonical orders come from one routine,
+:func:`canonical_form`, which the bounded enumeration shares.
 """
 
 from __future__ import annotations
@@ -559,14 +559,11 @@ def is_minimal(w: WeightedDiagram) -> bool:
     ``w`` is consistent, every weight is at least 1, and every final free
     vertex weighs at least 2.
 
-    Without a weight-0 satellite, this says a free vertex weighs 1 only
-    where a satellite is proximate to it.  Consistency makes every weight
-    at least 0 (a leaf's excess is its weight); only descendants are
-    proximate to a final vertex; and below a free vertex of weight at most
-    1 that no satellite is proximate to, every child is free, weighs at
-    most 1 and, by consistency, has no satellite proximate to it, so
-    walking down reaches a final free vertex of weight 0 or 1.  A weight-0
-    satellite, which no class move removes, is never minimal.
+    Unless a satellite weighs 0, this is the rule of a positive root and
+    of weight 2 or more on each free vertex that no satellite is proximate
+    to: a leaf's excess is its weight, nothing is proximate to a final
+    vertex, and by consistency the children of a free weight-1 vertex that
+    no satellite is proximate to are such vertices too, down to a final one.
     """
     d = w.diagram
     return (

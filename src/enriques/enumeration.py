@@ -41,10 +41,9 @@ live at weight 2 with the weighting ``(2r(2f))``, the minimal diagram of
 ``x^2 + y^4``.
 
 The weights of a shape are chosen in index order, so every target comes
-before its sources.  A vertex weighs at least the sum of its sources'
-least weights, at least 1, and at least 2 when it is a final free
-vertex; these least weights are the least minimal weighting.  A vertex
-weighs at most ``max_weight`` and at most what each target can spare
+before its sources.  A vertex weighs at least its least weight of the
+lemma, its ``c`` when it is final and else the sum of its sources' least
+weights.  A vertex weighs at most ``max_weight`` and at most what each target can spare
 once the target's unweighted sources take their least weights.  Every
 range is therefore non-empty and every completed weighting is minimal
 and consistent.

@@ -359,6 +359,10 @@ def test_linear_adjacent_rejects_negative_bound():
     t = diagram_type(single_vertex(2))
     with pytest.raises(ValueError):
         linear_adjacent(t, t, extra_bound=-1)
+
+
+def test_class_representatives_rejects_a_negative_level_count():
+    t = diagram_type(single_vertex(2))
     with pytest.raises(ValueError, match="extra_vertices must be nonnegative"):
         next(class_representatives(t, -1))
 
