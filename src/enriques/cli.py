@@ -159,7 +159,8 @@ def _cmd_jump(args: argparse.Namespace) -> int:
     spec = parse_spec(args.spec)
     report = lambda_lin_semi(spec) if args.semi else lambda_lin(spec)
     if args.format == "json":
-        sys.stdout.write(json.dumps(jump_report_to_dict(report), indent=2) + "\n")
+        json.dump(jump_report_to_dict(report), sys.stdout, indent=2)
+        sys.stdout.write("\n")
         return 0
     print(f"spec {spec.k},{spec.l},{spec.p},{spec.q}")
     print(f"polynomial {spec.polynomial}")

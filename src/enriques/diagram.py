@@ -28,7 +28,8 @@ Each such equivalence class without a weight-0 satellite contains a
 unique *minimal* diagram, computed here by :func:`minimalize`, and is
 identified by the relabelling-invariant :func:`canonical_key` of that
 minimal member.  Keys and canonical orders come from one routine,
-:func:`canonical_form`, which the bounded enumeration shares.
+:func:`canonical_form`, which the bounded enumeration shares; only a
+diagram that :func:`validate_axioms` passes has them.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import chain, permutations
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -298,18 +299,17 @@ class WeightedDiagram:
     def _form(self) -> tuple[str, Mapping[int, int]]:
         """The key and the canonical ids, from :func:`canonical_form` of the
         diagram's record: one ``(parent, second, weight)`` entry per vertex
-        of ``diagram.preorder``, targets given by preorder position.  Raises
-        :class:`InvalidDiagramError` for a parent map that is not a tree
-        below the root (through ``diagram.preorder``) or a satellite whose
-        second target is not one of its parent's targets."""
+        of ``diagram.preorder``, targets given by preorder position.  Only a
+        valid diagram has them: any axiom violation raises
+        :class:`InvalidDiagramError` listing every violation, read from the
+        cached ``diagram.violations``."""
         d = self.diagram
+        require_valid(d)
         position = {v: i for i, v in enumerate(d.preorder)}
         record = [(-1, -1, self.nu[d.root])]
         for v in d.preorder[1:]:
             parent = d.parent[v]
             targets = d.prox_targets[v]
-            if len(targets) > 1 and targets[1] not in d.prox_targets[parent]:
-                raise InvalidDiagramError(d.violations)
             second = position[targets[1]] if len(targets) > 1 else -1
             record.append((position[parent], second, self.nu[v]))
         key, children, _ = canonical_form(record)
@@ -380,7 +380,12 @@ def validate_axioms(d: ProximityDiagram) -> list[Violation]:
     Axiom number 0 marks structural defects (a root with a parent, a
     missing parent, self-proximity, cycles).  Each parent chain is walked
     once: a walk stops at the root or at any vertex an earlier walk passed,
-    so the structural check is linear in the number of vertices.
+    so the structural check is linear in the number of vertices.  Axiom 5
+    is read off each pair ``(source, target)``: the vertices proximate to
+    both are the intersection of their two source sets, and an intersection
+    iterates the smaller set.  A valid diagram has at most two targets per
+    vertex, so the check is linear; on any input with ``P`` pairs it costs
+    at most ``O(P**1.5)``.
     """
     violations: list[Violation] = []
     parent = d.parent
@@ -394,18 +399,16 @@ def validate_axioms(d: ProximityDiagram) -> list[Violation]:
         if source == target:
             violations.append(Violation(0, (source,), f"vertex {source} proximate to itself"))
 
-    # parent chains must reach the root without cycles
-    passed = {d.root}
+    # parent chains must reach the root without cycles; walk_of[u] is the
+    # walk that first passed u, so a walk that stops on its own mark cycled
+    walk_of: dict[int, int | None] = {d.root: None}
     for v in d.vertices:
-        path: set[int] = set()
         u = v
-        while u not in passed and u in parent:
-            if u in path:
-                violations.append(Violation(0, (v,), f"parent chain from {v} has a cycle"))
-                break
-            path.add(u)
+        while u not in walk_of and u in parent:
+            walk_of[u] = v
             u = parent[u]
-        passed |= path
+        if walk_of.get(u) == v:
+            violations.append(Violation(0, (v,), f"parent chain from {v} has a cycle"))
 
     if violations:
         return _sorted_violations(violations)
@@ -443,12 +446,11 @@ def validate_axioms(d: ProximityDiagram) -> list[Violation]:
                         f"parent {p} of satellite {v} is not proximate to {targets[1]}",
                     )
                 )
-    sharing: dict[tuple[int, int], list[int]] = {}  # pair -> vertices proximate to both
-    for u, targets in prox_targets.items():
-        for pair in permutations(targets, 2):
-            sharing.setdefault(pair, []).append(u)
+    sources: dict[int, set[int]] = {v: set() for v in d.vertices}
     for source, target in d.proximity:
-        both = sharing.get((source, target), [])
+        sources[target].add(source)
+    for source, target in d.proximity:
+        both = sources[source] & sources[target]
         if len(both) > 1:
             violations.append(
                 Violation(
@@ -707,14 +709,18 @@ def canonical_key(w: WeightedDiagram) -> str:
     relation and the weights.  The key is :func:`canonical_form` of the
     diagram's record: sibling subtrees appear sorted by code, and a
     satellite's second proximity target is recorded by its position among
-    the parent's own targets, so the key never mentions vertex ids.
+    the parent's own targets, so the key never mentions vertex ids.  Only
+    a valid diagram has a key: an axiom violation raises
+    :class:`InvalidDiagramError` listing every violation.
     """
     return w.key
 
 
 def canonical_order(w: WeightedDiagram) -> tuple[int, ...]:
     """Vertices in canonical traversal order (root first, children by key,
-    equal subtrees by vertex id), the keys of the cached ``w.canonical_ids``."""
+    equal subtrees by vertex id), the keys of the cached ``w.canonical_ids``;
+    an invalid diagram raises :class:`InvalidDiagramError` as for
+    :func:`canonical_key`."""
     return tuple(w.canonical_ids)
 
 

@@ -88,6 +88,9 @@ cached facts, axiom violations included, are computed once per shape.
 yielded and builds a diagram only for a candidate it searches, keeping
 none once searched; :func:`enumerate_minimal_diagrams` keys every
 diagram it yields, for its order, and seeds the diagram with that key.
+The families come in one stream in vertex-count order, and each says
+whether it is the last of its count, so a count is sorted and yielded
+before the next count's shapes are counted against the cap.
 """
 
 from __future__ import annotations
@@ -119,10 +122,12 @@ _Pair = tuple[itemgetter, itemgetter]
 
 @dataclass
 class _Family:
-    """The minimal weightings of one live shape, one per isomorphism class."""
+    """The minimal weightings of one live shape, one per isomorphism class,
+    and whether the shape is the last live one of its vertex count."""
 
     shape: tuple[_Rec, ...]
     weightings: list[tuple[int, ...]]
+    last: bool
 
     def milnor_numbers(self) -> Iterator[int]:
         """Each weighting's Milnor number, ``sum nu*(nu-1) + 1 - root weight
@@ -255,14 +260,13 @@ def _least_in_orbit(weights: list[int], pairs: tuple[_Pair, ...]) -> bool:
 
 def _minimal_families(
     max_vertices: int, max_weight: int, max_candidates: int
-) -> Iterator[Iterator[_Family]]:
-    """For each vertex count from 1 to ``max_vertices``, an iterator over the
-    live shapes of that count, each with its minimal weightings within the
-    bounds, one per isomorphism class.  The counts stop before the first
-    one with no live shape: by the reachability lemma in the module
-    docstring, no larger count has one either.  Each iterator must be
-    exhausted before the next is drawn.  Arguments and the candidate cap
-    are as for :func:`enumerate_minimal_diagrams`.
+) -> Iterator[_Family]:
+    """Each live shape with at most ``max_vertices`` vertices, with its
+    minimal weightings within the bounds, one per isomorphism class, in
+    vertex-count order.  The counts stop before the first one with no live
+    shape: by the reachability lemma in the module docstring, no larger
+    count has one either.  Arguments and the candidate cap are as for
+    :func:`enumerate_minimal_diagrams`.
     """
     for name, bound in [
         ("max_vertices", max_vertices),
@@ -277,20 +281,16 @@ def _minimal_families(
     if max_candidates < 1:
         raise ValueError(f"max_candidates must be positive, got {max_candidates}")
 
-    def families(level: list[tuple[tuple[_Rec, ...], tuple[_Pair, ...]]]) -> Iterator[_Family]:
-        nonlocal seen
-        for shape, pairs in level:
+    level: list[tuple[tuple[_Rec, ...], tuple[_Pair, ...]]] = [(((-1, -1, 0),), ())]
+    seen = _admit(0, max_candidates)
+    for size in range(1, max_vertices + 1):
+        for i, (shape, pairs) in enumerate(level, 1):
             kept = []
             for weights in _weightings(shape, max_weight):
                 if not pairs or _least_in_orbit(weights, pairs):
                     seen = _admit(seen, max_candidates)
                     kept.append(tuple(weights))
-            yield _Family(shape, kept)
-
-    level: list[tuple[tuple[_Rec, ...], tuple[_Pair, ...]]] = [(((-1, -1, 0),), ())]
-    seen = _admit(0, max_candidates)
-    for size in range(1, max_vertices + 1):
-        yield families(level)
+            yield _Family(shape, kept, i == len(level))
         if size == max_vertices:
             return
         shapes: dict[str, tuple[tuple[_Rec, ...], tuple[_Pair, ...]]] = {}
@@ -323,12 +323,16 @@ def enumerate_minimal_diagrams(
     minimal diagrams the enumeration may hold; exceeding the cap raises
     :class:`EnumerationLimitError`.
     """
-    for level in _minimal_families(max_vertices, max_weight, max_candidates):
-        families = list(level)
+    families: list[_Family] = []
+    for family in _minimal_families(max_vertices, max_weight, max_candidates):
+        families.append(family)
+        if not family.last:
+            continue
         keyed = [
-            (family.key(weights), i, weights)
-            for i, family in enumerate(families)
-            for weights in family.weightings
+            (member.key(weights), i, weights)
+            for i, member in enumerate(families)
+            for weights in member.weightings
         ]
         for key, i, weights in sorted(keyed):
             yield keyed_diagram(families[i].structure, weights, key)
+        families = []

@@ -37,6 +37,7 @@ from .diagram import (
     is_minimal,
     milnor_number,
     remove_vertices,
+    require_valid,
 )
 from .enumeration import DEFAULT_MAX_CANDIDATES, _minimal_families
 from .quasihomogeneous import (
@@ -119,15 +120,16 @@ class MaximalityReport:
 def construct_adjacent_diagram(D: WeightedDiagram) -> WeightedDiagram:
     """Minimal diagram of an adjacent type exactly one jump below ``D``.
 
-    ``D`` must be a minimal chain with end weight ``d`` and length ``t``,
-    ``d*t > 1``.  For ``d = 1`` the end, a satellite, is dropped with its
-    parent when that is free of weight 1, in one
-    :func:`~enriques.diagram.remove_vertices`.  Otherwise the end is
-    lowered to ``d - 1`` and gains a child: for ``d = 2`` a weight-1
-    satellite of the last two chain vertices (a lone root just becomes the
-    weight-1 single vertex); for ``d >= 3`` a free weight-2 vertex and
-    below it ``d - 3`` weight-1 satellites of their parent and the end,
-    with ids after ``D``'s largest.  Every weight stays at least 1 and the
+    ``D`` must be a valid minimal chain with end weight ``d`` and length
+    ``t``, ``d*t > 1``; an axiom violation raises
+    :class:`~enriques.diagram.InvalidDiagramError`.  For ``d = 1`` the
+    end, a satellite, is dropped with its parent when that is free of
+    weight 1, in one :func:`~enriques.diagram.remove_vertices`.
+    Otherwise the end is lowered to ``d - 1`` and gains a child: for
+    ``d = 2`` a weight-1 satellite of the last two chain vertices (a lone
+    root just becomes the weight-1 single vertex); for ``d >= 3`` a free
+    weight-2 vertex and below it ``d - 3`` weight-1 satellites of their
+    parent and the end, with ids after ``D``'s largest.  Every weight stays at least 1 and the
     new end is a satellite, the root or free of weight at least 2 (a
     dropped parent's parent weighs 2 or more), so ``E_D`` is minimal as
     built.  A Milnor number not below ``D``'s raises RuntimeError.  Above
@@ -135,6 +137,7 @@ def construct_adjacent_diagram(D: WeightedDiagram) -> WeightedDiagram:
     ``t + d - 2`` (``t + 1`` for ``d = 2`` and ``t > 1``),
     :class:`DiagramError` is raised before the run is allocated.
     """
+    require_valid(D.diagram)
     if not is_minimal(D):
         raise DiagramError("adjacent-diagram construction requires a minimal diagram")
     if not is_bamboo(D):
@@ -344,21 +347,20 @@ def verify_maximality(
     root_weight = D_min.nu[D_min.root]
     refuted_by_root = searched = 0
     found = []
-    for level in _minimal_families(max_vertices, max_weight, DEFAULT_MAX_CANDIDATES):
-        for family in level:
-            for weights, mu in zip(family.weightings, family.milnor_numbers()):
-                if mu <= threshold:
+    for family in _minimal_families(max_vertices, max_weight, DEFAULT_MAX_CANDIDATES):
+        for weights, mu in zip(family.weightings, family.milnor_numbers()):
+            if mu <= threshold:
+                continue
+            if weights[0] > root_weight:
+                refuted_by_root += 1
+                continue
+            if len(weights) == len(D_min) and mu == report.mu_D:
+                if family.key(weights) == D_min.key:
                     continue
-                if weights[0] > root_weight:
-                    refuted_by_root += 1
-                    continue
-                if len(weights) == len(D_min) and mu == report.mu_D:
-                    if family.key(weights) == D_min.key:
-                        continue
-                candidate = WeightedDiagram(family.structure, weights)
-                searched += 1
-                if adjacency_verdict(maximal, candidate, extra_bound).holds:
-                    found.append((len(candidate), candidate.key, mu))
+            candidate = WeightedDiagram(family.structure, weights)
+            searched += 1
+            if adjacency_verdict(maximal, candidate, extra_bound).holds:
+                found.append((len(candidate), candidate.key, mu))
     found.sort()
     contradictions = tuple((key, mu) for _, key, mu in found)
     examined = refuted_by_root + searched

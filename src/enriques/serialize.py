@@ -119,6 +119,10 @@ def diagram_from_dict(data: Mapping[str, Any]) -> WeightedDiagram:
 
 
 def diagram_to_json(w: WeightedDiagram) -> str:
+    """Diagram as JSON text in the frozen schema, two-space indented, with
+    a final newline.  Only a valid diagram is written, as
+    :func:`diagram_from_json` reads back: an axiom violation raises
+    :class:`~enriques.diagram.InvalidDiagramError`."""
     return json.dumps(diagram_to_dict(w), indent=2) + "\n"
 
 

@@ -395,18 +395,28 @@ def test_console_script_entry_point():
     assert "mu 2" in out.stdout
 
 
-def test_a_reader_that_closes_stdout_early_gets_no_traceback():
-    # 214 KB of keys, far more than a pipe holds, so a write fails after
-    # the reader has gone
-    argv = ["enumerate", "--max-vertices", "8", "--max-weight", "6"]
+def assert_an_early_close_exits_1_without_traceback(argv, first):
     child = subprocess.Popen(
         [sys.executable, "-m", "enriques.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=child_env(),
     )
-    assert child.stdout.readline() == b"(1r)\n"
+    assert child.stdout.readline() == first
     child.stdout.close()
     assert child.stderr.read() == b""
     child.stderr.close()
     assert child.wait() == 1
+
+
+def test_a_reader_that_closes_stdout_early_gets_no_traceback():
+    # 214 KB of keys, far more than a pipe holds, so a write fails after
+    # the reader has gone
+    argv = ["enumerate", "--max-vertices", "8", "--max-weight", "6"]
+    assert_an_early_close_exits_1_without_traceback(argv, b"(1r)\n")
+
+
+def test_a_streamed_json_report_closed_early_gets_no_traceback():
+    # the jump report is written in pieces; 247 KB is more than a pipe holds
+    argv = ["jump", "--format", "json", "0,0,2,999"]
+    assert_an_early_close_exits_1_without_traceback(argv, b"{\n")

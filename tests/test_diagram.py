@@ -3,6 +3,7 @@
 import hashlib
 import random
 import time
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -152,6 +153,34 @@ def test_validate_axioms_is_fast_on_a_long_chain():
     started = time.perf_counter()
     assert validate_axioms(d) == []
     assert time.perf_counter() - started < 5
+
+
+def hub_over_a_chain(n, free_children):
+    """A chain 0..n-1 and a hub n below its end, proximate to every chain
+    vertex, with ``free_children`` free children of the hub."""
+    hub = n
+    kids = range(hub + 1, hub + 1 + free_children)
+    edges = (*((i, i - 1) for i in range(1, n)), (hub, n - 1), *((c, hub) for c in kids))
+    pairs = (
+        *((i, i - 1) for i in range(1, n)),
+        *((hub, t) for t in range(n)),
+        *((c, hub) for c in kids),
+    )
+    return ProximityDiagram(0, edges, pairs)
+
+
+@pytest.mark.parametrize("free_children", [0, 300])
+def test_validate_axioms_is_linear_in_one_vertex_target_count(free_children):
+    # listing every ordered pair of the hub's 300 targets peaked at 20 MB
+    d = hub_over_a_chain(300, free_children)
+    tracemalloc.start()
+    try:
+        violations = validate_axioms(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(v.axiom, v.vertices) for v in violations] == [(3, (300,))]
+    assert peak < 2_000_000
 
 
 def test_consecutive_satellites_on_the_same_far_target_are_legal():

@@ -12,7 +12,10 @@ import enriques.quasihomogeneous
 from enriques import (
     AdjacencyVerdict,
     DiagramError,
+    InvalidDiagramError,
+    ProximityDiagram,
     QuasihomogeneousSpec,
+    WeightedDiagram,
     add_leaf,
     canonical_key,
     check_geq_witness,
@@ -105,6 +108,17 @@ def test_adjacent_requires_minimal_bamboo():
         )
     with pytest.raises(DiagramError, match="requires a minimal diagram"):
         construct_adjacent_diagram(zero_satellite_chain())
+
+
+def test_adjacent_refuses_an_invalid_bamboo():
+    # parent 2 of satellite 3 is not proximate to 0, yet the diagram is a
+    # minimal chain by weights alone
+    edges, pairs = ((1, 0), (2, 1), (3, 2)), ((1, 0), (2, 1), (3, 0), (3, 2))
+    D = WeightedDiagram(ProximityDiagram(0, edges, pairs), (3, 2, 1, 1))
+    assert is_minimal(D)
+    with pytest.raises(InvalidDiagramError, match="parent 2 of satellite 3") as caught:
+        construct_adjacent_diagram(D)
+    assert [v.axiom for v in caught.value.violations] == [4]
 
 
 def test_adjacent_rejects_the_smooth_point():
@@ -508,17 +522,16 @@ def test_verify_builds_diagrams_only_for_light_candidates(monkeypatch, spec, sea
 
 def test_record_milnor_number_matches_the_excess_definition():
     count = 0
-    for level in _minimal_families(7, 6, DEFAULT_MAX_CANDIDATES):
-        for family in level:
-            structure = family.structure
-            diagrams = [
-                weighted_diagram(structure, dict(enumerate(weights)))
-                for weights in family.weightings
-            ]
-            for mu, w in zip(family.milnor_numbers(), diagrams):
-                assert is_consistent(w)
-                assert mu == milnor_number(w)
-                count += 1
+    for family in _minimal_families(7, 6, DEFAULT_MAX_CANDIDATES):
+        structure = family.structure
+        diagrams = [
+            weighted_diagram(structure, dict(enumerate(weights)))
+            for weights in family.weightings
+        ]
+        for mu, w in zip(family.milnor_numbers(), diagrams):
+            assert is_consistent(w)
+            assert mu == milnor_number(w)
+            count += 1
     assert count == 3891
 
 

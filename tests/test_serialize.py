@@ -11,8 +11,10 @@ from enriques import (
     DiagramError,
     QuasihomogeneousSpec,
     add_leaf,
+    InvalidDiagramError,
     build_enriques_diagram,
     canonical_key,
+    canonical_order,
     construct_adjacent_diagram,
     diagram_from_dict,
     diagram_from_json,
@@ -30,7 +32,7 @@ from enriques import (
     single_vertex,
     witness_to_dict,
 )
-from helpers import cusp_minimal
+from helpers import cusp_minimal, wd
 from test_acceptance import all_specs
 
 
@@ -181,6 +183,17 @@ def test_from_dict_validates_axioms():
     }
     with pytest.raises(DiagramError):
         diagram_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "emit", [canonical_key, canonical_order, diagram_to_json, diagram_to_dot, diagram_to_text]
+)
+def test_keys_and_emitters_refuse_an_axiom_5_violation(emit):
+    # satellites 2 and 3 are both proximate to 1 and 0; a key or document
+    # of it would name a diagram that diagram_from_json refuses
+    w = wd(0, {1: 0, 2: 1, 3: 1}, [(1, 0), (2, 1), (2, 0), (3, 1), (3, 0)], {0: 4, 1: 2, 2: 1, 3: 1})
+    with pytest.raises(InvalidDiagramError, match="2 vertices proximate to both 0 and 1"):
+        emit(w)
 
 
 def test_from_dict_reads_a_chain_with_falling_ids_in_linear_time():
