@@ -171,7 +171,8 @@ def hub_over_a_chain(n, free_children):
 
 @pytest.mark.parametrize("free_children", [0, 300])
 def test_validate_axioms_is_linear_in_one_vertex_target_count(free_children):
-    # listing every ordered pair of the hub's 300 targets peaked at 20 MB
+    # the hub's targets make 89,700 ordered pairs: a check that lists them
+    # cannot stay under the bound
     d = hub_over_a_chain(300, free_children)
     tracemalloc.start()
     try:
