@@ -130,8 +130,8 @@ class ProximityDiagram:
     :class:`DiagramError` is raised: one pass over them, when the diagram
     is built, checks every occurrence of an id and the order, and derives
     the four maps.  This is the one place both checks live, so a builder
-    that already holds sorted pairs (a leaf added, vertices removed, the
-    Euclid walk, an enumerated shape) calls it directly, and one that
+    that already holds sorted pairs (:func:`_grown`, which appends new
+    vertices, and :func:`remove_vertices`) calls it directly, and one that
     emits unsorted or repeated pairs fails here.
     ``vertices`` holds the sorted ids and ``parent`` maps each child to
     its parent; ``children`` and ``prox_targets`` are keyed in vertex
@@ -364,9 +364,35 @@ def keyed_diagram(diagram: ProximityDiagram, weights: tuple[int, ...], key: str)
     return w
 
 
+# the lone root, vertex id 0, that every diagram grown from nothing starts at
+_ROOT = ProximityDiagram(0, (), ())
+
+
 def single_vertex(weight: int) -> WeightedDiagram:
     """The one-vertex diagram of the given weight (vertex id 0)."""
-    return WeightedDiagram(ProximityDiagram(0, (), ()), (weight,))
+    return WeightedDiagram(_ROOT, (weight,))
+
+
+def _grown(d: ProximityDiagram, run: Iterable[tuple[int, int | None]]) -> ProximityDiagram:
+    """``d`` grown by one new final vertex per ``(parent, second)`` of
+    ``run``, in order: the one builder that appends vertices.
+
+    Each new vertex takes the next id after the largest, so its parent
+    edge and its proximity pairs go after ``d``'s sorted ones: one pair to
+    ``parent`` when ``second`` is None or ``parent`` (a free vertex), else
+    two, sorted (a satellite).  ``run`` is read once, lazily, and only the
+    new entries are collected before the one construction."""
+    edges: list[tuple[int, int]] = []
+    pairs: list[tuple[int, int]] = []
+    new = d.vertices[-1]
+    for parent, second in run:
+        new += 1
+        edges.append((new, parent))
+        if second is None or second == parent:
+            pairs.append((new, parent))
+        else:
+            pairs += sorted([(new, parent), (new, second)])
+    return ProximityDiagram(d.root, (*d.parent_edges, *edges), (*d.proximity, *pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +592,11 @@ def is_minimal(w: WeightedDiagram) -> bool:
     to: a leaf's excess is its weight, nothing is proximate to a final
     vertex, and by consistency the children of a free weight-1 vertex that
     no satellite is proximate to are such vertices too, down to a final one.
+    An axiom violation raises :class:`InvalidDiagramError`, read from the
+    cached ``diagram.violations``.
     """
     d = w.diagram
+    require_valid(d)
     return (
         is_consistent(w)
         and min(w.weights) >= 1
@@ -606,19 +635,15 @@ def add_leaf(
 
     The new vertex takes the next unused id and is proximate to ``at``
     and, when ``second`` is given and is not ``at``, to ``second`` as
-    well, which makes it a satellite; otherwise it is free.  The new id is
-    the largest, so its pairs and weight are appended to the sorted ones.
+    well, which makes it a satellite; otherwise it is free.  Both ids must
+    be vertices here; the entry ``(at, second)`` goes to :func:`_grown`
+    and the weight after the others.
     """
     d = w.diagram
     d.require_vertex(at)
-    new = d.vertices[-1] + 1
-    targets = {at}
     if second is not None:
         d.require_vertex(second)
-        targets.add(second)
-    edges = (*d.parent_edges, (new, at))
-    pairs = (*d.proximity, *[(new, t) for t in sorted(targets)])
-    return WeightedDiagram(ProximityDiagram(d.root, edges, pairs), (*w.weights, weight))
+    return WeightedDiagram(_grown(d, [(at, second)]), (*w.weights, weight))
 
 
 def minimalize(w: WeightedDiagram) -> WeightedDiagram:
@@ -632,9 +657,11 @@ def minimalize(w: WeightedDiagram) -> WeightedDiagram:
     never removable, so ``v`` becomes final exactly when every child is
     removed.  The set is dropped by one :func:`remove_vertices` (``w`` is
     returned when it is empty).  The Milnor number is preserved, and the
-    result is minimal unless a satellite weighs 0.  A root of weight below
-    one raises :class:`DiagramError`: no minimal diagram has one.
+    result is minimal unless a satellite weighs 0.  An axiom violation
+    raises :class:`InvalidDiagramError`, and a root of weight below one
+    :class:`DiagramError`: no minimal diagram has one.
     """
+    require_valid(w.diagram)
     if not is_consistent(w):
         raise InconsistentDiagramError("minimalize requires a consistent diagram")
     if w.nu[w.root] < 1:

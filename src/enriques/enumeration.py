@@ -101,9 +101,11 @@ from operator import itemgetter
 from typing import Iterator
 
 from .diagram import (
+    _ROOT,
     DiagramError,
     ProximityDiagram,
     WeightedDiagram,
+    _grown,
     _integer,
     _preorder,
     canonical_form,
@@ -150,12 +152,10 @@ class _Family:
     @cached_property
     def structure(self) -> ProximityDiagram:
         """The shape as a diagram with vertex ids its indices, shared by every
-        weighting's diagram.  A second target is one of the parent's targets,
-        so it is listed before the parent."""
-        rest = list(enumerate(self.shape[1:], 1))
-        edges = tuple([(i, parent) for i, (parent, _, _) in rest])
-        pairs = tuple([(i, t) for i, (parent, second, _) in rest for t in (second, parent) if t >= 0])
-        return ProximityDiagram(0, edges, pairs)
+        weighting's diagram: :func:`~enriques.diagram._grown` grows the lone
+        root by each later vertex's ``(parent, second)``, None for ``-1``."""
+        run = [(parent, None if second < 0 else second) for parent, second, _ in self.shape[1:]]
+        return _grown(_ROOT, run)
 
     def key(self, weights: tuple[int, ...]) -> str:
         """The canonical key of one weighting of the shape."""

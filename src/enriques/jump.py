@@ -29,15 +29,14 @@ from math import gcd
 from .adjacency import GeqWitness, adjacency_verdict, class_representatives, geq
 from .diagram import (
     DiagramError,
-    ProximityDiagram,
     WeightedDiagram,
+    _grown,
     _integer,
     add_leaf,
     diagram_type,
     is_minimal,
     milnor_number,
     remove_vertices,
-    require_valid,
 )
 from .enumeration import DEFAULT_MAX_CANDIDATES, _minimal_families
 from .quasihomogeneous import (
@@ -129,15 +128,15 @@ def construct_adjacent_diagram(D: WeightedDiagram) -> WeightedDiagram:
     ``d = 2`` a weight-1 satellite of the last two chain vertices (a lone
     root just becomes the weight-1 single vertex); for ``d >= 3`` a free
     weight-2 vertex and below it ``d - 3`` weight-1 satellites of their
-    parent and the end, with ids after ``D``'s largest.  Every weight stays at least 1 and the
-    new end is a satellite, the root or free of weight at least 2 (a
-    dropped parent's parent weighs 2 or more), so ``E_D`` is minimal as
+    parent and the end, the run that :func:`~enriques.diagram._grown`
+    appends with ids after ``D``'s largest.  Every weight stays at least 1
+    and the new end is a satellite, the root or free of weight at least 2
+    (a dropped parent's parent weighs 2 or more), so ``E_D`` is minimal as
     built.  A Milnor number not below ``D``'s raises RuntimeError.  Above
     :data:`~enriques.quasihomogeneous.MAX_DIAGRAM_VERTICES` vertices,
     ``t + d - 2`` (``t + 1`` for ``d = 2`` and ``t > 1``),
     :class:`DiagramError` is raised before the run is allocated.
     """
-    require_valid(D.diagram)
     if not is_minimal(D):
         raise DiagramError("adjacent-diagram construction requires a minimal diagram")
     if not is_bamboo(D):
@@ -155,21 +154,17 @@ def construct_adjacent_diagram(D: WeightedDiagram) -> WeightedDiagram:
         free = len(D.diagram.prox_targets[chain[-2]]) == 1
         result = remove_vertices(D, chain[-2:] if free and D.nu[chain[-2]] == 1 else [end])
     else:
-        edges, pairs = list(D.diagram.parent_edges), list(D.diagram.proximity)
         weights = list(D.weights)
         weights[D.diagram.vertices.index(end)] = d - 1
         if d == 2:
-            run = [(chain[-2], 1)] if t > 1 else []
+            run = [(end, chain[-2])] if t > 1 else []
+            weights += [1] * len(run)
         else:
-            run = [(None, 2)] + [(end, 1)] * (d - 3)
-        at = end
-        for new, (second, weight) in enumerate(run, D.diagram.vertices[-1] + 1):
-            edges.append((new, at))
-            pairs += sorted([(new, target) for target in (at, second) if target is not None])
-            weights.append(weight)
-            at = new
-        diagram = ProximityDiagram(D.root, tuple(edges), tuple(pairs))
-        result = WeightedDiagram(diagram, tuple(weights))
+            # each satellite hangs below the vertex added before it
+            first = D.diagram.vertices[-1] + 1
+            run = [(end, None)] + [(v, end) for v in range(first, first + d - 3)]
+            weights += [2] + [1] * (d - 3)
+        result = WeightedDiagram(_grown(D.diagram, run), tuple(weights))
 
     if milnor_number(result) >= milnor_number(D):
         raise RuntimeError("adjacent-diagram surgery failed to lower the Milnor number")

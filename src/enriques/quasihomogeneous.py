@@ -11,14 +11,16 @@ resolution: it drives a chain of infinitely near points (stopping at the
 root for the node y(x + y^q)).  That chain is the germ's minimal diagram
 (:func:`minimal_diagram`); :func:`build_enriques_diagram` adds gcd(p, q)
 simple points on the chain end and one extra free point per axis branch to
-give the complete diagram.  Each builder constructs only the diagram it
-returns, as one diagram, and checks it on the spot against the Milnor
-number formula of Milnor and Orlik (:func:`milnor_orlik`), so a bug here
-fails fast instead of poisoning downstream computations.  A germ whose
-diagram would have more than :data:`MAX_DIAGRAM_VERTICES` vertices is
-refused with :class:`~enriques.diagram.DiagramError` before anything is
-allocated: the minimal diagram counts the walk's ``t`` vertices (one for
-the node), the complete one gcd(p, q) + k + l leaves more.
+give the complete diagram.  Each builder hands the walk, vertex by vertex
+and with any leaves after it, to :func:`~enriques.diagram._grown`, which
+grows the lone root into the one diagram returned.  The builder checks it
+on the spot against the Milnor number formula of Milnor and Orlik
+(:func:`milnor_orlik`), so a bug here fails fast instead of poisoning
+downstream computations.  A germ whose diagram would have more than
+:data:`MAX_DIAGRAM_VERTICES` vertices is refused with
+:class:`~enriques.diagram.DiagramError` before anything is allocated: the
+minimal diagram counts the walk's ``t`` vertices (one for the node), the
+complete one gcd(p, q) + k + l leaves more.
 :func:`derived_invariants` works at any size.
 
 :func:`check_Q_membership` answers the inverse question: given a minimal
@@ -32,11 +34,13 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
+from typing import Iterator
 
 from .diagram import (
+    _ROOT,
     DiagramError,
-    ProximityDiagram,
     WeightedDiagram,
+    _grown,
     _integer,
     is_complete,
     is_minimal,
@@ -320,12 +324,9 @@ def _chain_length(spec: QuasihomogeneousSpec, inv: DerivedInvariants) -> int:
     return 1 if spec.p == 1 and not spec.k else inv.t
 
 
-def _chain(
-    spec: QuasihomogeneousSpec, inv: DerivedInvariants, built: str, leaves: int
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]], list[int], int]:
-    """The resolution walk's chain: parent edges, proximity pairs and
-    weights, each in vertex id order (a vertex's targets sorted), and the
-    last vertex still on the x axis.
+def _chain(spec: QuasihomogeneousSpec, complete: bool) -> WeightedDiagram:
+    """The resolution walk's chain, plus the leaves when ``complete``, as
+    one diagram grown from the lone root by :func:`_grown`.
 
     A subtractive Euclid walk on the coprime pair (r, s) creates one chain
     vertex per state, numbered from the root 0, for :func:`_chain_length`
@@ -333,40 +334,54 @@ def _chain(
     each state still carries an axis: while a side is unresolved its ``k``
     or ``l`` branch passes through the chain vertex and bumps the weight by
     one.  The chain vertex of a state is proximate to the most recent
-    vertices of the two sides, which makes it free while one side is fresh
-    and a satellite once both carry vertices.
+    vertices of the two sides.  One of them is the vertex before it, its
+    parent, and the other its second target, so the vertex is free while
+    one side is fresh and a satellite once both carry vertices: the walk
+    hands each vertex after the root to :func:`_grown` as a ``(parent,
+    second)`` entry as it goes.  The complete diagram's leaves of weight 1
+    follow: gcd(p, q) free simple points on the chain end and one final
+    simple point per active axis, the x axis on its last chain vertex and
+    the y axis on the root.
 
-    When the chain and the ``leaves`` the caller adds would exceed
-    :data:`MAX_DIAGRAM_VERTICES`, :class:`~enriques.diagram.DiagramError`
-    names the ``built`` diagram before any vertex is allocated.
+    When the diagram would exceed :data:`MAX_DIAGRAM_VERTICES` vertices,
+    :class:`~enriques.diagram.DiagramError` names it before any vertex is
+    allocated.
     """
+    inv = derived_invariants(spec)
     length = _chain_length(spec, inv)
+    leaves = inv.d_tilde + spec.k + spec.l if complete else 0
+    built = "complete diagram" if complete else "minimal diagram"
     _refuse_above_bound(length + leaves, f"the {built} of {spec.polynomial}")
-    a, b = inv.r, inv.s
-    side_a: int | None = None  # newest vertex on the x side
-    side_b: int | None = None  # newest vertex on the y side
-    edges: list[tuple[int, int]] = []
-    prox: list[tuple[int, int]] = []
     weights: list[int] = []
-    x_axis = 0
-    for vertex in range(length):
-        weight = inv.d_tilde * min(a, b)
-        if side_a is None:
-            weight += spec.k
-            x_axis = vertex
-        if side_b is None:
-            weight += spec.l
-        weights.append(weight)
-        if vertex:
-            edges.append((vertex, vertex - 1))
-            prox += sorted([(vertex, t) for t in (side_a, side_b) if t is not None])
-        if a < b:
-            b -= a
-            side_b = vertex
-        else:
-            a -= b
-            side_a = vertex
-    return edges, prox, weights, x_axis
+
+    def run() -> Iterator[tuple[int, int | None]]:
+        a, b = inv.r, inv.s
+        side_a: int | None = None  # newest vertex on the x side
+        side_b: int | None = None  # newest vertex on the y side
+        x_axis = 0
+        for vertex in range(length):
+            weight = inv.d_tilde * min(a, b)
+            if side_a is None:
+                weight += spec.k
+                x_axis = vertex
+            if side_b is None:
+                weight += spec.l
+            weights.append(weight)
+            if vertex:
+                yield vertex - 1, side_b if side_a == vertex - 1 else side_a
+            if a < b:
+                b -= a
+                side_b = vertex
+            else:
+                a -= b
+                side_a = vertex
+        if complete:
+            for at in [length - 1] * inv.d_tilde + [x_axis] * spec.k + [0] * spec.l:
+                weights.append(1)
+                yield at, None
+
+    diagram = _grown(_ROOT, run())
+    return WeightedDiagram(diagram, tuple(weights))
 
 
 def build_enriques_diagram(spec: QuasihomogeneousSpec) -> WeightedDiagram:
@@ -374,9 +389,9 @@ def build_enriques_diagram(spec: QuasihomogeneousSpec) -> WeightedDiagram:
 
     The walk's chain (see :func:`minimal_diagram`), then gcd(p, q) free
     simple points on the chain end and one final simple point per active
-    axis (the x axis on its last chain vertex, the y axis on the root) fill
-    the walk's lists, each leaf taking the next id, and the diagram is
-    constructed once.
+    axis (the x axis on its last chain vertex, the y axis on the root),
+    each leaf taking the next id: :func:`_chain` grows them all in one
+    diagram.
 
     The result is verified to be complete and to have the Milnor number
     predicted by :func:`milnor_orlik`; any mismatch raises RuntimeError.
@@ -384,18 +399,7 @@ def build_enriques_diagram(spec: QuasihomogeneousSpec) -> WeightedDiagram:
     leaves, is known up front: above :data:`MAX_DIAGRAM_VERTICES` it
     raises :class:`~enriques.diagram.DiagramError` instead.
     """
-    inv = derived_invariants(spec)
-    edges, prox, weights, x_axis = _chain(
-        spec, inv, "complete diagram", inv.d_tilde + spec.k + spec.l
-    )
-    end = len(weights) - 1
-    for at in [end] * inv.d_tilde + [x_axis] * spec.k + [0] * spec.l:
-        vertex = len(weights)
-        edges.append((vertex, at))
-        prox.append((vertex, at))
-        weights.append(1)
-    result = WeightedDiagram(ProximityDiagram(0, tuple(edges), tuple(prox)), tuple(weights))
-
+    result = _chain(spec, complete=True)
     if not is_complete(result):
         raise RuntimeError(f"constructed diagram for {spec} is not complete")
     if milnor_number(result) != milnor_orlik(spec):
@@ -414,9 +418,7 @@ def minimal_diagram(spec: QuasihomogeneousSpec) -> WeightedDiagram:
     :data:`MAX_DIAGRAM_VERTICES` vertices it raises
     :class:`~enriques.diagram.DiagramError` before building anything.
     """
-    edges, prox, weights, _ = _chain(spec, derived_invariants(spec), "minimal diagram", 0)
-    result = WeightedDiagram(ProximityDiagram(0, tuple(edges), tuple(prox)), tuple(weights))
-
+    result = _chain(spec, complete=False)
     if not is_minimal(result):
         raise RuntimeError(f"constructed diagram for {spec} is not minimal")
     if milnor_number(result) != milnor_orlik(spec):

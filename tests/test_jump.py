@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,7 @@ from enriques import (
     milnor_orlik,
     minimal_diagram,
     minimalize,
+    relabel,
     remove_vertices,
     single_vertex,
     total_excess,
@@ -112,13 +114,13 @@ def test_adjacent_requires_minimal_bamboo():
 
 def test_adjacent_refuses_an_invalid_bamboo():
     # parent 2 of satellite 3 is not proximate to 0, yet the diagram is a
-    # minimal chain by weights alone
+    # minimal chain by weights alone; the minimality check refuses it too
     edges, pairs = ((1, 0), (2, 1), (3, 2)), ((1, 0), (2, 1), (3, 0), (3, 2))
     D = WeightedDiagram(ProximityDiagram(0, edges, pairs), (3, 2, 1, 1))
-    assert is_minimal(D)
-    with pytest.raises(InvalidDiagramError, match="parent 2 of satellite 3") as caught:
-        construct_adjacent_diagram(D)
-    assert [v.axiom for v in caught.value.violations] == [4]
+    for check in (is_minimal, construct_adjacent_diagram):
+        with pytest.raises(InvalidDiagramError, match="parent 2 of satellite 3") as caught:
+            check(D)
+        assert [v.axiom for v in caught.value.violations] == [4]
 
 
 def test_adjacent_rejects_the_smooth_point():
@@ -173,10 +175,24 @@ def adjacent_by_leaves(D):
 
 
 def test_adjacent_matches_the_leaf_by_leaf_surgery():
-    # equal as objects, vertex ids included
+    # equal as objects, vertex ids included, on each germ's chain and on a
+    # seeded relabelling of a longer one, negative ids included, where a
+    # d = 2 satellite's second target may have a larger id than its parent
+    # (the reference grows a lone root's E_D at vertex 0)
+    rng = random.Random(25)
+    relabelled = higher_second = 0
     for spec in all_specs(30):
         D = minimal_diagram(spec)
         assert construct_adjacent_diagram(D) == adjacent_by_leaves(D), spec
+        if len(D) == 1:
+            continue
+        ids = rng.sample(range(-2 * len(D), 2 * len(D)), len(D))
+        D = relabel(D, dict(zip(D.diagram.vertices, ids)))
+        assert construct_adjacent_diagram(D) == adjacent_by_leaves(D), spec
+        *_, second, end = bamboo_chain(D)
+        relabelled += 1
+        higher_second += D.nu[end] == 2 and second > end
+    assert relabelled == 1682 and higher_second > 100
 
 
 def test_adjacent_matches_the_leaf_by_leaf_surgery_on_every_minimal_bamboo():

@@ -14,6 +14,7 @@ import enriques.diagram
 import enriques.quasihomogeneous
 from enriques import (
     DiagramError,
+    InvalidDiagramError,
     QuasihomogeneousSpec,
     SpecParseError,
     build_enriques_diagram,
@@ -356,6 +357,17 @@ def test_q_membership_requires_minimal_input():
         check_Q_membership(wd(0, {1: 0}, [(1, 0)], {0: 2, 1: 1}))
     with pytest.raises(DiagramError, match="requires a minimal diagram"):
         check_Q_membership(zero_satellite_chain())
+
+
+def test_minimality_readers_refuse_an_axiom_5_violation():
+    # 2 and 3 are both proximate to 1 and to its parent 0; the weights alone
+    # make a consistent minimal non-bamboo
+    pairs = [(1, 0), (2, 1), (2, 0), (3, 1), (3, 0)]
+    w = wd(0, {1: 0, 2: 1, 3: 1}, pairs, {0: 4, 1: 2, 2: 1, 3: 1})
+    for reader in (is_minimal, minimalize, check_Q_membership):
+        with pytest.raises(InvalidDiagramError, match="proximate to both 0 and 1") as caught:
+            reader(w)
+        assert [v.axiom for v in caught.value.violations] == [5]
 
 
 def test_q_membership_certifies_a_germ_whose_complete_diagram_exceeds_the_bound():
