@@ -132,7 +132,11 @@ class ProximityDiagram:
     the four maps.  This is the one place both checks live, so a builder
     that already holds sorted pairs (:func:`_grown`, which appends new
     vertices, and :func:`remove_vertices`) calls it directly, and one that
-    emits unsorted or repeated pairs fails here.
+    emits unsorted or repeated pairs fails here.  Validity is decided
+    lazily, by :func:`validate_axioms` through ``violations``, for a
+    diagram built from outside input; a diagram that :func:`_grown` or
+    :func:`remove_vertices` derives from one with a clean verdict
+    inherits it instead.
     ``vertices`` holds the sorted ids and ``parent`` maps each child to
     its parent; ``children`` and ``prox_targets`` are keyed in vertex
     order, with children sorted and targets listing the immediate
@@ -197,7 +201,8 @@ class ProximityDiagram:
 
     @cached_property
     def violations(self) -> tuple[Violation, ...]:
-        """Axiom violations, found once by :func:`validate_axioms`."""
+        """Axiom violations, found once by :func:`validate_axioms` unless
+        a builder seeded the empty verdict inherited from a valid source."""
         return tuple(validate_axioms(self))
 
     def require_vertex(self, v: int) -> int:
@@ -364,8 +369,10 @@ def keyed_diagram(diagram: ProximityDiagram, weights: tuple[int, ...], key: str)
     return w
 
 
-# the lone root, vertex id 0, that every diagram grown from nothing starts at
+# the lone root, vertex id 0, that every diagram grown from nothing starts
+# at; it is valid, so every diagram grown from it inherits its verdict
 _ROOT = ProximityDiagram(0, (), ())
+_ROOT.__dict__["violations"] = ()
 
 
 def single_vertex(weight: int) -> WeightedDiagram:
@@ -381,7 +388,21 @@ def _grown(d: ProximityDiagram, run: Iterable[tuple[int, int | None]]) -> Proxim
     edge and its proximity pairs go after ``d``'s sorted ones: one pair to
     ``parent`` when ``second`` is None or ``parent`` (a free vertex), else
     two, sorted (a satellite).  ``run`` is read once, lazily, and only the
-    new entries are collected before the one construction."""
+    new entries are collected before the one construction.
+
+    The result inherits ``d``'s verdict when ``d`` already holds a clean
+    one (it is only peeked at, never computed here) and the new vertices
+    keep every axiom.  Only they are checked: each names only older
+    vertices (the vertex count grew by the run's length, so no id is
+    stray, and each parent is older than its child), each satellite's
+    second target is one of its parent's targets (axiom 4), and no other
+    child of that parent has the same two targets (axiom 5).  Nothing
+    else can break: a new vertex is proximate to its parent and at most
+    one more vertex, and the only vertices proximate to both ends of a
+    pair ``(Q, P)`` of a valid diagram are the children of ``Q`` whose
+    second target is ``P``.  Otherwise the verdict is left to
+    :func:`validate_axioms`, which also decides a run whose parent is a
+    vertex of the run made after its child."""
     edges: list[tuple[int, int]] = []
     pairs: list[tuple[int, int]] = []
     new = d.vertices[-1]
@@ -392,7 +413,17 @@ def _grown(d: ProximityDiagram, run: Iterable[tuple[int, int | None]]) -> Proxim
             pairs.append((new, parent))
         else:
             pairs += sorted([(new, parent), (new, second)])
-    return ProximityDiagram(d.root, (*d.parent_edges, *edges), (*d.proximity, *pairs))
+    grown = ProximityDiagram(d.root, (*d.parent_edges, *edges), (*d.proximity, *pairs))
+    targets, children = grown.prox_targets, grown.children
+    if d.__dict__.get("violations") == () and len(grown.vertices) == len(d.vertices) + len(edges):
+        for v, p in edges:
+            t = targets[v]
+            if p >= v or len(t) == 2 and (
+                t[1] not in targets[p] or [targets[c] for c in children[p]].count(t) > 1
+            ):
+                return grown
+        grown.__dict__["violations"] = ()
+    return grown
 
 
 # ---------------------------------------------------------------------------
@@ -544,42 +575,44 @@ def is_consistent(w: WeightedDiagram) -> bool:
 
 
 def milnor_number(w: WeightedDiagram) -> int:
-    """Milnor number of the consistent weighted diagram ``w``.
+    """Milnor number of the valid consistent weighted diagram ``w``.
 
     mu = sum of weight*(weight-1) over all vertices, plus one, minus the
-    total excess.  Raises :class:`InconsistentDiagramError` when some excess
-    is negative: the Milnor number of an inconsistent diagram is undefined;
-    the sum runs over ``diagram.preorder``, so a parent map that is not a
-    tree below the root raises :class:`InvalidDiagramError`.
+    total excess.  Summing ``nu_P - sum of nu_Q over Q proximate to P``
+    over all ``P`` counts each weight ``nu_Q`` once for ``Q`` and once
+    against each of its targets, so the total excess is ``sum nu_Q*(1 -
+    |targets(Q)|)`` and mu is ``1 + sum nu*(nu - 2 + |targets|)``: the
+    root counts its weight twice against its square, a free vertex once
+    and a satellite not at all.  The sum runs over ``diagram.preorder``.
+    An axiom violation raises :class:`InvalidDiagramError`, read from the
+    cached ``diagram.violations``, and a negative excess
+    :class:`InconsistentDiagramError`: the Milnor number of an
+    inconsistent diagram is undefined.
     """
+    require_valid(w.diagram)
     if not is_consistent(w):
         raise InconsistentDiagramError("Milnor number requires a consistent diagram")
-    nu = w.nu
-    square_term = sum(nu[v] * (nu[v] - 1) for v in w.diagram.preorder)
-    return square_term + 1 - total_excess(w)
+    nu, targets = w.nu, w.diagram.prox_targets
+    return 1 + sum(nu[v] * (nu[v] - 2 + len(targets[v])) for v in w.diagram.preorder)
 
 
 def is_complete(w: WeightedDiagram) -> bool:
     """True when ``w`` is the full diagram of a resolved germ.
 
     Every non-final vertex has excess zero, and every final vertex is free
-    of weight one and not proximate to another free vertex of weight one.
+    of weight one (a *simple* point) and not proximate to another simple
+    point.  A vertex's kind is read as its target count (none for the
+    root, one for a free vertex), which holds on a valid diagram: an axiom
+    violation raises :class:`InvalidDiagramError`, read from the cached
+    ``diagram.violations``.
     """
     d = w.diagram
-    nu = w.nu
-    for v in d.vertices:
-        final = not d.children[v]
-        if not final:
-            if w.excess[v] != 0:
-                return False
-            continue
-        kind = classify(d, v)
-        if kind.kind is not Kind.FREE or nu[v] != 1:
-            return False
-        for t in d.prox_targets[v]:
-            if nu[t] == 1 and classify(d, t).kind is Kind.FREE:
-                return False
-    return True
+    require_valid(d)
+    simple = {v for v in d.vertices if w.nu[v] == 1 and len(d.prox_targets[v]) == 1}
+    return all(
+        w.excess[v] == 0 if d.children[v] else v in simple and simple.isdisjoint(d.prox_targets[v])
+        for v in d.vertices
+    )
 
 
 def is_minimal(w: WeightedDiagram) -> bool:
@@ -613,7 +646,12 @@ def is_minimal(w: WeightedDiagram) -> bool:
 # ---------------------------------------------------------------------------
 
 def remove_vertices(w: WeightedDiagram, drop: Iterable[int]) -> WeightedDiagram:
-    """Drop a successor-closed set of vertices (no member may have a kept child)."""
+    """Drop a successor-closed set of vertices (no member may have a kept child).
+
+    Every kept vertex keeps its parent and its targets, which are its
+    ancestors, and only loses sources, so the drop keeps every axiom: the
+    result inherits the verdict of ``w.diagram`` when that already holds a
+    clean one (it is only peeked at, never computed here)."""
     d = w.diagram
     dropped = {d.require_vertex(v) for v in drop}
     if w.root in dropped:
@@ -625,7 +663,10 @@ def remove_vertices(w: WeightedDiagram, drop: Iterable[int]) -> WeightedDiagram:
     edges = tuple([e for e in d.parent_edges if e[0] not in dropped])
     pairs = tuple([(s, t) for s, t in d.proximity if s not in dropped and t not in dropped])
     weights = tuple([x for v, x in zip(d.vertices, w.weights) if v not in dropped])
-    return WeightedDiagram(ProximityDiagram(d.root, edges, pairs), weights)
+    kept = ProximityDiagram(d.root, edges, pairs)
+    if d.__dict__.get("violations") == ():
+        kept.__dict__["violations"] = ()
+    return WeightedDiagram(kept, weights)
 
 
 def add_leaf(

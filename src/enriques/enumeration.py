@@ -132,17 +132,10 @@ class _Family:
     last: bool
 
     def milnor_numbers(self) -> Iterator[int]:
-        """Each weighting's Milnor number, ``sum nu*(nu-1) + 1 - root weight
-        + satellite weights``.
-
-        :func:`~enriques.diagram.milnor_number` is ``sum nu*(nu-1) + 1``
-        minus the total excess, and summing ``nu_P - sum of nu_Q over Q
-        proximate to P`` over all ``P`` counts each weight ``nu_Q`` once for
-        ``Q`` and once against each of its proximity targets: the total
-        excess is ``sum nu_Q*(1 - |targets(Q)|)``.  The root has no target,
-        a free vertex one and a satellite two, so the total excess is the
-        root weight minus the satellites' weights.  Every enumerated
-        weighting is consistent, so its Milnor number is defined."""
+        """Each weighting's Milnor number in the coefficient form that
+        :func:`~enriques.diagram.milnor_number` states and proves, ``1 +
+        sum nu*(nu - 2 + |targets|)``, read off the shape's records.  Every
+        enumerated weighting is consistent, so its Milnor number is defined."""
         # the root weight counts twice against its square, a free vertex's
         # once and a satellite's not at all
         coefficients = [2] + [1 if second < 0 else 0 for _, second, _ in self.shape[1:]]

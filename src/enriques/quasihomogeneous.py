@@ -45,6 +45,7 @@ from .diagram import (
     is_complete,
     is_minimal,
     milnor_number,
+    require_valid,
 )
 
 __all__ = [
@@ -442,21 +443,18 @@ def bamboo_chain(w: WeightedDiagram) -> list[int]:
 def bamboo_invariants(w: WeightedDiagram) -> tuple[int, int, int]:
     """Profile (d, t, w) of a minimal bamboo: end weight, length, end shape.
 
-    The shape flag is 0 for a single vertex, 1 when the chain ends in a
-    free vertex, 2 when it ends in a satellite.
+    The shape flag is the end's target count: 0 for a single vertex (the
+    root), 1 when the chain ends in a free vertex, 2 when it ends in a
+    satellite.  An axiom violation raises
+    :class:`~enriques.diagram.InvalidDiagramError`, read from the cached
+    ``diagram.violations``, and a diagram that is not a bamboo
+    :class:`DiagramError`.
     """
+    require_valid(w.diagram)
     if not is_bamboo(w):
         raise DiagramError("diagram is not a bamboo")
-    chain = bamboo_chain(w)
-    end = chain[-1]
-    depth = len(chain)
-    if depth == 1:
-        shape = 0
-    elif len(w.diagram.prox_targets[end]) == 2:
-        shape = 2
-    else:
-        shape = 1
-    return w.nu[end], depth, shape
+    chain = w.diagram.preorder
+    return w.nu[chain[-1]], len(chain), len(w.diagram.prox_targets[chain[-1]])
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,12 @@ to correspond under the partial map built so far.
 import itertools
 import random
 
+import enriques.diagram
 from enriques import (
     ProximityDiagram,
     WeightedDiagram,
     proximity_diagram,
+    total_excess,
     weighted_diagram,
 )
 
@@ -77,6 +79,26 @@ def count_constructions(monkeypatch, most=None) -> list:
 
     monkeypatch.setattr(WeightedDiagram, "__post_init__", counting)
     return built
+
+
+def count_validations(monkeypatch) -> list:
+    """The list every diagram that ``validate_axioms`` walks from here on is
+    appended to: the cached verdict reads it through ``enriques.diagram``."""
+    walked = []
+    validate_axioms = enriques.diagram.validate_axioms
+
+    def counting(diagram):
+        walked.append(diagram)
+        return validate_axioms(diagram)
+
+    monkeypatch.setattr(enriques.diagram, "validate_axioms", counting)
+    return walked
+
+
+def excess_milnor(w: WeightedDiagram) -> int:
+    """The Milnor number by its excess definition, sum nu*(nu-1) + 1 minus
+    the total excess: the reference for ``milnor_number``."""
+    return sum(x * (x - 1) for x in w.weights) + 1 - total_excess(w)
 
 
 def _second_target(d: ProximityDiagram, v: int):

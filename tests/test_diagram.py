@@ -38,6 +38,7 @@ from enriques import (
     validate_axioms,
     weighted_diagram,
 )
+from enriques.diagram import _grown, _preorder
 from helpers import (
     count_constructions,
     cusp_complete,
@@ -240,6 +241,64 @@ def test_validate_axioms_is_pinned_on_random_maps():
     assert digest.hexdigest() == (
         "1932a29474a9a2bacd2ff1a6a8bb53302b3ebd46d213f5f0d5a0271a55e2923c"
     )
+
+
+def random_run(rng, d):
+    """1-3 ``(parent, second)`` entries for ``_grown(d, run)``, mostly naming
+    ids made so far (``d``'s and the run's earlier ones), now and then a
+    stray id (one the run makes later, the next id after the run, or -1),
+    and whether some entry's parent is a vertex the run makes after it."""
+    top = d.vertices[-1]
+    length = rng.randint(1, 3)
+    run, forward = [], False
+    for new in range(top + 1, top + length + 1):
+        made = [*d.vertices, *range(top + 1, new)]
+        stray = [*range(new, top + length + 2), -1]
+        parent = rng.choice(stray if rng.random() < 0.1 else made)
+        second = None if rng.random() < 0.3 else rng.choice(stray if rng.random() < 0.1 else made)
+        forward |= new < parent <= top + length
+        run.append((parent, second))
+    return run, forward
+
+
+def test_a_derived_diagram_inherits_its_verdict_exactly_when_it_is_valid():
+    # grown or pruned from a valid source whose verdict is cached, a
+    # diagram is seeded with the clean verdict exactly when validate_axioms
+    # finds nothing; a run whose parent comes after its child is left to it
+    rng = random.Random(26)
+    counts = {"seeded": 0, "invalid": 0, "forward": 0, "removed": 0}
+    axioms = set()
+    for _ in range(30_000):
+        d = random_proximity(rng)
+        assert d.violations == ()
+        run, forward = random_run(rng, d)
+        grown = _grown(d, run)
+        seeded = "violations" in grown.__dict__
+        violations = validate_axioms(grown)
+        assert seeded == (not violations and not forward), (d, run)
+        axioms.update(v.axiom for v in violations)
+        counts["seeded"] += seeded
+        counts["invalid"] += bool(violations)
+        counts["forward"] += forward and not violations
+        if len(d.vertices) > 1:
+            below = _preorder(d.children, rng.choice(d.vertices[1:]))
+            kept = remove_vertices(WeightedDiagram(d, (1,) * len(d.vertices)), below).diagram
+            assert kept.__dict__["violations"] == () and validate_axioms(kept) == []
+            counts["removed"] += 1
+    # 9,625 seeded, 20,261 invalid, 114 valid runs with a later parent and
+    # 26,245 removals; a stray id, a cycle or a missing parent is axiom 0
+    assert counts["seeded"] >= 9_000 and counts["invalid"] >= 19_000, counts
+    assert counts["forward"] >= 100 and counts["removed"] >= 25_000, counts
+    assert axioms == {0, 4, 5}
+
+
+def test_a_derived_diagram_starts_no_walk_for_a_source_without_a_verdict():
+    d = proximity_diagram(0, {1: 0, 2: 1}, [(1, 0), (2, 1), (2, 0)])
+    grown = _grown(d, [(2, 1)])
+    kept = remove_vertices(WeightedDiagram(d, (2, 1, 1)), [2]).diagram
+    for diagram in (d, grown, kept):
+        assert "violations" not in diagram.__dict__
+    assert grown.violations == () and kept.violations == ()
 
 
 def test_structural_maps_match_the_reference_in_values_and_order():

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-import enriques.diagram
 import enriques.jump
 import enriques.quasihomogeneous
 from enriques import (
@@ -18,10 +17,13 @@ from enriques import (
     QuasihomogeneousSpec,
     WeightedDiagram,
     add_leaf,
+    build_enriques_diagram,
     canonical_key,
     check_geq_witness,
     class_representatives,
     construct_adjacent_diagram,
+    diagram_from_json,
+    diagram_to_json,
     diagram_type,
     enumerate_minimal_diagrams,
     expected_jump,
@@ -44,7 +46,16 @@ from enriques import (
 from enriques.adjacency import adjacency_verdict
 from enriques.enumeration import DEFAULT_MAX_CANDIDATES, _minimal_families
 from enriques.quasihomogeneous import bamboo_chain, is_bamboo
-from helpers import count_constructions, cusp_minimal, leaning_bamboo, wd, zero_satellite_chain
+from helpers import (
+    count_constructions,
+    count_validations,
+    cusp_minimal,
+    excess_milnor,
+    leaning_bamboo,
+    random_consistent,
+    wd,
+    zero_satellite_chain,
+)
 from test_acceptance import all_specs
 
 PINS = Path(__file__).resolve().parent.parent / "perfbench" / "verify_pins.json"
@@ -511,14 +522,7 @@ def test_verify_builds_diagrams_only_for_light_candidates(monkeypatch, spec, sea
     light = light_candidates(spec)
     assert (len(light), len(set(light))) == (searched, shapes)
     built = count_constructions(monkeypatch)
-    validated = []
-    validate_axioms = enriques.diagram.validate_axioms
-
-    def counting_validate(diagram):
-        validated.append(diagram)
-        return validate_axioms(diagram)
-
-    monkeypatch.setattr(enriques.diagram, "validate_axioms", counting_validate)
+    validated = count_validations(monkeypatch)
     # the constant part: the jump, the representatives, each validated, and
     # the attainment check
     jump = lambda_lin(spec)
@@ -536,6 +540,34 @@ def test_verify_builds_diagrams_only_for_light_candidates(monkeypatch, spec, sea
     assert len(validated) <= len(set(light)) + fixed_validations
 
 
+def test_jumps_and_verification_walk_no_diagram(monkeypatch):
+    # every diagram they make is grown or pruned from the lone root, so it
+    # inherits its verdict; only a diagram read from outside is walked
+    text = diagram_to_json(lambda_lin(QuasihomogeneousSpec(0, 0, 6, 9)).E_D)
+    walked = count_validations(monkeypatch)
+    for spec in [(0, 0, 2, 3), (0, 0, 6, 9), (1, 1, 3, 5), (0, 1, 2, 9), (1, 0, 1, 5)]:
+        lambda_lin(QuasihomogeneousSpec(*spec))
+        build_enriques_diagram(QuasihomogeneousSpec(*spec))
+    verify_maximality(QuasihomogeneousSpec(0, 0, 4, 6))
+    assert walked == []
+    read = diagram_from_json(text)
+    assert walked == [read.diagram]
+
+
+def test_milnor_number_matches_the_excess_definition():
+    count = 0
+    for spec in all_specs(30):
+        report = lambda_lin(spec)
+        for w in (build_enriques_diagram(spec), report.D_min, report.E_D):
+            assert milnor_number(w) == excess_milnor(w), spec
+            count += 1
+    rng = random.Random(26)
+    for case in range(2_000):
+        w = random_consistent(rng)
+        assert milnor_number(w) == excess_milnor(w), case
+    assert count == 3 * 1830
+
+
 def test_record_milnor_number_matches_the_excess_definition():
     count = 0
     for family in _minimal_families(7, 6, DEFAULT_MAX_CANDIDATES):
@@ -546,7 +578,7 @@ def test_record_milnor_number_matches_the_excess_definition():
         ]
         for mu, w in zip(family.milnor_numbers(), diagrams):
             assert is_consistent(w)
-            assert mu == milnor_number(w)
+            assert mu == milnor_number(w) == excess_milnor(w)
             count += 1
     assert count == 3891
 

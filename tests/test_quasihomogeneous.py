@@ -364,7 +364,9 @@ def test_minimality_readers_refuse_an_axiom_5_violation():
     # make a consistent minimal non-bamboo
     pairs = [(1, 0), (2, 1), (2, 0), (3, 1), (3, 0)]
     w = wd(0, {1: 0, 2: 1, 3: 1}, pairs, {0: 4, 1: 2, 2: 1, 3: 1})
-    for reader in (is_minimal, minimalize, check_Q_membership):
+    readers = (is_minimal, minimalize, check_Q_membership, milnor_number, is_complete,
+               bamboo_invariants)
+    for reader in readers:
         with pytest.raises(InvalidDiagramError, match="proximate to both 0 and 1") as caught:
             reader(w)
         assert [v.axiom for v in caught.value.violations] == [5]
