@@ -34,12 +34,12 @@ from .quasihomogeneous import (
     parse_spec,
 )
 from .serialize import (
+    _jump_report_json,
     _witness_arrays,
     diagram_to_dict,
     diagram_to_dot,
     diagram_to_json,
     diagram_to_text,
-    jump_report_to_dict,
 )
 
 __all__ = ["run", "parse_spec", "build_parser"]
@@ -159,7 +159,7 @@ def _cmd_jump(args: argparse.Namespace) -> int:
     spec = parse_spec(args.spec)
     report = lambda_lin_semi(spec) if args.semi else lambda_lin(spec)
     if args.format == "json":
-        json.dump(jump_report_to_dict(report), sys.stdout, indent=2)
+        sys.stdout.writelines(_jump_report_json(report))
         sys.stdout.write("\n")
         return 0
     print(f"spec {spec.k},{spec.l},{spec.p},{spec.q}")

@@ -134,9 +134,9 @@ class ProximityDiagram:
     vertices, and :func:`remove_vertices`) calls it directly, and one that
     emits unsorted or repeated pairs fails here.  Validity is decided
     lazily, by :func:`validate_axioms` through ``violations``, for a
-    diagram built from outside input; a diagram that :func:`_grown` or
-    :func:`remove_vertices` derives from one with a clean verdict
-    inherits it instead.
+    diagram built from outside input; a diagram that :func:`_grown`,
+    :func:`remove_vertices` or :func:`relabel` derives from one with a
+    clean verdict inherits it instead.
     ``vertices`` holds the sorted ids and ``parent`` maps each child to
     its parent; ``children`` and ``prox_targets`` are keyed in vertex
     order, with children sorted and targets listing the immediate
@@ -793,17 +793,24 @@ def canonical_order(w: WeightedDiagram) -> tuple[int, ...]:
 
 
 def relabel(w: WeightedDiagram, mapping: Mapping[int, int]) -> WeightedDiagram:
-    """Rename vertices through a bijection (used for normalisation and tests)."""
+    """Rename vertices through a bijection (used for normalisation and tests).
+
+    A renaming keeps every axiom, so the result inherits ``w``'s verdict
+    when ``w`` already holds a clean one (it is only peeked at, never
+    computed here)."""
     d = w.diagram
     for v in d.vertices:
         if v not in mapping:
             raise DiagramError(f"relabelling does not map vertex {v!r}")
-    if len(set(mapping.values())) != len(d.vertices):
+    if len({mapping[v] for v in d.vertices}) != len(d.vertices):
         raise DiagramError("relabelling must be a bijection on the vertex set")
     parent = {mapping[v]: mapping[p] for v, p in d.parent_edges}
     prox = [(mapping[s], mapping[t]) for s, t in d.proximity]
     nu = {mapping[v]: w.nu[v] for v in d.vertices}
-    return weighted_diagram(proximity_diagram(mapping[d.root], parent, prox), nu)
+    renamed = proximity_diagram(mapping[d.root], parent, prox)
+    if d.__dict__.get("violations") == ():
+        renamed.__dict__["violations"] = ()
+    return weighted_diagram(renamed, nu)
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,20 @@ arrays are indexed by the lower diagram's canonical ids.  DOT
 output marks satellite vertices gray and tags every edge with the kind of
 its child vertex; text output is an indented outline, one vertex per line,
 indented at most 64 levels deep.
+
+The JSON emitters write each vertex row and array directly, one f-string
+each, as ``json.dumps(..., indent=2)`` would lay it out: with an indent,
+the standard library falls back to its pure-Python encoder, which cost
+more than computing a jump.  :func:`diagram_to_dict`,
+:func:`witness_to_dict` and :func:`jump_report_to_dict` passed to
+``json.dumps(..., indent=2)`` stay the reference that the tests compare
+the emitters with, byte for byte.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Sized
+from collections.abc import Iterable, Iterator, Sized
 from typing import Any, Mapping
 
 from .adjacency import GeqWitness
@@ -53,7 +61,11 @@ __all__ = [
 _TEXT_INDENT_CAP = 64
 
 
-def _rows(w: WeightedDiagram) -> list[tuple[int, int, int | None, tuple[int, ...]]]:
+# one vertex row: id, weight, parent id and target ids
+_Row = tuple[int, int, int | None, tuple[int, ...]]
+
+
+def _rows(w: WeightedDiagram) -> list[_Row]:
     """``(id, weight, parent id, target ids)`` per vertex in canonical order.
 
     Ids are canonical positions, the root's parent id is None, and the
@@ -65,6 +77,40 @@ def _rows(w: WeightedDiagram) -> list[tuple[int, int, int | None, tuple[int, ...
         parent = ids[d.parent[v]] if i else None
         rows.append((i, w.nu[v], parent, tuple(ids[t] for t in d.prox_targets[v])))
     return rows
+
+
+def _int_list(items: Iterable[Any], pad: str) -> str:
+    """The JSON list of ``items`` (ints, or lists already written at the
+    next level) as ``json.dumps(..., indent=2)`` lays it out with every
+    line after the first indented by ``pad``."""
+    inner = f",\n{pad}  ".join(map(str, items))
+    return f"[\n{pad}  {inner}\n{pad}]" if inner else "[]"
+
+
+def _diagram_json(rows: list[_Row], pad: str) -> Iterator[str]:
+    """The text ``json.dumps(diagram_to_dict(w), indent=2)`` gives for the
+    :func:`_rows` of ``w``, with every line after the first indented by
+    ``pad``: one piece per row, between a head and a tail."""
+    yield f'{{\n{pad}  "root": 0,\n{pad}  "vertices": ['
+    row = f"\n{pad}    {{\n{pad}      "
+    key = f",\n{pad}      "
+    end = f"\n{pad}    }}"
+    item = f"\n{pad}        "
+    close = f"\n{pad}      ]"
+    sep = ""
+    for i, weight, parent, targets in rows:
+        if not targets:
+            listed = "[]"
+        elif len(targets) == 1:
+            listed = f"[{item}{targets[0]}{close}"
+        else:
+            listed = f"[{item}{targets[0]},{item}{targets[1]}{close}"
+        yield (
+            f'{sep}{row}"id": {i}{key}"weight": {weight}{key}"parent": '
+            f'{"null" if parent is None else parent}{key}"proximate_to": {listed}{end}'
+        )
+        sep = ","
+    yield f"\n{pad}  ]\n{pad}}}"
 
 
 def diagram_to_dict(w: WeightedDiagram) -> dict[str, Any]:
@@ -123,7 +169,7 @@ def diagram_to_json(w: WeightedDiagram) -> str:
     a final newline.  Only a valid diagram is written, as
     :func:`diagram_from_json` reads back: an axiom violation raises
     :class:`~enriques.diagram.InvalidDiagramError`."""
-    return json.dumps(diagram_to_dict(w), indent=2) + "\n"
+    return "".join(_diagram_json(_rows(w), "")) + "\n"
 
 
 def diagram_from_json(text: str) -> WeightedDiagram:
@@ -176,7 +222,8 @@ def _witness_arrays(
     upper: WeightedDiagram, lower: WeightedDiagram, witness: GeqWitness
 ) -> dict[str, list]:
     """The witness's four arrays, indexed by lower canonical ids, as
-    :func:`witness_to_dict` and the CLI's text output give them.
+    :func:`witness_to_dict`, the report writer and the CLI's text output
+    give them.
 
     ``ord_nu`` and ``ord_kappa`` are the value systems
     (:attr:`~enriques.diagram.WeightedDiagram.orders`) of the lower
@@ -230,3 +277,30 @@ def jump_report_to_dict(report: JumpReport) -> dict[str, Any]:
     if report.semi:
         out["semi"] = True
     return out
+
+
+def _jump_report_json(report: JumpReport) -> Iterator[str]:
+    """The text ``json.dumps(jump_report_to_dict(report), indent=2)``
+    gives, in pieces: one per diagram row, array and block.  ``E_D``'s
+    rows are found once, for ``"E_D"`` and the witness's ``"lower"``."""
+    spec = report.spec
+    yield (
+        f'{{\n  "spec": {_int_list([spec.k, spec.l, spec.p, spec.q], "  ")},\n'
+        f'  "d": {report.d},\n  "t": {report.t},\n  "w": {report.w},\n'
+        f'  "mu": {report.mu_D},\n  "lambda_lin": {report.lambda_lin},\n  "E_D": '
+    )
+    lower = _rows(report.E_D)
+    yield from _diagram_json(lower, "  ")
+    yield ',\n  "witness": {\n    "upper": '
+    yield from _diagram_json(_rows(report.representative), "    ")
+    yield ',\n    "lower": '
+    yield from _diagram_json(lower, "    ")
+    arrays = _witness_arrays(report.representative, report.E_D, report.adjacency_witness)
+    arrays["embedding"] = [_int_list(pair, "      ") for pair in arrays["embedding"]]
+    for field, values in arrays.items():
+        yield f',\n    "{field}": {_int_list(values, "    ")}'
+    yield (
+        '\n  },\n  "maximality": {\n    "status": "unverified",\n'
+        '    "max_vertices": null,\n    "max_weight": null,\n    "extra_bound": null\n  }'
+    )
+    yield ',\n  "semi": true\n}' if report.semi else "\n}"

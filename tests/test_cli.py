@@ -1,6 +1,7 @@
 """Command line interface: golden outputs, exit codes, round trips."""
 
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -420,3 +421,36 @@ def test_a_streamed_json_report_closed_early_gets_no_traceback():
     # the jump report is written in pieces; 247 KB is more than a pipe holds
     argv = ["jump", "--format", "json", "0,0,2,999"]
     assert_an_early_close_exits_1_without_traceback(argv, b"{\n")
+
+
+class ClosingReader(io.TextIOBase):
+    """A stdout whose reader goes away after ``limit`` characters: a write
+    past that raises BrokenPipeError.  Its descriptor is a real file's."""
+
+    def __init__(self, limit, descriptor):
+        self.left = limit
+        self.descriptor = descriptor
+        self.written = 0
+
+    def write(self, text):
+        if len(text) > self.left:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.left -= len(text)
+        self.written += len(text)
+        return len(text)
+
+    def fileno(self):
+        return self.descriptor
+
+
+def test_a_streamed_json_report_closed_early_in_process_exits_1(capsys, monkeypatch, tmp_path):
+    # the same early close as above, in this process: the report stops at
+    # the first piece past 4 KB, and what stdout still holds goes to devnull
+    with open(tmp_path / "stdout", "w") as target:
+        reader = ClosingReader(4096, target.fileno())
+        monkeypatch.setattr(sys, "stdout", reader)
+        code = run(["jump", "--format", "json", "0,0,2,399"])
+        monkeypatch.undo()
+        assert code == 1
+        assert 0 < reader.written <= 4096
+        assert capsys.readouterr().err == ""

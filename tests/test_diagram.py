@@ -292,13 +292,37 @@ def test_a_derived_diagram_inherits_its_verdict_exactly_when_it_is_valid():
     assert axioms == {0, 4, 5}
 
 
+def test_a_relabelled_diagram_inherits_its_verdict_exactly_when_it_is_valid():
+    # the sources are random valid diagrams, grown by random runs that
+    # break an axiom about two times in three; every source's verdict is
+    # cached, and each is renamed to distinct ids, negative ones included
+    rng = random.Random(27)
+    counts = {"seeded": 0, "invalid": 0}
+    for _ in range(5_000):
+        d = random_proximity(rng)
+        source = _grown(d, random_run(rng, d)[0]) if rng.random() < 0.7 else d
+        clean = validate_axioms(source) == []
+        source.violations
+        ids = rng.sample(range(-20, 30), len(source.vertices))
+        w = WeightedDiagram(source, (1,) * len(ids))
+        renamed = relabel(w, dict(zip(source.vertices, ids))).diagram
+        seeded = "violations" in renamed.__dict__
+        assert seeded == clean, source
+        assert (validate_axioms(renamed) == []) == clean, source
+        counts["seeded"] += seeded
+        counts["invalid"] += not clean
+    # 2,582 seeded and 2,418 invalid
+    assert counts["seeded"] >= 2_000 and counts["invalid"] >= 2_000, counts
+
+
 def test_a_derived_diagram_starts_no_walk_for_a_source_without_a_verdict():
     d = proximity_diagram(0, {1: 0, 2: 1}, [(1, 0), (2, 1), (2, 0)])
     grown = _grown(d, [(2, 1)])
     kept = remove_vertices(WeightedDiagram(d, (2, 1, 1)), [2]).diagram
-    for diagram in (d, grown, kept):
+    renamed = relabel(WeightedDiagram(d, (2, 1, 1)), {0: 5, 1: 3, 2: 4}).diagram
+    for diagram in (d, grown, kept, renamed):
         assert "violations" not in diagram.__dict__
-    assert grown.violations == () and kept.violations == ()
+    assert grown.violations == () and kept.violations == () and renamed.violations == ()
 
 
 def test_structural_maps_match_the_reference_in_values_and_order():
@@ -701,6 +725,11 @@ def test_canonical_order_root_first_children_by_key():
 def test_relabel_requires_bijection():
     with pytest.raises(DiagramError):
         relabel(cusp_minimal(), {0: 0, 1: 1, 2: 1})
+    # a key that is no vertex cannot make up for two vertices given one id
+    w = cusp_minimal()
+    w.diagram.violations
+    with pytest.raises(DiagramError, match="bijection"):
+        relabel(w, {0: 0, 1: 0, 2: 1, 7: 2})
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -32,8 +34,21 @@ from enriques import (
     single_vertex,
     witness_to_dict,
 )
-from helpers import cusp_minimal, wd
+from enriques.serialize import _jump_report_json
+from helpers import cusp_minimal, random_consistent, wd
 from test_acceptance import all_specs
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def reference_json(w):
+    """What diagram_to_json writes: the dict schema through json.dumps."""
+    return json.dumps(diagram_to_dict(w), indent=2) + "\n"
+
+
+def reference_report(report):
+    """What the report writer writes: the dict schema through json.dumps."""
+    return json.dumps(jump_report_to_dict(report), indent=2)
 
 
 def test_diagram_dict_schema():
@@ -65,6 +80,59 @@ def test_json_round_trip_is_stable():
         again = diagram_from_json(text)
         assert canonical_key(again) == canonical_key(w)
         assert diagram_to_json(again) == text
+
+
+def test_diagram_writer_matches_the_reference_on_every_small_germ():
+    # the complete diagram, D_min, E_D and representative of each of the
+    # 1,830 germs with q <= 30, and each germ's jump report
+    diagrams = reports = 0
+    for spec in all_specs(30):
+        report = lambda_lin(spec)
+        for w in (build_enriques_diagram(spec), report.D_min, report.E_D, report.representative):
+            assert diagram_to_json(w) == reference_json(w), spec
+            diagrams += 1
+        assert "".join(_jump_report_json(report)) == reference_report(report), spec
+        reports += 1
+    assert (diagrams, reports) == (7_320, 1_830)
+
+
+def test_report_writer_matches_the_reference_on_semi_reports():
+    reports = [lambda_lin_semi(spec) for spec in all_specs(7)]
+    assert len(reports) == 105 and all(report.semi for report in reports)
+    for report in reports:
+        assert "".join(_jump_report_json(report)) == reference_report(report), report.spec
+
+
+def test_diagram_writer_matches_the_reference_on_random_diagrams():
+    # branching diagrams, which no germ's chain has: several children per
+    # vertex, satellites leaning on any ancestor's target
+    rng = random.Random(27)
+    sizes = set()
+    branching = satellites = 0
+    for _ in range(600):
+        w = random_consistent(rng, max_vertices=12)
+        assert diagram_to_json(w) == reference_json(w), w
+        sizes.add(len(w))
+        branching += any(len(c) > 1 for c in w.diagram.children.values())
+        satellites += any(len(t) == 2 for t in w.diagram.prox_targets.values())
+    # 468 branching diagrams and 379 with a satellite
+    assert sizes == set(range(1, 13)) and branching >= 400 and satellites >= 300
+    for w in (single_vertex(1), single_vertex(17)):
+        assert '"proximate_to": []' in diagram_to_json(w)
+        assert diagram_to_json(w) == reference_json(w)
+
+
+def test_diagram_writer_matches_the_reference_on_the_goldens_and_a_long_chain():
+    for name in ("x6y9_minimal.json", "x6y9_adjacent.json"):
+        text = (GOLDEN / name).read_text()
+        w = diagram_from_json(text)
+        assert diagram_to_json(w) == reference_json(w) == text
+    report = lambda_lin(QuasihomogeneousSpec(0, 0, 6, 9))
+    text = (GOLDEN / "jump_x6y9.json").read_text()
+    assert "".join(_jump_report_json(report)) + "\n" == reference_report(report) + "\n" == text
+    e = lambda_lin(QuasihomogeneousSpec(0, 0, 2, 39999)).E_D
+    assert len(e) == 19_999
+    assert diagram_to_json(e) == reference_json(e)
 
 
 def test_json_uses_two_space_indent():
