@@ -34,10 +34,11 @@ diagram that :func:`validate_axioms` passes has them.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import chain
+from itertools import chain, filterfalse
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -129,12 +130,15 @@ class ProximityDiagram:
     and both tuples must be sorted, each child listed once, else
     :class:`DiagramError` is raised: one pass over them, when the diagram
     is built, checks every occurrence of an id and the order, and derives
-    the four maps.  This is the one place both checks live, so a builder
-    that already holds sorted pairs (:func:`_grown`, which appends new
-    vertices, and :func:`remove_vertices`) calls it directly, and one that
-    emits unsorted or repeated pairs fails here.  Validity is decided
-    lazily, by :func:`validate_axioms` through ``violations``, for a
-    diagram built from outside input; a diagram that :func:`_grown`,
+    the four maps.  That pass is the one path for outside input: the
+    adapter :func:`proximity_diagram`, and through it :func:`relabel` and
+    ``diagram_from_dict``, builds a diagram by scanning its pairs.  The
+    two builders that change a diagram they already hold derive the new
+    one's pairs and maps from its source's instead (:func:`_derived`):
+    :func:`_grown` appends vertices, and refuses an entry that names an id
+    not yet made, and :func:`remove_vertices` drops them.  Validity is
+    decided lazily, by :func:`validate_axioms` through ``violations``, for
+    a diagram built from outside input; a diagram that :func:`_grown`,
     :func:`remove_vertices` or :func:`relabel` derives from one with a
     clean verdict inherits it instead.
     ``vertices`` holds the sorted ids and ``parent`` maps each child to
@@ -296,9 +300,20 @@ class WeightedDiagram:
         nu = self.nu
         targets = self.diagram.prox_targets
         out: dict[int, int] = {}
+        value = out.__getitem__
         for v in self.diagram.preorder:
-            out[v] = nu[v] + sum(out[t] for t in targets[v])
+            out[v] = nu[v] + sum(map(value, targets[v]))
         return out
+
+    @cached_property
+    def milnor_number(self) -> int:
+        """Milnor number, see :func:`milnor_number`: computed once, and
+        the validity and consistency checks raise again on every read."""
+        require_valid(self.diagram)
+        if not is_consistent(self):
+            raise InconsistentDiagramError("Milnor number requires a consistent diagram")
+        nu, targets = self.nu, self.diagram.prox_targets
+        return 1 + sum(nu[v] * (nu[v] - 2 + len(targets[v])) for v in self.diagram.preorder)
 
     @cached_property
     def _form(self) -> tuple[str, Mapping[int, int]]:
@@ -380,6 +395,37 @@ def single_vertex(weight: int) -> WeightedDiagram:
     return WeightedDiagram(_ROOT, (weight,))
 
 
+def _derived(
+    root: int,
+    parent_edges: tuple[tuple[int, int], ...],
+    proximity: tuple[tuple[int, int], ...],
+    vertices: tuple[int, ...],
+    parent: dict[int, int],
+    children: dict[int, tuple[int, ...]],
+    prox_targets: dict[int, tuple[int, ...]],
+    clean: bool,
+) -> ProximityDiagram:
+    """A diagram with the pairs and maps that :func:`_grown` or
+    :func:`remove_vertices` derived from its source's, set as given and
+    seeded with the clean verdict when ``clean``.  It skips the
+    constructor's scan: the builder vouches that the maps are the ones
+    that scan would derive from the pairs, and an oracle test holds them
+    to it."""
+    out = object.__new__(ProximityDiagram)
+    out.__dict__.update(
+        root=root,
+        parent_edges=parent_edges,
+        proximity=proximity,
+        vertices=vertices,
+        parent=parent,
+        children=children,
+        prox_targets=prox_targets,
+    )
+    if clean:
+        out.__dict__["violations"] = ()
+    return out
+
+
 def _grown(d: ProximityDiagram, run: Iterable[tuple[int, int | None]]) -> ProximityDiagram:
     """``d`` grown by one new final vertex per ``(parent, second)`` of
     ``run``, in order: the one builder that appends vertices.
@@ -387,43 +433,61 @@ def _grown(d: ProximityDiagram, run: Iterable[tuple[int, int | None]]) -> Proxim
     Each new vertex takes the next id after the largest, so its parent
     edge and its proximity pairs go after ``d``'s sorted ones: one pair to
     ``parent`` when ``second`` is None or ``parent`` (a free vertex), else
-    two, sorted (a satellite).  ``run`` is read once, lazily, and only the
-    new entries are collected before the one construction.
+    two, sorted (a satellite).  Each id an entry names must be made
+    already, a vertex of ``d`` or of an earlier entry, else
+    :class:`DiagramError` is raised: a stray id, or a parent the run makes
+    after its child.  ``run`` is read once, lazily.  The maps are ``d``'s,
+    copied, with the new vertices keyed last: a new vertex's targets are
+    its parent and its second, and each parent's new children, which
+    carry the largest ids, extend its tuple once, so the work beyond the
+    copies is linear in the run.
 
     The result inherits ``d``'s verdict when ``d`` already holds a clean
     one (it is only peeked at, never computed here) and the new vertices
-    keep every axiom.  Only they are checked: each names only older
-    vertices (the vertex count grew by the run's length, so no id is
-    stray, and each parent is older than its child), each satellite's
-    second target is one of its parent's targets (axiom 4), and no other
-    child of that parent has the same two targets (axiom 5).  Nothing
-    else can break: a new vertex is proximate to its parent and at most
-    one more vertex, and the only vertices proximate to both ends of a
-    pair ``(Q, P)`` of a valid diagram are the children of ``Q`` whose
-    second target is ``P``.  Otherwise the verdict is left to
-    :func:`validate_axioms`, which also decides a run whose parent is a
-    vertex of the run made after its child."""
+    keep every axiom.  Only they are checked: each satellite's second
+    target is one of its parent's targets (axiom 4), and no other child
+    of that parent has the same two targets (axiom 5).  Nothing else can
+    break: a new vertex names only older vertices, it is proximate to its
+    parent and at most one more vertex, and the only vertices proximate
+    to both ends of a pair ``(Q, P)`` of a valid diagram are the children
+    of ``Q`` whose second target is ``P``.  Otherwise the verdict is left
+    to :func:`validate_axioms`."""
+    parent = dict(d.parent)
+    children = dict(d.children)
+    targets = dict(d.prox_targets)
     edges: list[tuple[int, int]] = []
     pairs: list[tuple[int, int]] = []
-    new = d.vertices[-1]
-    for parent, second in run:
+    born: dict[int, list[int]] = {}
+    top = new = d.vertices[-1]
+    for p, second in run:
         new += 1
-        edges.append((new, parent))
-        if second is None or second == parent:
-            pairs.append((new, parent))
+        # children holds every id made so far
+        if p not in children or second is not None and second not in children:
+            raise DiagramError(f"vertex {new} names an id not yet made: {(p, second)}")
+        children[new] = ()
+        born.setdefault(p, []).append(new)
+        parent[new] = p
+        edges.append((new, p))
+        if second is None or second == p:
+            targets[new] = (p,)
+            pairs.append((new, p))
         else:
-            pairs += sorted([(new, parent), (new, second)])
-    grown = ProximityDiagram(d.root, (*d.parent_edges, *edges), (*d.proximity, *pairs))
-    targets, children = grown.prox_targets, grown.children
-    if d.__dict__.get("violations") == () and len(grown.vertices) == len(d.vertices) + len(edges):
+            targets[new] = (p, second)
+            pairs += [(new, p), (new, second)] if p < second else [(new, second), (new, p)]
+    for p, kids in born.items():
+        children[p] += tuple(kids)
+    clean = d.__dict__.get("violations") == ()
+    if clean:
         for v, p in edges:
             t = targets[v]
-            if p >= v or len(t) == 2 and (
+            if len(t) == 2 and (
                 t[1] not in targets[p] or [targets[c] for c in children[p]].count(t) > 1
             ):
-                return grown
-        grown.__dict__["violations"] = ()
-    return grown
+                clean = False
+                break
+    vertices = d.vertices + tuple(range(top + 1, new + 1))
+    edges_all, pairs_all = d.parent_edges + tuple(edges), d.proximity + tuple(pairs)
+    return _derived(d.root, edges_all, pairs_all, vertices, parent, children, targets, clean)
 
 
 # ---------------------------------------------------------------------------
@@ -583,17 +647,15 @@ def milnor_number(w: WeightedDiagram) -> int:
     against each of its targets, so the total excess is ``sum nu_Q*(1 -
     |targets(Q)|)`` and mu is ``1 + sum nu*(nu - 2 + |targets|)``: the
     root counts its weight twice against its square, a free vertex once
-    and a satellite not at all.  The sum runs over ``diagram.preorder``.
-    An axiom violation raises :class:`InvalidDiagramError`, read from the
-    cached ``diagram.violations``, and a negative excess
-    :class:`InconsistentDiagramError`: the Milnor number of an
-    inconsistent diagram is undefined.
+    and a satellite not at all.  The sum runs over ``diagram.preorder``,
+    once per diagram: ``w`` caches it as ``w.milnor_number``, next to
+    ``excess`` and ``orders``.  An axiom violation raises
+    :class:`InvalidDiagramError`, read from the cached
+    ``diagram.violations``, and a negative excess
+    :class:`InconsistentDiagramError`, on every call: the Milnor number of
+    an inconsistent diagram is undefined.
     """
-    require_valid(w.diagram)
-    if not is_consistent(w):
-        raise InconsistentDiagramError("Milnor number requires a consistent diagram")
-    nu, targets = w.nu, w.diagram.prox_targets
-    return 1 + sum(nu[v] * (nu[v] - 2 + len(targets[v])) for v in w.diagram.preorder)
+    return w.milnor_number
 
 
 def is_complete(w: WeightedDiagram) -> bool:
@@ -648,25 +710,64 @@ def is_minimal(w: WeightedDiagram) -> bool:
 def remove_vertices(w: WeightedDiagram, drop: Iterable[int]) -> WeightedDiagram:
     """Drop a successor-closed set of vertices (no member may have a kept child).
 
-    Every kept vertex keeps its parent and its targets, which are its
-    ancestors, and only loses sources, so the drop keeps every axiom: the
-    result inherits the verdict of ``w.diagram`` when that already holds a
-    clean one (it is only peeked at, never computed here)."""
+    The maps are ``w.diagram``'s, copied, less the dropped vertices'
+    keys; a kept parent's children are filtered once, whatever number of
+    them goes.  On a diagram whose clean verdict is cached, every target
+    is an ancestor of its source, so the pairs to go are the dropped
+    vertices' own: one sorted block each, found by bisection.  Every kept
+    vertex keeps its parent and its targets and only loses sources, so
+    the drop keeps every axiom and the result inherits that verdict (it is
+    only peeked at, never computed here).  Otherwise a target need not be
+    an ancestor: one scan of the pairs drops each that names a dropped
+    vertex and strips the dropped targets of each kept source, and a kept
+    vertex that no pair, edge or root would name any more raises
+    :class:`DiagramError`."""
     d = w.diagram
     dropped = {d.require_vertex(v) for v in drop}
     if w.root in dropped:
         raise DiagramError("cannot remove the root")
+    gone = dropped.__contains__
+    parent = dict(d.parent)
+    children = dict(d.children)
+    targets = dict(d.prox_targets)
+    bereft = set()
     for v in dropped:
         for child in d.children[v]:
             if child not in dropped:
                 raise DiagramError(f"vertex {v} still has successor {child}")
-    edges = tuple([e for e in d.parent_edges if e[0] not in dropped])
-    pairs = tuple([(s, t) for s, t in d.proximity if s not in dropped and t not in dropped])
-    weights = tuple([x for v, x in zip(d.vertices, w.weights) if v not in dropped])
-    kept = ProximityDiagram(d.root, edges, pairs)
-    if d.__dict__.get("violations") == ():
-        kept.__dict__["violations"] = ()
-    return WeightedDiagram(kept, weights)
+        del children[v], targets[v]
+        if v in parent:
+            bereft.add(parent.pop(v))
+    for p in bereft - dropped:
+        children[p] = tuple(filterfalse(gone, children[p]))
+    vertices = tuple(filterfalse(gone, d.vertices))
+    edges = tuple(parent.items())
+    clean = d.__dict__.get("violations") == ()
+    if clean:
+        blocks, at = [], 0
+        for v in sorted(dropped):
+            start = bisect_left(d.proximity, (v,), at)
+            blocks.append(d.proximity[at:start])
+            at = start + len(d.prox_targets[v])
+        blocks.append(d.proximity[at:])
+        pairs = tuple(chain.from_iterable(blocks))
+    else:
+        left, stripped = [], set()
+        for source, target in d.proximity:
+            if not gone(source):
+                if gone(target):
+                    stripped.add(source)
+                else:
+                    left.append((source, target))
+        pairs = tuple(left)
+        for source in stripped:
+            targets[source] = tuple(filterfalse(gone, targets[source]))
+        named = {d.root, *chain.from_iterable(edges), *chain.from_iterable(pairs)}
+        if len(named) < len(vertices):
+            lost = min(set(vertices) - named)
+            raise DiagramError(f"removing {sorted(dropped)} leaves vertex {lost} in no pair")
+    kept = _derived(d.root, edges, pairs, vertices, parent, children, targets, clean)
+    return WeightedDiagram(kept, tuple(map(w.nu.__getitem__, vertices)))
 
 
 def add_leaf(

@@ -72,10 +72,11 @@ def _rows(w: WeightedDiagram) -> list[_Row]:
     target ids list the parent first, as ``prox_targets`` does."""
     d = w.diagram
     ids = w.canonical_ids
+    position = ids.__getitem__
     rows = []
     for v, i in ids.items():
         parent = ids[d.parent[v]] if i else None
-        rows.append((i, w.nu[v], parent, tuple(ids[t] for t in d.prox_targets[v])))
+        rows.append((i, w.nu[v], parent, tuple(map(position, d.prox_targets[v]))))
     return rows
 
 

@@ -95,6 +95,21 @@ def count_validations(monkeypatch) -> list:
     return walked
 
 
+def count_scans(monkeypatch) -> list:
+    """The list every diagram that ``ProximityDiagram.__post_init__`` scans
+    from here on is appended to: each one built from pairs rather than
+    derived from a source's maps."""
+    scanned = []
+    post_init = ProximityDiagram.__post_init__
+
+    def counting(self):
+        scanned.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ProximityDiagram, "__post_init__", counting)
+    return scanned
+
+
 def excess_milnor(w: WeightedDiagram) -> int:
     """The Milnor number by its excess definition, sum nu*(nu-1) + 1 minus
     the total excess: the reference for ``milnor_number``."""

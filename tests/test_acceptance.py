@@ -8,6 +8,8 @@ import json
 import pathlib
 import time
 
+import pytest
+
 from enriques import (
     QuasihomogeneousSpec,
     add_leaf,
@@ -46,6 +48,7 @@ def report(line):
     print(line)
 
 
+@pytest.mark.timed
 def test_criterion_1_oracle_equivalence():
     started = time.perf_counter()
     count = 0
@@ -80,6 +83,7 @@ def test_criterion_3_published_values():
     report("criterion 3: PASS published jump values and diagram weights reproduced")
 
 
+@pytest.mark.timed
 def test_criterion_4_adjacency_witnesses():
     started = time.perf_counter()
     count = 0

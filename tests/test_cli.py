@@ -121,6 +121,7 @@ def test_info_on_a_huge_exponent(capsys):
     assert out.endswith("mu 2000000000000\n")
 
 
+@pytest.mark.timed
 def test_huge_germs_are_refused_before_they_are_built(capsys):
     # each command is bounded by what it builds: mu the complete diagram,
     # diagram and jump the minimal chain, about 10^12 vertices either way;
@@ -135,6 +136,7 @@ def test_huge_germs_are_refused_before_they_are_built(capsys):
     assert invoke(capsys, "info", "0,0,2,2000000000001")[0] == 0
 
 
+@pytest.mark.timed
 def test_a_huge_adjacent_diagram_is_refused_before_it_is_built(capsys):
     # the minimal diagram is one vertex of weight 10^7; its E_D would add
     # a run of 10^7 - 2 vertices

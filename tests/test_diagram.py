@@ -149,6 +149,7 @@ def test_axiom5_matches_its_quadratic_definition():
     assert violating > 100
 
 
+@pytest.mark.timed
 def test_validate_axioms_is_fast_on_a_long_chain():
     d = leaning_bamboo([1] * 20000).diagram
     started = time.perf_counter()
@@ -243,64 +244,94 @@ def test_validate_axioms_is_pinned_on_random_maps():
     )
 
 
-def random_run(rng, d):
-    """1-3 ``(parent, second)`` entries for ``_grown(d, run)``, mostly naming
-    ids made so far (``d``'s and the run's earlier ones), now and then a
-    stray id (one the run makes later, the next id after the run, or -1),
-    and whether some entry's parent is a vertex the run makes after it."""
+def random_run(rng, d, stray=0.0):
+    """1-3 ``(parent, second)`` entries for ``_grown(d, run)``, naming ids
+    made so far (``d``'s and the run's earlier ones), each id with chance
+    ``stray`` one not yet made instead (its own or a later one of the run,
+    the next id after the run, or -1); whether some entry names one, and
+    whether some entry's parent is a vertex the run makes after it."""
     top = d.vertices[-1]
     length = rng.randint(1, 3)
-    run, forward = [], False
+    run, unmade, forward = [], False, False
     for new in range(top + 1, top + length + 1):
         made = [*d.vertices, *range(top + 1, new)]
-        stray = [*range(new, top + length + 2), -1]
-        parent = rng.choice(stray if rng.random() < 0.1 else made)
-        second = None if rng.random() < 0.3 else rng.choice(stray if rng.random() < 0.1 else made)
+        strays = [*range(new, top + length + 2), -1]
+        parent = rng.choice(strays if rng.random() < stray else made)
+        second = None if rng.random() < 0.3 else rng.choice(strays if rng.random() < stray else made)
+        unmade |= parent in strays or second in strays
         forward |= new < parent <= top + length
         run.append((parent, second))
-    return run, forward
+    return run, unmade, forward
+
+
+def constructed_growth(d, run):
+    """``d`` grown by ``run`` as the constructor builds it from the pairs:
+    each entry's new vertex takes the next id, with its parent edge and one
+    pair to its parent, or two sorted pairs with a distinct ``second``."""
+    edges, pairs = list(d.parent_edges), list(d.proximity)
+    for new, (parent, second) in enumerate(run, d.vertices[-1] + 1):
+        edges.append((new, parent))
+        pairs += sorted({(new, parent), (new, parent if second is None else second)})
+    return ProximityDiagram(d.root, tuple(edges), tuple(pairs))
 
 
 def test_a_derived_diagram_inherits_its_verdict_exactly_when_it_is_valid():
     # grown or pruned from a valid source whose verdict is cached, a
     # diagram is seeded with the clean verdict exactly when validate_axioms
-    # finds nothing; a run whose parent comes after its child is left to it
+    # finds nothing; a run that names an id not yet made is refused
     rng = random.Random(26)
-    counts = {"seeded": 0, "invalid": 0, "forward": 0, "removed": 0}
+    counts = {"seeded": 0, "invalid": 0, "refused": 0, "forward": 0, "removed": 0}
     axioms = set()
     for _ in range(30_000):
         d = random_proximity(rng)
         assert d.violations == ()
-        run, forward = random_run(rng, d)
-        grown = _grown(d, run)
-        seeded = "violations" in grown.__dict__
-        violations = validate_axioms(grown)
-        assert seeded == (not violations and not forward), (d, run)
-        axioms.update(v.axiom for v in violations)
-        counts["seeded"] += seeded
-        counts["invalid"] += bool(violations)
-        counts["forward"] += forward and not violations
+        run, unmade, forward = random_run(rng, d, stray=0.1)
+        if unmade:
+            with pytest.raises(DiagramError, match="not yet made"):
+                _grown(d, run)
+            counts["refused"] += 1
+            counts["forward"] += forward
+        else:
+            grown = _grown(d, run)
+            seeded = "violations" in grown.__dict__
+            violations = validate_axioms(grown)
+            assert seeded == (not violations), (d, run)
+            axioms.update(v.axiom for v in violations)
+            counts["seeded"] += seeded
+            counts["invalid"] += bool(violations)
         if len(d.vertices) > 1:
             below = _preorder(d.children, rng.choice(d.vertices[1:]))
             kept = remove_vertices(WeightedDiagram(d, (1,) * len(d.vertices)), below).diagram
             assert kept.__dict__["violations"] == () and validate_axioms(kept) == []
             counts["removed"] += 1
-    # 9,625 seeded, 20,261 invalid, 114 valid runs with a later parent and
-    # 26,245 removals; a stray id, a cycle or a missing parent is axiom 0
-    assert counts["seeded"] >= 9_000 and counts["invalid"] >= 19_000, counts
-    assert counts["forward"] >= 100 and counts["removed"] >= 25_000, counts
-    assert axioms == {0, 4, 5}
+    # 9,625 seeded, 11,581 invalid, 8,794 refused (878 of them with a
+    # later parent) and 26,245 removals
+    assert counts["seeded"] >= 9_000 and counts["invalid"] >= 11_000, counts
+    assert counts["refused"] >= 8_000 and counts["forward"] >= 700, counts
+    assert counts["removed"] >= 25_000, counts
+    assert axioms == {4, 5}
 
 
 def test_a_relabelled_diagram_inherits_its_verdict_exactly_when_it_is_valid():
     # the sources are random valid diagrams, grown by random runs that
-    # break an axiom about two times in three; every source's verdict is
-    # cached, and each is renamed to distinct ids, negative ones included
+    # break an axiom about two times in three; a run that names an id not
+    # yet made is refused by _grown, and that source is built by the
+    # constructor from the same pairs; every source's verdict is cached,
+    # and each is renamed to distinct ids, negative ones included
     rng = random.Random(27)
-    counts = {"seeded": 0, "invalid": 0}
+    counts = {"seeded": 0, "invalid": 0, "refused": 0}
     for _ in range(5_000):
         d = random_proximity(rng)
-        source = _grown(d, random_run(rng, d)[0]) if rng.random() < 0.7 else d
+        source = d
+        if rng.random() < 0.7:
+            run, unmade, _ = random_run(rng, d, stray=0.1)
+            if unmade:
+                with pytest.raises(DiagramError, match="not yet made"):
+                    _grown(d, run)
+                counts["refused"] += 1
+                source = constructed_growth(d, run)
+            else:
+                source = _grown(d, run)
         clean = validate_axioms(source) == []
         source.violations
         ids = rng.sample(range(-20, 30), len(source.vertices))
@@ -311,8 +342,9 @@ def test_a_relabelled_diagram_inherits_its_verdict_exactly_when_it_is_valid():
         assert (validate_axioms(renamed) == []) == clean, source
         counts["seeded"] += seeded
         counts["invalid"] += not clean
-    # 2,582 seeded and 2,418 invalid
+    # 2,582 seeded, 2,418 invalid and 1,056 refused runs
     assert counts["seeded"] >= 2_000 and counts["invalid"] >= 2_000, counts
+    assert counts["refused"] >= 1_000, counts
 
 
 def test_a_derived_diagram_starts_no_walk_for_a_source_without_a_verdict():
@@ -338,6 +370,77 @@ def test_structural_maps_match_the_reference_in_values_and_order():
             assert got == expected, (d, name)
             if isinstance(expected, dict):
                 assert list(got) == list(expected), (d, name)
+
+
+def assert_maps_as_constructed(d):
+    """``d``'s four maps equal, in values and key order, the ones the
+    constructor derives from ``d``'s own pairs."""
+    built = ProximityDiagram(d.root, d.parent_edges, d.proximity)
+    for name in ("vertices", "parent", "children", "prox_targets"):
+        got, expected = getattr(d, name), getattr(built, name)
+        assert got == expected, (d, name)
+        if isinstance(expected, dict):
+            assert list(got) == list(expected), (d, name)
+
+
+def successors(d, v):
+    """``v`` and every vertex below it, each once even on a parent cycle."""
+    seen, stack = {v}, [v]
+    while stack:
+        for child in d.children[stack.pop()]:
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    return seen
+
+
+def test_derived_maps_equal_the_constructors():
+    # valid and invalid sources, half of them with a cached verdict, grown
+    # by random runs of made ids; each source and each grown diagram then
+    # drops a random vertex and everything below it.  A drop that would
+    # leave a kept vertex in no pair, edge or root is refused: the
+    # constructor would lose that vertex and its weight
+    rng = random.Random(28)
+    counts = {"clean": 0, "scanned": 0, "stripped": 0, "lost": 0}
+    for i in range(20_000):
+        d = random_map(rng) if i % 2 else random_proximity(rng)
+        if rng.random() < 0.5:
+            d.violations
+        run = random_run(rng, d)[0]
+        grown = _grown(d, run)
+        assert grown == constructed_growth(d, run)
+        assert_maps_as_constructed(grown)
+        for source in (d, grown):
+            drop = successors(source, rng.choice(source.vertices))
+            if source.root in drop:
+                continue
+            w = WeightedDiagram(source, tuple(range(len(source.vertices))))
+            expected = ProximityDiagram(
+                source.root,
+                tuple(edge for edge in source.parent_edges if edge[0] not in drop),
+                tuple(pair for pair in source.proximity if drop.isdisjoint(pair)),
+            )
+            left = tuple(v for v in source.vertices if v not in drop)
+            if expected.vertices != left:
+                with pytest.raises(DiagramError, match="in no pair"):
+                    remove_vertices(w, drop)
+                counts["lost"] += 1
+                continue
+            kept = remove_vertices(w, drop)
+            assert kept.diagram == expected
+            assert kept.weights == tuple(source.vertices.index(v) for v in left)
+            assert_maps_as_constructed(kept.diagram)
+            if source.__dict__.get("violations") == ():
+                counts["clean"] += 1
+            else:
+                counts["scanned"] += 1
+                counts["stripped"] += any(
+                    s not in drop and t in drop for s, t in source.proximity
+                )
+    # 6,122 removals from a clean verdict, 22,399 by the scan (4,112 of
+    # them strip a kept source's dropped target) and 975 refused
+    assert counts["clean"] >= 5_500 and counts["scanned"] >= 20_000, counts
+    assert counts["stripped"] >= 3_500 and counts["lost"] >= 800, counts
 
 
 def test_structural_maps_are_not_fields():
@@ -610,6 +713,7 @@ def test_minimalize_returns_its_input_when_nothing_is_removable():
     assert minimalize(w) is w
 
 
+@pytest.mark.timed
 def test_minimalize_removes_a_long_free_chain_in_one_construction(monkeypatch):
     # a free weight-1 chain collapses to its root; peeling it one layer per
     # rebuild would make 19,999 diagrams

@@ -463,6 +463,7 @@ def test_weighting_search_on_a_deep_free_chain():
     assert found == [[2] * 5000]
 
 
+@pytest.mark.timed
 def test_deep_narrow_bounds_run_fast():
     start = time.perf_counter()
     assert keys(1000, 1) == ["(1r)"]

@@ -48,6 +48,7 @@ from enriques.enumeration import DEFAULT_MAX_CANDIDATES, _minimal_families
 from enriques.quasihomogeneous import bamboo_chain, is_bamboo
 from helpers import (
     count_constructions,
+    count_scans,
     count_validations,
     cusp_minimal,
     excess_milnor,
@@ -542,16 +543,18 @@ def test_verify_builds_diagrams_only_for_light_candidates(monkeypatch, spec, sea
 
 def test_jumps_and_verification_walk_no_diagram(monkeypatch):
     # every diagram they make is grown or pruned from the lone root, so it
-    # inherits its verdict; only a diagram read from outside is walked
+    # inherits its verdict and derives its maps from its source's; only a
+    # diagram read from outside is walked, and built by scanning its pairs
     text = diagram_to_json(lambda_lin(QuasihomogeneousSpec(0, 0, 6, 9)).E_D)
     walked = count_validations(monkeypatch)
+    scanned = count_scans(monkeypatch)
     for spec in [(0, 0, 2, 3), (0, 0, 6, 9), (1, 1, 3, 5), (0, 1, 2, 9), (1, 0, 1, 5)]:
         lambda_lin(QuasihomogeneousSpec(*spec))
         build_enriques_diagram(QuasihomogeneousSpec(*spec))
     verify_maximality(QuasihomogeneousSpec(0, 0, 4, 6))
-    assert walked == []
+    assert walked == [] and scanned == []
     read = diagram_from_json(text)
-    assert walked == [read.diagram]
+    assert walked == [read.diagram] and scanned == [read.diagram]
 
 
 def test_milnor_number_matches_the_excess_definition():

@@ -372,6 +372,17 @@ def test_minimality_readers_refuse_an_axiom_5_violation():
         assert [v.axiom for v in caught.value.violations] == [5]
 
 
+@pytest.mark.timed
+def test_complete_diagram_with_many_leaves_on_one_vertex_builds_in_linear_time():
+    # x^50000 + y^50000 hangs 50,000 leaves on the root; adding each one to
+    # the root's children tuple on its own took about 3.5 s
+    started = time.perf_counter()
+    w = build_enriques_diagram(QuasihomogeneousSpec(0, 0, 50_000, 50_000))
+    assert time.perf_counter() - started < 1
+    assert w.diagram.children[0] == tuple(range(1, 50_001))
+
+
+@pytest.mark.timed
 def test_q_membership_certifies_a_germ_whose_complete_diagram_exceeds_the_bound():
     # x*(x^99999+y^999990) has a complete diagram of 100,010 vertices, but
     # only its 10-vertex minimal chain is rebuilt

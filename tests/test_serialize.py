@@ -264,6 +264,7 @@ def test_keys_and_emitters_refuse_an_axiom_5_violation(emit):
         emit(w)
 
 
+@pytest.mark.timed
 def test_from_dict_reads_a_chain_with_falling_ids_in_linear_time():
     # the deepest vertex has the smallest id, so the first parent chain
     # walked is the whole chain; a walk that scanned its own path for

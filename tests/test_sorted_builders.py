@@ -1,12 +1,12 @@
-"""Builders that construct diagrams from the sorted pairs they hold,
+"""Builders that derive diagrams from the sorted pairs and maps they hold,
 against reference recipes that go through the map adapters.
 
 Each reference unpacks the pairs into a parent map, a proximity list and a
 weight map and hands them to ``proximity_diagram`` and
 ``weighted_diagram``, which sort, dedupe and check them.  The builders
-under test append to or filter the sorted tuples and construct the
-diagram directly; both must give equal diagrams: equal vertex ids, pairs
-and weights.
+under test append to or filter the sorted tuples and the source's maps;
+both must give equal diagrams: equal pairs and weights, and the four
+structural maps equal in values and key order.
 """
 
 import random
@@ -119,7 +119,9 @@ def reference_structure(shape):
 
 def assert_same(built, reference):
     assert built == reference
-    assert built.diagram.vertices == reference.diagram.vertices
+    for name in ("vertices", "parent", "children", "prox_targets"):
+        got, expected = getattr(built.diagram, name), getattr(reference.diagram, name)
+        assert got == expected and list(got) == list(expected), name
 
 
 def random_diagrams():

@@ -12,9 +12,10 @@ execute nothing.  Module and class bodies are not reported: they run on
 import.  Child processes, as the console-script tests start, are not
 traced.  pytest's own report goes to stderr.
 
-Tracing slows the code several times, so the tests that time it can
-fail under the tracer; the lines they reach are recorded all the same.
-Uses the standard library and pytest only.
+Tracing slows the code several times, so the tests marked ``timed``, which
+hold it to a wall-clock bound, are left out of the traced run and run in a
+second, untraced one with its own pass/fail line; the lines only they
+reach are not recorded.  Uses the standard library and pytest only.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from code_lines import docstring_lines
 ROOT = Path(__file__).resolve().parent.parent
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 SILENT = (ast.Global, ast.Nonlocal)
+# the marker of the tests with a wall-clock bound
+TIMED = "timed"
 
 
 def body_statements(source: str) -> dict[int, str]:
@@ -85,7 +88,9 @@ def executed_lines(directory: Path, pytest_args: list[str]) -> dict[str, set[int
 def main() -> None:
     directory = Path(sys.argv[1]) if len(sys.argv) > 1 else ROOT / "src" / "enriques"
     pytest_args = sys.argv[2:] or [str(ROOT / "tests"), "-q", "-p", "no:cacheprovider"]
-    hits = executed_lines(directory, pytest_args)
+    hits = executed_lines(directory, [*pytest_args, "-m", f"not {TIMED}"])
+    with contextlib.redirect_stdout(sys.stderr):
+        pytest.main([*pytest_args, "-m", TIMED])
     total = 0
     for path in sorted(directory.resolve().rglob("*.py")):
         ran = hits.get(str(path), set())
