@@ -245,13 +245,24 @@ def _preorder(
     children: Mapping[int, Sequence[int]] | Sequence[Sequence[int]], start: int
 ) -> list[int]:
     """``start`` and its descendants, each parent before its children and
-    siblings in the order ``children`` lists them: the one tree walk."""
+    siblings in the order ``children`` lists them: the one tree walk.
+
+    A lone child, as along a chain, is pushed as it is; more children are
+    pushed reversed in one slice, so the first is popped first.  Each
+    vertex is visited once per time a ``children`` list names it: on a
+    map derived from parents (one parent per vertex) and a ``start`` with
+    no parent, that is once."""
     order: list[int] = []
     stack = [start]
+    pop, push, visit = stack.pop, stack.append, order.append
     while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(reversed(children[v]))
+        v = pop()
+        visit(v)
+        kids = children[v]
+        if len(kids) == 1:
+            push(kids[0])
+        elif kids:
+            stack += kids[::-1]
     return order
 
 
@@ -309,11 +320,12 @@ class WeightedDiagram:
     def milnor_number(self) -> int:
         """Milnor number, see :func:`milnor_number`: computed once, and
         the validity and consistency checks raise again on every read."""
-        require_valid(self.diagram)
+        d = self.diagram
+        require_valid(d)
         if not is_consistent(self):
             raise InconsistentDiagramError("Milnor number requires a consistent diagram")
-        nu, targets = self.nu, self.diagram.prox_targets
-        return 1 + sum(nu[v] * (nu[v] - 2 + len(targets[v])) for v in self.diagram.preorder)
+        targets = d.prox_targets
+        return 1 + sum(x * (x - 2 + len(targets[v])) for v, x in zip(d.vertices, self.weights))
 
     @cached_property
     def _form(self) -> tuple[str, Mapping[int, int]]:
@@ -325,15 +337,17 @@ class WeightedDiagram:
         cached ``diagram.violations``."""
         d = self.diagram
         require_valid(d)
-        position = {v: i for i, v in enumerate(d.preorder)}
-        record = [(-1, -1, self.nu[d.root])]
-        for v in d.preorder[1:]:
-            parent = d.parent[v]
-            targets = d.prox_targets[v]
-            second = position[targets[1]] if len(targets) > 1 else -1
-            record.append((position[parent], second, self.nu[v]))
+        order, nu, targets = d.preorder, self.nu, d.prox_targets
+        n = len(order)
+        position = dict(zip(order, range(n)))
+        # a valid diagram lists each non-root vertex's parent first
+        record = [(-1, -1, nu[order[0]])] + [
+            (position[t[0]], position[t[1]] if len(t) > 1 else -1, nu[v])
+            for v in order[1:]
+            for t in (targets[v],)
+        ]
         key, children, _ = canonical_form(record)
-        return key, {d.preorder[i]: n for n, i in enumerate(_preorder(children, 0))}
+        return key, dict(zip(map(order.__getitem__, _preorder(children, 0)), range(n)))
 
     @cached_property
     def key(self) -> str:
@@ -497,52 +511,58 @@ def _grown(d: ProximityDiagram, run: Iterable[tuple[int, int | None]]) -> Proxim
 def validate_axioms(d: ProximityDiagram) -> list[Violation]:
     """Check the five proximity axioms plus tree structure.
 
-    Returns a list of :class:`Violation`, empty when the diagram is valid.
-    Axiom number 0 marks structural defects (a root with a parent, a
-    missing parent, self-proximity, cycles).  Each parent chain is walked
-    once: a walk stops at the root or at any vertex an earlier walk passed,
-    so the structural check is linear in the number of vertices.  Axiom 5
-    is read off each pair ``(source, target)``: the vertices proximate to
-    both are the intersection of their two source sets, and an intersection
-    iterates the smaller set.  A valid diagram has at most two targets per
-    vertex, so the check is linear; on any input with ``P`` pairs it costs
-    at most ``O(P**1.5)``.
+    Returns a list of :class:`Violation`, empty when the diagram is valid,
+    sorted by axiom, then vertices.  Axiom number 0 marks structural
+    defects (a root with a parent, a missing parent, self-proximity,
+    cycles); when there is one, only those are listed.
+
+    The tree is decided in one step: one :func:`_preorder` reach down
+    ``children`` from a root that has no parent.  Each vertex the reach
+    meets is met through its one parent, so when it covers every vertex,
+    no vertex misses a parent and no parent chain cycles.  Only when it
+    falls short are the violations named: each vertex is checked for a
+    parent, and each parent chain is walked once (a walk stops at the root
+    or at any vertex an earlier walk passed), so this too is linear.
+
+    Axioms 1-4, and self-proximity, can only fail at the root and at a
+    vertex whose targets are not exactly ``(parent,)``; only those are
+    checked.  When axioms 0-4 hold, axiom 5 holds exactly when no two
+    satellites have the same targets.  Every target is then an ancestor
+    (a parent, or by axiom 4 a target of one), so for a pair ``(Q, P)``,
+    ``Q`` proximate to ``P``, ``P`` is a proper ancestor of ``Q``.  A
+    vertex proximate to both has at most two targets, so exactly these,
+    and its parent is the nearer ancestor: it is a satellite whose targets
+    are ``(Q, P)``, in that order.  Conversely two satellites with targets
+    ``(Q, P)`` share the pair, since by axiom 4 ``Q`` is proximate to
+    ``P``.  Otherwise, or when axioms 1-4 fail, axiom 5 is read off each
+    pair ``(source, target)``: the vertices proximate to both are the
+    intersection of their two source sets, and an intersection iterates
+    the smaller set, so on any input with ``P`` pairs it costs at most
+    ``O(P**1.5)``.  On a valid diagram the whole check is linear.
     """
     violations: list[Violation] = []
     parent = d.parent
+    root = d.root
+    prox_targets = d.prox_targets
 
-    if d.root in parent:
-        violations.append(Violation(0, (d.root,), f"root {d.root} has a parent"))
-    for v in d.vertices:
-        if v != d.root and v not in parent:
-            violations.append(Violation(0, (v,), f"non-root vertex {v} has no parent"))
-    for source, target in d.proximity:
-        if source == target:
-            violations.append(Violation(0, (source,), f"vertex {source} proximate to itself"))
+    reach = [] if root in parent else _preorder(d.children, root)
+    if len(reach) != len(d.vertices):
+        return _structural_violations(d)
 
-    # parent chains must reach the root without cycles; walk_of[u] is the
-    # walk that first passed u, so a walk that stops on its own mark cycled
-    walk_of: dict[int, int | None] = {d.root: None}
-    for v in d.vertices:
-        u = v
-        while u not in walk_of and u in parent:
-            walk_of[u] = v
-            u = parent[u]
-        if walk_of.get(u) == v:
-            violations.append(Violation(0, (v,), f"parent chain from {v} has a cycle"))
-
+    # a vertex proximate to its parent alone keeps axioms 0-4
+    odd = [v for v, p in d.parent_edges if prox_targets[v] != (p,)]
+    for v in (root, *odd):
+        if v in prox_targets[v]:
+            violations.append(Violation(0, (v,), f"vertex {v} proximate to itself"))
     if violations:
         return _sorted_violations(violations)
 
-    prox_targets = d.prox_targets
-    for v in d.vertices:
+    if prox_targets[root]:
+        violations.append(
+            Violation(1, (root,), f"root {root} is proximate to {list(prox_targets[root])}")
+        )
+    for v in odd:
         targets = prox_targets[v]
-        if v == d.root:
-            if targets:
-                violations.append(
-                    Violation(1, (v,), f"root {v} is proximate to {list(targets)}")
-                )
-            continue
         p = parent[v]
         if p not in targets:
             violations.append(
@@ -567,6 +587,9 @@ def validate_axioms(d: ProximityDiagram) -> list[Violation]:
                         f"parent {p} of satellite {v} is not proximate to {targets[1]}",
                     )
                 )
+    # with axioms 0-4 kept, every odd vertex is a satellite
+    if not violations and len(set(map(prox_targets.__getitem__, odd))) == len(odd):
+        return violations
     sources: dict[int, set[int]] = {v: set() for v in d.vertices}
     for source, target in d.proximity:
         sources[target].add(source)
@@ -583,6 +606,35 @@ def validate_axioms(d: ProximityDiagram) -> list[Violation]:
     return _sorted_violations(violations)
 
 
+def _structural_violations(d: ProximityDiagram) -> list[Violation]:
+    """The structural defects of ``d``, whose tree :func:`validate_axioms`
+    found broken: a root with a parent, each non-root vertex with no
+    parent, each self-proximity and each parent chain that cycles."""
+    violations: list[Violation] = []
+    parent = d.parent
+
+    if d.root in parent:
+        violations.append(Violation(0, (d.root,), f"root {d.root} has a parent"))
+    for v in d.vertices:
+        if v != d.root and v not in parent:
+            violations.append(Violation(0, (v,), f"non-root vertex {v} has no parent"))
+    for source, target in d.proximity:
+        if source == target:
+            violations.append(Violation(0, (source,), f"vertex {source} proximate to itself"))
+
+    # parent chains must reach the root without cycles; walk_of[u] is the
+    # walk that first passed u, so a walk that stops on its own mark cycled
+    walk_of: dict[int, int | None] = {d.root: None}
+    for v in d.vertices:
+        u = v
+        while u not in walk_of and u in parent:
+            walk_of[u] = v
+            u = parent[u]
+        if walk_of.get(u) == v:
+            violations.append(Violation(0, (v,), f"parent chain from {v} has a cycle"))
+    return _sorted_violations(violations)
+
+
 def _sorted_violations(violations: list[Violation]) -> list[Violation]:
     return sorted(violations, key=lambda v: (v.axiom, v.vertices))
 
@@ -594,19 +646,20 @@ def require_valid(d: ProximityDiagram) -> None:
 
 
 def classify(d: ProximityDiagram, v: int) -> VertexKind:
-    """Kind (root / free / satellite) and finality of vertex ``v``."""
+    """Kind (root / free / satellite) and finality of vertex ``v``.
+
+    The kind is read as the target count (two for a satellite), which
+    holds on a valid diagram: an axiom violation raises
+    :class:`InvalidDiagramError`, read from the cached
+    ``diagram.violations``."""
     d.require_vertex(v)
+    require_valid(d)
     final = not d.children[v]
     if v == d.root:
         return VertexKind(Kind.ROOT, final)
-    degree = len(d.prox_targets[v])
-    if degree == 2:
+    if len(d.prox_targets[v]) == 2:
         return VertexKind(Kind.SATELLITE, final)
-    if degree == 1:
-        return VertexKind(Kind.FREE, final)
-    raise InvalidDiagramError(
-        [Violation(2, (v,), f"non-root vertex {v} is proximate to nothing")]
-    )
+    return VertexKind(Kind.FREE, final)
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +688,7 @@ def total_excess(w: WeightedDiagram) -> int:
 
 def is_consistent(w: WeightedDiagram) -> bool:
     """True when every excess is nonnegative."""
-    return all(r >= 0 for r in w.excess.values())
+    return min(w.excess.values()) >= 0
 
 
 def milnor_number(w: WeightedDiagram) -> int:
@@ -647,9 +700,11 @@ def milnor_number(w: WeightedDiagram) -> int:
     against each of its targets, so the total excess is ``sum nu_Q*(1 -
     |targets(Q)|)`` and mu is ``1 + sum nu*(nu - 2 + |targets|)``: the
     root counts its weight twice against its square, a free vertex once
-    and a satellite not at all.  The sum runs over ``diagram.preorder``,
-    once per diagram: ``w`` caches it as ``w.milnor_number``, next to
-    ``excess`` and ``orders``.  An axiom violation raises
+    and a satellite not at all.  No term depends on the order of the
+    vertices, so the sum runs over ``diagram.vertices`` and ``weights``
+    side by side, without a tree walk, once per diagram: ``w`` caches it
+    as ``w.milnor_number``, next to ``excess`` and ``orders``.  The tree
+    is still checked, with the other axioms: a violation raises
     :class:`InvalidDiagramError`, read from the cached
     ``diagram.violations``, and a negative excess
     :class:`InconsistentDiagramError`, on every call: the Milnor number of

@@ -69,15 +69,17 @@ def _rows(w: WeightedDiagram) -> list[_Row]:
     """``(id, weight, parent id, target ids)`` per vertex in canonical order.
 
     Ids are canonical positions, the root's parent id is None, and the
-    target ids list the parent first, as ``prox_targets`` does."""
+    target ids list the parent first, as ``prox_targets`` does.  The root
+    comes first in canonical order, with no targets on a valid diagram."""
     d = w.diagram
     ids = w.canonical_ids
     position = ids.__getitem__
-    rows = []
-    for v, i in ids.items():
-        parent = ids[d.parent[v]] if i else None
-        rows.append((i, w.nu[v], parent, tuple(map(position, d.prox_targets[v]))))
-    return rows
+    nu, parent, targets = w.nu, d.parent, d.prox_targets
+    items = iter(ids.items())
+    root, _ = next(items)
+    return [(0, nu[root], None, ())] + [
+        (i, nu[v], ids[parent[v]], tuple(map(position, targets[v]))) for v, i in items
+    ]
 
 
 def _int_list(items: Iterable[Any], pad: str) -> str:

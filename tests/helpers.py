@@ -235,3 +235,113 @@ def reference_maps(d: ProximityDiagram) -> dict:
         "children": children,
         "prox_targets": prox_targets,
     }
+
+
+# ---------------------------------------------------------------------------
+# references for the diagram core's linear passes: the plain versions the
+# package used before each pass was rewritten for less work per vertex
+# ---------------------------------------------------------------------------
+
+def reference_preorder(children, start) -> list:
+    """``start`` and its descendants, each parent before its children and
+    siblings in the order ``children`` lists them."""
+    order = []
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(reversed(children[v]))
+    return order
+
+
+def reference_validate_axioms(d: ProximityDiagram) -> list:
+    """The violations of ``d``: every structural defect from a missing
+    parent and a walk of each parent chain, axioms 1-4 at every vertex, and
+    axiom 5 by intersecting the source sets of each pair's two ends."""
+    Violation = enriques.diagram.Violation
+    violations = []
+    parent = d.parent
+
+    if d.root in parent:
+        violations.append(Violation(0, (d.root,), f"root {d.root} has a parent"))
+    for v in d.vertices:
+        if v != d.root and v not in parent:
+            violations.append(Violation(0, (v,), f"non-root vertex {v} has no parent"))
+    for source, target in d.proximity:
+        if source == target:
+            violations.append(Violation(0, (source,), f"vertex {source} proximate to itself"))
+
+    walk_of = {d.root: None}
+    for v in d.vertices:
+        u = v
+        while u not in walk_of and u in parent:
+            walk_of[u] = v
+            u = parent[u]
+        if walk_of.get(u) == v:
+            violations.append(Violation(0, (v,), f"parent chain from {v} has a cycle"))
+
+    def ordered(found):
+        return sorted(found, key=lambda v: (v.axiom, v.vertices))
+
+    if violations:
+        return ordered(violations)
+
+    prox_targets = d.prox_targets
+    for v in d.vertices:
+        targets = prox_targets[v]
+        if v == d.root:
+            if targets:
+                violations.append(Violation(1, (v,), f"root {v} is proximate to {list(targets)}"))
+            continue
+        p = parent[v]
+        if p not in targets:
+            violations.append(
+                Violation(2, (v, p), f"vertex {v} is not proximate to its parent {p}")
+            )
+        if len(targets) > 2:
+            violations.append(
+                Violation(3, (v,), f"vertex {v} is proximate to {len(targets)} vertices")
+            )
+        if len(targets) == 2:
+            if p not in targets:
+                violations.append(
+                    Violation(4, (v,), f"vertex {v} is proximate to two non-parents")
+                )
+            elif targets[1] not in prox_targets[p]:
+                violations.append(
+                    Violation(
+                        4,
+                        (v, p, targets[1]),
+                        f"parent {p} of satellite {v} is not proximate to {targets[1]}",
+                    )
+                )
+    sources = {v: set() for v in d.vertices}
+    for source, target in d.proximity:
+        sources[target].add(source)
+    for source, target in d.proximity:
+        both = sources[source] & sources[target]
+        if len(both) > 1:
+            violations.append(
+                Violation(
+                    5,
+                    (target, source, *sorted(both)),
+                    f"{len(both)} vertices proximate to both {target} and {source}",
+                )
+            )
+    return ordered(violations)
+
+
+def reference_form(w: WeightedDiagram) -> tuple:
+    """The key and the canonical ids of the valid diagram ``w``: its record
+    built one vertex of ``diagram.preorder`` at a time, through
+    ``canonical_form``, and the ids read off its canonical walk."""
+    d = w.diagram
+    position = {v: i for i, v in enumerate(d.preorder)}
+    record = [(-1, -1, w.nu[d.root])]
+    for v in d.preorder[1:]:
+        parent = d.parent[v]
+        targets = d.prox_targets[v]
+        second = position[targets[1]] if len(targets) > 1 else -1
+        record.append((position[parent], second, w.nu[v]))
+    key, children, _ = enriques.diagram.canonical_form(record)
+    return key, {d.preorder[i]: n for n, i in enumerate(reference_preorder(children, 0))}
