@@ -189,6 +189,35 @@ def test_validate_axioms_is_linear_in_one_vertex_target_count(free_children):
     assert peak < 2_000_000
 
 
+def hub_with_satellites(n, strays=0):
+    """``hub_over_a_chain(n, 0)`` with one satellite child of the hub per
+    chain vertex ``t``, proximate to the hub and ``t``; the last
+    ``strays`` of them lean on a child of the hub instead (axiom 4)."""
+    hub = n
+    kids = range(hub + 1, 2 * n + 1)
+    seconds = [*range(n - strays), *kids[:strays]]
+    edges = (*((i, i - 1) for i in range(1, n)), (hub, n - 1), *((c, hub) for c in kids))
+    pairs = {
+        *((i, i - 1) for i in range(1, n)),
+        *((hub, t) for t in range(n)),
+        *((c, hub) for c in kids),
+        *zip(kids, seconds),
+    }
+    return ProximityDiagram(0, edges, tuple(sorted(pairs)))
+
+
+@pytest.mark.timed
+def test_validate_axioms_looks_up_a_wide_parents_targets_once():
+    # 40,000 satellite children of a hub with 40,000 targets: a scan of
+    # the hub's targets per child makes 1.6e9 steps and cannot stay under
+    # the bound
+    d = hub_with_satellites(40_000)
+    started = time.perf_counter()
+    violations = validate_axioms(d)
+    assert time.perf_counter() - started < 2
+    assert [(v.axiom, v.vertices) for v in violations] == [(3, (40_000,))]
+
+
 def test_consecutive_satellites_on_the_same_far_target_are_legal():
     # each pair (previous, far target) carries exactly one common source
     d = proximity_diagram(
@@ -281,6 +310,7 @@ def test_the_core_passes_match_their_references():
     # diagram, the same key and canonical ids
     rng = random.Random(29)
     diagrams = [*chain_star_caterpillar(300), *chain_star_caterpillar(3)]
+    diagrams += [hub_with_satellites(n, strays) for n in (3, 40) for strays in (0, 2)]
     for i in range(9_000):
         d = random_proximity(rng, 12)
         diagrams.append((d, random_map(rng), perturbed(rng, d))[i % 3])
