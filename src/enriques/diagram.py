@@ -195,9 +195,10 @@ class ProximityDiagram:
     def preorder(self) -> tuple[int, ...]:
         """Vertices root first, each parent before its children.
 
-        The one tree check: raises :class:`InvalidDiagramError` when the
-        root has a parent or the walk from the root misses a vertex (a
-        missing parent or a cycle off the root)."""
+        The tree check, the same reach that :func:`validate_axioms` makes:
+        raises :class:`InvalidDiagramError` when the root has a parent or
+        the walk from the root misses a vertex (a missing parent or a cycle
+        off the root)."""
         order = [] if self.root in self.parent else _preorder(self.children, self.root)
         if len(order) != len(self.vertices):
             raise InvalidDiagramError(self.violations)
