@@ -199,7 +199,7 @@ class ProximityDiagram:
         raises :class:`InvalidDiagramError` when the root has a parent or
         the walk from the root misses a vertex (a missing parent or a cycle
         off the root)."""
-        order = [] if self.root in self.parent else _preorder(self.children, self.root)
+        order = self._reach()
         if len(order) != len(self.vertices):
             raise InvalidDiagramError(self.violations)
         return tuple(order)
@@ -207,8 +207,17 @@ class ProximityDiagram:
     @cached_property
     def violations(self) -> tuple[Violation, ...]:
         """Axiom violations, found once by :func:`validate_axioms` unless
-        a builder seeded the empty verdict inherited from a valid source."""
-        return tuple(validate_axioms(self))
+        a builder seeded the empty verdict inherited from a valid source.
+        A tree reach that covers every vertex is kept as ``preorder``."""
+        reach = self._reach()
+        if len(reach) == len(self.vertices):
+            self.__dict__.setdefault("preorder", tuple(reach))
+        return tuple(_axiom_violations(self, reach))
+
+    def _reach(self) -> list[int]:
+        """The vertices :func:`_preorder` reaches from the root, none when
+        the root has a parent."""
+        return [] if self.root in self.parent else _preorder(self.children, self.root)
 
     def require_vertex(self, v: int) -> int:
         """``v`` itself when it is an ``int`` vertex id here, else DiagramError."""
@@ -541,14 +550,19 @@ def validate_axioms(d: ProximityDiagram) -> list[Violation]:
     pair ``(source, target)``: the vertices proximate to both are the
     intersection of their two source sets, and an intersection iterates
     the smaller set, so on any input with ``P`` pairs it costs at most
-    ``O(P**1.5)``.  On a valid diagram the whole check is linear.
+    ``O(P**1.5)``.  On a valid diagram the whole check is linear.  It
+    caches nothing on ``d``.
     """
+    return _axiom_violations(d, d._reach())
+
+
+def _axiom_violations(d: ProximityDiagram, reach: list[int]) -> list[Violation]:
+    """:func:`validate_axioms` given the tree reach of ``d``."""
     violations: list[Violation] = []
     parent = d.parent
     root = d.root
     prox_targets = d.prox_targets
 
-    reach = [] if root in parent else _preorder(d.children, root)
     if len(reach) != len(d.vertices):
         return _structural_violations(d)
 

@@ -46,7 +46,14 @@ lemma, its ``c`` when it is final and else the sum of its sources' least
 weights.  A vertex weighs at most ``max_weight`` and at most what each target can spare
 once the target's unweighted sources take their least weights.  Every
 range is therefore non-empty and every completed weighting is minimal
-and consistent.
+and consistent.  The root is held at ``max_weight`` while the other
+vertices are weighted, so each weighting of theirs is visited once: the
+root's range, from the sum of its sources' weights (1 for a lone root)
+to ``max_weight``, is read off its slack at the end.  The Milnor number
+``1 + sum nu*(nu - 2 + |targets|)`` of
+:func:`~enriques.diagram.milnor_number` is carried along the walk
+without the root's term, one term per weighted vertex, so each root
+weight ``r`` only adds ``r*(r - 2)``.
 
 *Orbit lemma.*  The shapes of one vertex count are pairwise
 non-isomorphic, so two weightings give isomorphic diagrams exactly when
@@ -79,6 +86,9 @@ siblings around it, and a run that holds an inner group is more than
 twice as long as the inner runs, so a test reads at most ``2n`` weights
 on a shape without nested groups and ``O(n log n)`` at worst.
 
+The root never lies in a twin's run, so the test runs once per weighting
+of the other vertices and holds for every root weight.
+
 So :func:`_minimal_families` keeps each minimal diagram once with no key
 at all, as the :class:`_Family` of its shape's weightings.  The diagrams
 of one family share its :attr:`_Family.structure`, one
@@ -86,11 +96,17 @@ of one family share its :attr:`_Family.structure`, one
 cached facts, axiom violations included, are computed once per shape.
 :func:`~enriques.jump.verify_maximality` reads each family as it is
 yielded and builds a diagram only for a candidate it searches, keeping
-none once searched; :func:`enumerate_minimal_diagrams` keys every
-diagram it yields, for its order, and seeds the diagram with that key.
-The families come in one stream in vertex-count order, and each says
-whether it is the last of its count, so a count is sorted and yielded
-before the next count's shapes are counted against the cap.
+none once searched.  It passes its root bound, and the weightings with a
+heavier root become no tuples: each weighting of the other vertices
+leaves only its least heavy root weight and its Milnor number less the
+root's term, from which the heavy candidates are counted.
+:func:`enumerate_minimal_diagrams` keys every diagram it yields, for its
+order, and seeds the diagram with that key.  The families come in one
+stream in vertex-count order, and each says whether it is the last of
+its count, so a count is sorted and yielded before the next count's
+shapes are counted against the cap.  A family is admitted to the cap in
+one step, before it is yielded, so the cap stops the stream after the
+same families as one admission per weighting would.
 """
 
 from __future__ import annotations
@@ -125,30 +141,29 @@ _Pair = tuple[itemgetter, itemgetter]
 @dataclass
 class _Family:
     """The minimal weightings of one live shape, one per isomorphism class,
-    and whether the shape is the last live one of its vertex count."""
+    and whether the shape is the last live one of its vertex count.
+
+    ``weightings`` holds those with root weight at most the enumeration's
+    root bound and ``mus`` their Milnor numbers, in the coefficient form
+    that :func:`~enriques.diagram.milnor_number` states and proves, ``1 +
+    sum nu*(nu - 2 + |targets|)``.  The heavier ones are only summed up in
+    ``heavy``: for each non-root weighting that takes such a root, its
+    least root weight above the bound and its Milnor number without the
+    root's term ``r*(r - 2)``; every root weight from there to
+    ``max_weight`` completes it."""
 
     shape: tuple[_Rec, ...]
     weightings: list[tuple[int, ...]]
+    mus: list[int]
+    heavy: list[tuple[int, int]]
     last: bool
-
-    def milnor_numbers(self) -> Iterator[int]:
-        """Each weighting's Milnor number in the coefficient form that
-        :func:`~enriques.diagram.milnor_number` states and proves, ``1 +
-        sum nu*(nu - 2 + |targets|)``, read off the shape's records.  Every
-        enumerated weighting is consistent, so its Milnor number is defined."""
-        # the root weight counts twice against its square, a free vertex's
-        # once and a satellite's not at all
-        coefficients = [2] + [1 if second < 0 else 0 for _, second, _ in self.shape[1:]]
-        for weights in self.weightings:
-            yield 1 + sum([x * (x - c) for x, c in zip(weights, coefficients)])
 
     @cached_property
     def structure(self) -> ProximityDiagram:
         """The shape as a diagram with vertex ids its indices, shared by every
         weighting's diagram: :func:`~enriques.diagram._grown` grows the lone
         root by each later vertex's ``(parent, second)``, None for ``-1``."""
-        run = [(parent, None if second < 0 else second) for parent, second, _ in self.shape[1:]]
-        return _grown(_ROOT, run)
+        return _grown(_ROOT, [(p, None if s < 0 else s) for p, s, _ in self.shape[1:]])
 
     def key(self, weights: tuple[int, ...]) -> str:
         """The canonical key of one weighting of the shape."""
@@ -160,9 +175,10 @@ class EnumerationLimitError(DiagramError):
 
 
 def _admit(seen: int, max_candidates: int) -> int:
-    if seen >= max_candidates:
+    """``seen``, the candidates held once more are admitted, if within the cap."""
+    if seen > max_candidates:
         raise EnumerationLimitError(f"enumeration exceeded the cap of {max_candidates} candidates")
-    return seen + 1
+    return seen
 
 
 def _extensions(shape: tuple[_Rec, ...], max_weight: int) -> Iterator[tuple[_Rec, ...]]:
@@ -171,8 +187,7 @@ def _extensions(shape: tuple[_Rec, ...], max_weight: int) -> Iterator[tuple[_Rec
     paths = [1] * len(shape) + [0]  # paths[-1] is 0: "no second target" adds nothing
     final_weight = [1] + [2 if second < 0 else 1 for _, second, _ in shape[1:]]
     has_child = [False] * len(shape)
-    for i in range(1, len(shape)):
-        parent, second, _ = shape[i]
+    for i, (parent, second, _) in enumerate(shape[1:], 1):
         paths[i] = paths[parent] + paths[second]
         has_child[parent] = True
     least_root = sum(p * c for p, c, busy in zip(paths, final_weight, has_child) if not busy)
@@ -188,16 +203,22 @@ def _extensions(shape: tuple[_Rec, ...], max_weight: int) -> Iterator[tuple[_Rec
                 yield shape + ((parent, second, 0),)
 
 
-def _weightings(shape: tuple[_Rec, ...], max_weight: int) -> Iterator[list[int]]:
-    """Every minimal consistent weighting of ``shape`` with weights at most
-    ``max_weight``, by an iterative search over the vertices in index order
-    (the yielded list is reused).  ``shape`` must be live: the lone root,
-    or a shape :func:`_extensions` yields for ``max_weight``, so that no
-    least weight, the root's being the largest, exceeds ``max_weight``."""
+def _weightings(shape: tuple[_Rec, ...], max_weight: int) -> Iterator[tuple[list[int], int, int]]:
+    """Every minimal consistent weighting of the non-root vertices of
+    ``shape`` with weights at most ``max_weight``, by an iterative search
+    over them in index order with the root held at ``max_weight``.  Each
+    comes with its Milnor number without the root's term and the root's
+    least weight, the sum of its sources' weights (1 for a lone root): the
+    root may weigh anything from there to ``max_weight``.  The yielded list
+    is reused and the search never reads its root entry, which the caller
+    may set.  ``shape`` must be live: the lone root, or a shape
+    :func:`_extensions` yields for ``max_weight``, so that no least weight,
+    the root's being the largest, exceeds ``max_weight``."""
     n = len(shape)
     targets = [[t for t in entry[:2] if t >= 0] for entry in shape]
-    owed = [0] * n  # the sources' least weights
-    least = [0] * n
+    # a free vertex's term is x*(x - 1) and a satellite's x*x
+    coefficients = [0] + [1 if second < 0 else 0 for _, second, _ in shape[1:]]
+    owed, least = [0] * n, [0] * n  # owed: the sources' least weights
     for v in range(n - 1, -1, -1):
         # a child is a source, so only a final vertex owes nothing
         least[v] = owed[v] or (2 if len(targets[v]) == 1 else 1)
@@ -205,24 +226,29 @@ def _weightings(shape: tuple[_Rec, ...], max_weight: int) -> Iterator[list[int]]
             owed[t] += least[v]
     # weights[u] is least[u] for every u after v; slack[t] is what a weighted
     # t can still spare once its sources not yet weighted take their least
-    weights, slack = least[:], [0] * n
-    v = 0
-    while v >= 0:
-        slack[v] = weights[v] - owed[v]
-        if v < n - 1:
-            v += 1
-            continue
-        yield weights
-        # back up to the last vertex that can still rise, resetting the rest
-        while v >= 0 and (weights[v] == max_weight or 0 in [slack[t] for t in targets[v]]):
+    # (a non-root entry is set before it is read); mu[u] is 1 plus the terms
+    # of the vertices 1 to u
+    weights, slack, mu = [max_weight, *least[1:]], [max_weight - owed[0]] * n, [1] * n
+    v = 1
+    while True:
+        for u in range(v, n):
+            x = weights[u]
+            slack[u] = x - owed[u]
+            mu[u] = mu[u - 1] + x * (x - coefficients[u])
+        yield weights, mu[-1], max_weight - slack[0] or 1
+        # back up to the last vertex that can still rise, resetting the rest;
+        # a vertex weighs at most its parent, so the targets' slack bounds it
+        v = n - 1
+        while v and 0 in [slack[t] for t in targets[v]]:
             for t in targets[v]:
                 slack[t] += weights[v] - least[v]
             weights[v] = least[v]
             v -= 1
-        if v >= 0:
-            weights[v] += 1
-            for t in targets[v]:
-                slack[t] -= 1
+        if not v:
+            return
+        weights[v] += 1
+        for t in targets[v]:
+            slack[t] -= 1
 
 
 def _orbit_pairs(children: list[list[int]], twins: list[tuple[int, int]]) -> tuple[_Pair, ...]:
@@ -252,38 +278,44 @@ def _least_in_orbit(weights: list[int], pairs: tuple[_Pair, ...]) -> bool:
 
 
 def _minimal_families(
-    max_vertices: int, max_weight: int, max_candidates: int
+    max_vertices: int, max_weight: int, max_candidates: int, root_bound: int | None = None
 ) -> Iterator[_Family]:
     """Each live shape with at most ``max_vertices`` vertices, with its
     minimal weightings within the bounds, one per isomorphism class, in
     vertex-count order.  The counts stop before the first one with no live
     shape: by the reachability lemma in the module docstring, no larger
     count has one either.  Arguments and the candidate cap are as for
-    :func:`enumerate_minimal_diagrams`.
+    :func:`enumerate_minimal_diagrams`; each family is admitted to the cap
+    whole before it is yielded.  A ``root_bound`` of at most ``max_weight``
+    keeps the weightings with a heavier root out of ``weightings``, in
+    :attr:`_Family.heavy` alone.
     """
     for name, bound in [
         ("max_vertices", max_vertices),
         ("max_weight", max_weight),
         ("max_candidates", max_candidates),
     ]:
-        _integer(bound, name, ValueError)
-    if max_vertices < 1:
-        raise ValueError(f"max_vertices must be positive, got {max_vertices}")
-    if max_weight < 1:
-        raise ValueError(f"max_weight must be positive, got {max_weight}")
-    if max_candidates < 1:
-        raise ValueError(f"max_candidates must be positive, got {max_candidates}")
+        if _integer(bound, name, ValueError) < 1:
+            raise ValueError(f"{name} must be positive, got {bound}")
 
+    light = max_weight if root_bound is None else root_bound
     level: list[tuple[tuple[_Rec, ...], tuple[_Pair, ...]]] = [(((-1, -1, 0),), ())]
-    seen = _admit(0, max_candidates)
+    seen = 1  # the lone root's shape
     for size in range(1, max_vertices + 1):
         for i, (shape, pairs) in enumerate(level, 1):
-            kept = []
-            for weights in _weightings(shape, max_weight):
-                if not pairs or _least_in_orbit(weights, pairs):
-                    seen = _admit(seen, max_candidates)
-                    kept.append(tuple(weights))
-            yield _Family(shape, kept, i == len(level))
+            family = _Family(shape, [], [], [], i == len(level))
+            for weights, rest, low in _weightings(shape, max_weight):
+                if pairs and not _least_in_orbit(weights, pairs):
+                    continue
+                seen += max_weight + 1 - low
+                for root in range(low, light + 1):
+                    weights[0] = root
+                    family.weightings.append(tuple(weights))
+                    family.mus.append(rest + root * (root - 2))
+                if light < max_weight:
+                    family.heavy.append((max(low, light + 1), rest))
+            seen = _admit(seen, max_candidates)
+            yield family
         if size == max_vertices:
             return
         shapes: dict[str, tuple[tuple[_Rec, ...], tuple[_Pair, ...]]] = {}
@@ -291,7 +323,7 @@ def _minimal_families(
             for child in _extensions(shape, max_weight):
                 key, children, twins = canonical_form(child)
                 if key not in shapes:
-                    seen = _admit(seen, max_candidates)
+                    seen = _admit(seen + 1, max_candidates)
                     shapes[key] = child, _orbit_pairs(children, twins)
         if not shapes:
             return

@@ -23,6 +23,7 @@ maximality report is either "verified" or "contradiction".
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from math import gcd
 
@@ -273,8 +274,12 @@ def verify_maximality(
     at the candidate's root is ``r`` or 0; the root is proximate to
     nothing, so its value in the candidate is its weight, which exceeds
     ``r``.  The inequality fails at the root.  Such candidates are counted
-    per shape as examined and refuted (and in ``refuted_by_root``),
-    without a key, a diagram or a search.  Every other candidate, a light
+    as examined and refuted (and in ``refuted_by_root``) inside the
+    enumeration's walk, without a key, a weight tuple, a diagram or a
+    search: the walk holds the root back, and for each weighting of the
+    other vertices, with Milnor number ``rest + r*(r - 2)`` at root weight
+    ``r``, the heavy root weights with a Milnor number above the threshold
+    are an interval, counted by one bisection.  Every other candidate, a light
     one, goes to the second stage, the bounded domination search of
     :func:`~enriques.adjacency.adjacency_verdict`, as the enumeration
     yields it, except ``D_min``'s own class: only a weighting with
@@ -308,8 +313,9 @@ def verify_maximality(
     minimal weightings, one per isomorphism class), and only those that
     reach the search become diagrams, on one shared structure per shape,
     keyed only for the ``D_min`` class check and contradictions.  Each
-    weighting's Milnor number is read off its shape, as derived at
-    :meth:`~enriques.enumeration._Family.milnor_numbers`.
+    weighting's Milnor number is carried along the enumeration's walk, in
+    the coefficient form that :func:`~enriques.diagram.milnor_number`
+    states and proves.
     """
     report = lambda_lin(spec)
     D_min = report.D_min
@@ -340,14 +346,16 @@ def verify_maximality(
     top = len(D_min) + extra_bound
     maximal = [r for r in class_representatives(diagram_type(D_min), extra_bound) if len(r) == top]
     root_weight = D_min.nu[D_min.root]
-    refuted_by_root = searched = 0
-    found = []
-    for family in _minimal_families(max_vertices, max_weight, DEFAULT_MAX_CANDIDATES):
-        for weights, mu in zip(family.weightings, family.milnor_numbers()):
+    # a weighting's Milnor number is rest + r*(r - 2) = rest - 1 + squares[r]
+    # for root weight r, and squares rises from r = 1 on
+    squares = [(r - 1) ** 2 for r in range(max_weight + 1)]
+    refuted_by_root, searched, found = 0, 0, []
+    for family in _minimal_families(max_vertices, max_weight, DEFAULT_MAX_CANDIDATES, root_weight):
+        for first, rest in family.heavy:
+            # the root weights from first to max_weight above the threshold
+            refuted_by_root += max_weight + 1 - bisect_right(squares, threshold + 1 - rest, first)
+        for weights, mu in zip(family.weightings, family.mus):
             if mu <= threshold:
-                continue
-            if weights[0] > root_weight:
-                refuted_by_root += 1
                 continue
             if len(weights) == len(D_min) and mu == report.mu_D:
                 if family.key(weights) == D_min.key:
@@ -356,8 +364,7 @@ def verify_maximality(
             searched += 1
             if adjacency_verdict(maximal, candidate, extra_bound).holds:
                 found.append((len(candidate), candidate.key, mu))
-    found.sort()
-    contradictions = tuple((key, mu) for _, key, mu in found)
+    contradictions = tuple((key, mu) for _, key, mu in sorted(found))
     examined = refuted_by_root + searched
     return MaximalityReport(
         spec=spec,

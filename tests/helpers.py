@@ -82,16 +82,17 @@ def count_constructions(monkeypatch, most=None) -> list:
 
 
 def count_validations(monkeypatch) -> list:
-    """The list every diagram that ``validate_axioms`` walks from here on is
-    appended to: the cached verdict reads it through ``enriques.diagram``."""
+    """The list every diagram whose axioms are checked from here on is
+    appended to: the cached verdict and ``validate_axioms`` both read
+    ``_axiom_violations`` through ``enriques.diagram``."""
     walked = []
-    validate_axioms = enriques.diagram.validate_axioms
+    axiom_violations = enriques.diagram._axiom_violations
 
-    def counting(diagram):
+    def counting(diagram, reach):
         walked.append(diagram)
-        return validate_axioms(diagram)
+        return axiom_violations(diagram, reach)
 
-    monkeypatch.setattr(enriques.diagram, "validate_axioms", counting)
+    monkeypatch.setattr(enriques.diagram, "_axiom_violations", counting)
     return walked
 
 
@@ -345,3 +346,43 @@ def reference_form(w: WeightedDiagram) -> tuple:
         record.append((position[parent], second, w.nu[v]))
     key, children, _ = enriques.diagram.canonical_form(record)
     return key, {d.preorder[i]: n for n, i in enumerate(reference_preorder(children, 0))}
+
+
+def reference_weightings(shape, max_weight):
+    """The enumeration's weighting search before it held the root back: every
+    minimal consistent weighting of ``shape``, root included, by an
+    iterative search over the vertices in index order (the yielded list is
+    reused).  ``shape`` must be live for ``max_weight``."""
+    n = len(shape)
+    targets = [[t for t in entry[:2] if t >= 0] for entry in shape]
+    owed = [0] * n
+    least = [0] * n
+    for v in range(n - 1, -1, -1):
+        least[v] = owed[v] or (2 if len(targets[v]) == 1 else 1)
+        for t in targets[v]:
+            owed[t] += least[v]
+    weights, slack = least[:], [0] * n
+    v = 0
+    while v >= 0:
+        slack[v] = weights[v] - owed[v]
+        if v < n - 1:
+            v += 1
+            continue
+        yield weights
+        while v >= 0 and (weights[v] == max_weight or 0 in [slack[t] for t in targets[v]]):
+            for t in targets[v]:
+                slack[t] += weights[v] - least[v]
+            weights[v] = least[v]
+            v -= 1
+        if v >= 0:
+            weights[v] += 1
+            for t in targets[v]:
+                slack[t] -= 1
+
+
+def reference_milnor_numbers(shape, weightings):
+    """Each weighting's Milnor number ``1 + sum nu*(nu - 2 + |targets|)``,
+    read off the shape's records term by term after the search."""
+    coefficients = [2] + [1 if second < 0 else 0 for _, second, _ in shape[1:]]
+    for weights in weightings:
+        yield 1 + sum([x * (x - c) for x, c in zip(weights, coefficients)])

@@ -12,6 +12,7 @@ import time
 import pytest
 
 import enriques.cli
+import enriques.jump
 from enriques import (
     MaximalityReport,
     QuasihomogeneousSpec,
@@ -259,6 +260,13 @@ def test_verify_output(capsys):
         "attained_max_mu 1\n"
         "status verified\n"
     )
+
+
+def test_verify_exits_1_at_the_candidate_cap(capsys, monkeypatch):
+    monkeypatch.setattr(enriques.jump, "DEFAULT_MAX_CANDIDATES", 434)
+    code, out, err = invoke(capsys, "verify", "0,0,2,3")
+    assert (code, out) == (1, "")
+    assert err == "error: enumeration exceeded the cap of 434 candidates\n"
 
 
 def test_verify_contradiction_exit_code(capsys, monkeypatch):

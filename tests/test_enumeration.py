@@ -20,7 +20,7 @@ from enriques import (
 from enriques.cli import run
 from enriques.diagram import canonical_form
 from enriques.enumeration import _extensions, _least_in_orbit, _orbit_pairs, _weightings
-from helpers import wd
+from helpers import reference_milnor_numbers, reference_weightings, wd
 
 
 def keys(max_vertices, max_weight, **kw):
@@ -248,6 +248,14 @@ def weighted_bfs(max_vertices, max_weight):
     return out
 
 
+def full_weightings(shape, max_weight):
+    # the walk holds the root back: each non-root weighting stands for every
+    # root weight from its least one to max_weight
+    for weights, _, low in _weightings(shape, max_weight):
+        for root in range(low, max_weight + 1):
+            yield [root, *weights[1:]]
+
+
 def keyed_dedup(max_vertices, max_weight):
     """The dedup the orbit test replaced: the shape-first enumeration with
     every minimal weighting keyed by canonical_form and folded by key.
@@ -258,7 +266,7 @@ def keyed_dedup(max_vertices, max_weight):
     for size in range(1, max_vertices + 1):
         found = {}
         for shape in level:
-            for weights in _weightings(shape, max_weight):
+            for weights in full_weightings(shape, max_weight):
                 record = [(p, s, x) for (p, s, _), x in zip(shape, weights)]
                 found.setdefault(canonical_form(record)[0], max(weights))
         out.extend((size, key, found[key]) for key in sorted(found))
@@ -307,14 +315,16 @@ def has_symmetry(shape):
 
 def test_orbit_test_keeps_one_weighting_per_class_and_skips_rigid_shapes(monkeypatch):
     tried = []
+    weighed = [0]
     tested = []
     symmetric = {}
     formed = [None]
 
     def counting_weightings(shape, max_weight):
-        for weights in _weightings(shape, max_weight):
+        for weights, rest, low in _weightings(shape, max_weight):
             tried.append(shape)
-            yield weights
+            weighed[0] += max_weight + 1 - low
+            yield weights, rest, low
 
     def recording_form(record):
         formed[0] = record
@@ -335,9 +345,11 @@ def test_orbit_test_keeps_one_weighting_per_class_and_skips_rigid_shapes(monkeyp
     monkeypatch.setattr(enriques.enumeration, "_orbit_pairs", recording_pairs)
     monkeypatch.setattr(enriques.enumeration, "_least_in_orbit", recording_test)
     assert sum(1 for _ in enumerate_minimal_diagrams(9, 7)) == 45503
-    assert len(tried) == 46809
+    # 46,809 weightings, drawn as 33,650 weightings of the non-root vertices
+    assert weighed[0] == 46809
+    assert len(tried) == 33650
     # every shape but the lone root went through _orbit_pairs; a test runs
-    # exactly for the weightings of shapes with a non-trivial group
+    # exactly for the non-root weightings of shapes with a non-trivial group
     assert len(symmetric) + 1 == len(set(tried))
     for shape, pairs in symmetric.items():
         assert pairs == has_symmetry(shape), shape
@@ -455,11 +467,61 @@ def test_every_extended_shape_has_a_minimal_weighting(monkeypatch, bound):
         assert next(_weightings(shape, bound[1]), None) is not None, shape
 
 
+def reference_family(shape, max_weight):
+    # the root-first search with the orbit test, and the Milnor numbers of
+    # the kept weightings computed after it
+    pairs = _orbit_pairs(*canonical_form(shape)[1:])
+    kept = [
+        tuple(weights)
+        for weights in reference_weightings(shape, max_weight)
+        if not pairs or _least_in_orbit(weights, pairs)
+    ]
+    return sorted(zip(kept, reference_milnor_numbers(shape, kept)))
+
+
+def heavy_summary(expected, root_bound, max_weight):
+    # per non-root weighting with a root above the bound: its least such
+    # root and its Milnor number without the root's term, which must be the
+    # same for every root, and those roots must run up to max_weight
+    roots = {}
+    for weights, mu in expected:
+        if weights[0] > root_bound:
+            roots.setdefault(weights[1:], []).append((weights[0], mu - weights[0] * (weights[0] - 2)))
+    for found in roots.values():
+        assert [root for root, _ in found] == list(range(found[0][0], max_weight + 1))
+        assert len({rest for _, rest in found}) == 1
+    return sorted(found[0] for found in roots.values())
+
+
+def compare_with_the_reference(max_vertices, max_weight):
+    families = 0
+    for root_bound in {None, max(max_weight - 2, 1)}:
+        light = max_weight if root_bound is None else root_bound
+        for family in enriques.enumeration._minimal_families(
+            max_vertices, max_weight, 10**6, root_bound
+        ):
+            expected = reference_family(family.shape, max_weight)
+            assert sorted(zip(family.weightings, family.mus)) == [
+                (weights, mu) for weights, mu in expected if weights[0] <= light
+            ], family.shape
+            assert sorted(family.heavy) == heavy_summary(expected, light, max_weight)
+            families += root_bound is None
+    return families
+
+
+def test_root_last_walk_matches_the_root_first_reference():
+    # every family of every bound with V + W <= 13, with and without a root
+    # bound two below the weight bound, as verify's defaults give
+    bounds = [(v, w) for v in range(1, 13) for w in range(1, 14 - v)]
+    assert sum(compare_with_the_reference(*bound) for bound in bounds) == 2478
+    assert compare_with_the_reference(9, 7) == 2538
+
+
 def test_weighting_search_on_a_deep_free_chain():
     # every non-root vertex is free with no satellite source, so it weighs
     # at least 2, and the chain leaves no room above that
     shape = ((-1, -1, 0),) + tuple((i - 1, -1, 0) for i in range(1, 5000))
-    found = [list(weights) for weights in _weightings(shape, 2)]
+    found = list(full_weightings(shape, 2))
     assert found == [[2] * 5000]
 
 

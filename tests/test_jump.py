@@ -12,6 +12,7 @@ import enriques.quasihomogeneous
 from enriques import (
     AdjacencyVerdict,
     DiagramError,
+    EnumerationLimitError,
     InvalidDiagramError,
     ProximityDiagram,
     QuasihomogeneousSpec,
@@ -384,6 +385,41 @@ def test_verify_maximality_pinned_counts(spec, count):
     assert report.examined == report.refuted == count
 
 
+def test_root_stage_counts_are_pinned_at_a_wide_bound():
+    # the root stage is counted per non-root weighting, by arithmetic
+    report = verify_maximality(QuasihomogeneousSpec(0, 0, 5, 7))
+    assert (report.examined, report.refuted, report.refuted_by_root) == (45289, 45289, 42385)
+
+
+@pytest.mark.parametrize("cap", [1, 100, 434])
+def test_verify_raises_at_the_candidate_cap(monkeypatch, cap):
+    # 434 is the largest cap that stops verify for 0,0,2,3: its enumeration
+    # holds 435 shapes and weightings
+    monkeypatch.setattr(enriques.jump, "DEFAULT_MAX_CANDIDATES", cap)
+    with pytest.raises(EnumerationLimitError, match=f"the cap of {cap} candidates"):
+        verify_maximality(QuasihomogeneousSpec(0, 0, 2, 3))
+    monkeypatch.setattr(enriques.jump, "DEFAULT_MAX_CANDIDATES", 435)
+    assert verify_maximality(QuasihomogeneousSpec(0, 0, 2, 3)).examined == 325
+
+
+@pytest.mark.parametrize("spec", [(0, 0, 2, 9), (0, 0, 3, 7)])
+def test_root_stage_counts_only_heavy_candidates_above_the_threshold(spec):
+    # here some candidates with a heavy root sit at or below the threshold,
+    # so the count by bisection must leave exactly those out
+    spec = QuasihomogeneousSpec(*spec)
+    report = verify_maximality(spec)
+    jump = lambda_lin(spec)
+    root_weight = jump.D_min.nu[jump.D_min.root]
+    threshold = jump.mu_D - jump.lambda_lin
+    heavy = [
+        milnor_number(candidate)
+        for candidate in enumerate_minimal_diagrams(report.max_vertices, report.max_weight)
+        if candidate.nu[candidate.root] > root_weight
+    ]
+    assert threshold in heavy and min(heavy) < threshold
+    assert report.refuted_by_root == sum(mu > threshold for mu in heavy)
+
+
 def test_root_stage_refutations_are_sound():
     # lemma: a candidate whose root outweighs D_min's is dominated by no
     # class representative, since every representative keeps D_min's root
@@ -579,7 +615,7 @@ def test_record_milnor_number_matches_the_excess_definition():
             weighted_diagram(structure, dict(enumerate(weights)))
             for weights in family.weightings
         ]
-        for mu, w in zip(family.milnor_numbers(), diagrams):
+        for mu, w in zip(family.mus, diagrams):
             assert is_consistent(w)
             assert mu == milnor_number(w) == excess_milnor(w)
             count += 1

@@ -8,9 +8,13 @@ from pathlib import Path
 
 import pytest
 
+import enriques.diagram
 from enriques import (
     MAX_DIAGRAM_VERTICES,
     DiagramError,
+    ProximityDiagram,
+    WeightedDiagram,
+    check_geq_witness,
     QuasihomogeneousSpec,
     add_leaf,
     InvalidDiagramError,
@@ -386,3 +390,33 @@ def test_emitters_are_pinned():
     assert digest.hexdigest() == (
         "1fbe5904376edba976d48b9a62d3b04477c3cadbba114d72e8b7634b91604e0c"
     )
+
+
+def test_a_diagram_read_from_json_walks_its_tree_once(monkeypatch):
+    text = diagram_to_json(minimal_diagram(QuasihomogeneousSpec(0, 0, 6, 9)))
+    walks = []
+    walk = enriques.diagram._preorder
+
+    def counting(children, start):
+        walks.append(start)
+        return walk(children, start)
+
+    monkeypatch.setattr(enriques.diagram, "_preorder", counting)
+    assert diagram_to_json(diagram_from_json(text)) == text
+    # the validation's reach, kept as preorder, and the canonical form's
+    # walk over positions
+    assert len(walks) == 2
+
+
+def test_the_witness_check_seeds_no_cache():
+    report = lambda_lin(QuasihomogeneousSpec(0, 0, 6, 9))
+
+    def fresh(w):
+        d = w.diagram
+        return WeightedDiagram(ProximityDiagram(d.root, d.parent_edges, d.proximity), w.weights)
+
+    upper, lower = fresh(report.representative), fresh(report.E_D)
+    assert check_geq_witness(upper, lower, report.adjacency_witness)
+    for w in (upper, lower):
+        assert "preorder" not in w.diagram.__dict__
+        assert "violations" not in w.diagram.__dict__
