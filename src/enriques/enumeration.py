@@ -175,7 +175,8 @@ class EnumerationLimitError(DiagramError):
 
 
 def _admit(seen: int, max_candidates: int) -> int:
-    """``seen``, the candidates held once more are admitted, if within the cap."""
+    """``seen``, the number of candidates held after an admission, when it
+    is within the cap; :class:`EnumerationLimitError` otherwise."""
     if seen > max_candidates:
         raise EnumerationLimitError(f"enumeration exceeded the cap of {max_candidates} candidates")
     return seen
@@ -216,7 +217,8 @@ def _weightings(shape: tuple[_Rec, ...], max_weight: int) -> Iterator[tuple[list
     the root's being the largest, exceeds ``max_weight``."""
     n = len(shape)
     targets = [[t for t in entry[:2] if t >= 0] for entry in shape]
-    # a free vertex's term is x*(x - 1) and a satellite's x*x
+    # a free vertex's term is x*(x - 1) and a satellite's x*x; the root's
+    # term is left out
     coefficients = [0] + [1 if second < 0 else 0 for _, second, _ in shape[1:]]
     owed, least = [0] * n, [0] * n  # owed: the sources' least weights
     for v in range(n - 1, -1, -1):

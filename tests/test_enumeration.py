@@ -485,8 +485,9 @@ def heavy_summary(expected, root_bound, max_weight):
     # same for every root, and those roots must run up to max_weight
     roots = {}
     for weights, mu in expected:
-        if weights[0] > root_bound:
-            roots.setdefault(weights[1:], []).append((weights[0], mu - weights[0] * (weights[0] - 2)))
+        root = weights[0]
+        if root > root_bound:
+            roots.setdefault(weights[1:], []).append((root, mu - root * (root - 2)))
     for found in roots.values():
         assert [root for root, _ in found] == list(range(found[0][0], max_weight + 1))
         assert len({rest for _, rest in found}) == 1
