@@ -94,8 +94,17 @@ def geq(upper: WeightedDiagram, lower: WeightedDiagram) -> GeqWitness | None:
     to an unused child of its parent's image with the same kind (a
     satellite's second target must correspond) or excluded with its
     subtree.  A constraint at a vertex reads only its ancestors, so any
-    root-first order gives the same verdict.  Images are tried by id
-    before exclusion: the witness is the first in lower preorder with
+    root-first order gives the same verdict.
+
+    Every target of ``v`` is an ancestor, so the sum ``S(v)`` of the
+    targets' ``ord_kappa`` values is fixed once ``v``'s ancestors are
+    decided: an image ``u`` keeps ``v``'s inequality exactly when
+    ``upper.nu[u] >= ord_nu[v] - S(v)``, and exclusion exactly when
+    ``ord_nu[v] <= S(v)``.  So each vertex's options are listed once, when
+    the search reaches it, holding only those that keep the inequality;
+    the choices left out are those a search trying every image would
+    reject on the spot, and the witness is the same.  Images are tried by
+    id before exclusion: the witness is the first in lower preorder with
     upper children by id, so a relabelling of a branching diagram may
     pick another valid one.  Returns None when there is no witness.
     """
@@ -113,54 +122,53 @@ def geq(upper: WeightedDiagram, lower: WeightedDiagram) -> GeqWitness | None:
     used: set[int] = set()
     ord_kappa: dict[int, int] = {}
 
-    def candidates(v: int) -> list[int | None]:
-        """Images to try for ``v`` given the choices so far, then exclusion."""
-        out: list[int | None] = []
+    def options(v: int) -> list[tuple[int | None, int]]:
+        """The choices for ``v`` that keep its inequality, given its
+        ancestors' choices, each with its ``ord_kappa`` value: images by
+        id, then exclusion, listed in reverse so the next to try is last."""
+        v_targets = lo.prox_targets[v]
+        fixed = 0
+        for t in v_targets:
+            fixed += ord_kappa[t]
+        need = ord_nu[v] - fixed
         if v == lo.root:
-            out.append(up.root)
+            images: tuple[int, ...] = (up.root,)
         else:
-            v_targets = lo.prox_targets[v]
             parent_image = image.get(lo.parent[v])
-            if parent_image is not None:
-                for u in up.children[parent_image]:
-                    if u in used:
-                        continue
-                    u_targets = up.prox_targets[u]
-                    if len(u_targets) != len(v_targets):
-                        continue
-                    if len(v_targets) == 2 and image.get(v_targets[1]) != u_targets[1]:
-                        continue
-                    out.append(u)
-        out.append(None)
+            images = () if parent_image is None else up.children[parent_image]
+        out: list[tuple[int | None, int]] = []
+        for u in images:
+            u_targets = up.prox_targets[u]
+            if u in used or upper.nu[u] < need or len(u_targets) != len(v_targets):
+                continue
+            # a satellite's image leans on the image of its second target
+            if len(v_targets) < 2 or image.get(v_targets[1]) == u_targets[1]:
+                out.append((u, upper.nu[u] + fixed))
+        if need <= 0:
+            out.append((None, fixed))
+        out.reverse()
         return out
 
-    # depth-first search with an explicit stack: one iterator of untried
-    # choices per decided vertex of ``order``
-    pending = [iter(candidates(order[0]))]
+    # depth-first search with an explicit stack: the untried options of
+    # each decided vertex of ``order``
+    pending = [options(order[0])]
     while pending:
         v = order[len(pending) - 1]
-        if v in ord_kappa:  # a deeper vertex ran out of choices: undo this one
-            used.discard(image.pop(v, None))
-            del ord_kappa[v]
-        v_targets = lo.prox_targets[v]
-        for choice in pending[-1]:
-            value = upper.nu[choice] if choice is not None else 0
-            ord_value = value + sum(ord_kappa[t] for t in v_targets)
-            if ord_nu[v] <= ord_value:
-                break
-        else:
+        used.discard(image.pop(v, None))  # undo v's earlier image, if any
+        untried = pending[-1]
+        if not untried:
             pending.pop()
             continue
+        choice, ord_kappa[v] = untried.pop()
         if choice is not None:
             image[v] = choice
             used.add(choice)
-        ord_kappa[v] = ord_value
         if len(pending) == len(order):
             return GeqWitness(
                 embedding=SubdiagramEmbedding(pairs=tuple(sorted(image.items()))),
                 kappa=tuple([(v, upper.nu[image[v]] if v in image else 0) for v in lo.vertices]),
             )
-        pending.append(iter(candidates(order[len(pending)])))
+        pending.append(options(order[len(pending)]))
     return None
 
 

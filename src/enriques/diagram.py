@@ -136,11 +136,13 @@ class ProximityDiagram:
     two builders that change a diagram they already hold derive the new
     one's pairs and maps from its source's instead (:func:`_derived`):
     :func:`_grown` appends vertices, and refuses an entry that names an id
-    not yet made, and :func:`remove_vertices` drops them.  Validity is
-    decided lazily, by :func:`validate_axioms` through ``violations``, for
-    a diagram built from outside input; a diagram that :func:`_grown`,
-    :func:`remove_vertices` or :func:`relabel` derives from one with a
-    clean verdict inherits it instead.
+    not yet made, and :func:`remove_vertices` drops them from a source
+    with a clean verdict (any other source it prunes through this
+    constructor, the one place that derives the maps from pairs).
+    Validity is decided lazily, by :func:`validate_axioms` through
+    ``violations``, for a diagram built from outside input; a diagram that
+    :func:`_grown`, :func:`remove_vertices` or :func:`relabel` derives
+    from one with a clean verdict inherits it instead.
     ``vertices`` holds the sorted ids and ``parent`` maps each child to
     its parent; ``children`` and ``prox_targets`` are keyed in vertex
     order, with children sorted and targets listing the immediate
@@ -786,64 +788,55 @@ def is_minimal(w: WeightedDiagram) -> bool:
 def remove_vertices(w: WeightedDiagram, drop: Iterable[int]) -> WeightedDiagram:
     """Drop a successor-closed set of vertices (no member may have a kept child).
 
-    The maps are ``w.diagram``'s, copied, less the dropped vertices'
-    keys; a kept parent's children are filtered once, whatever number of
-    them goes.  On a diagram whose clean verdict is cached, every target
-    is an ancestor of its source, so the pairs to go are the dropped
-    vertices' own: one sorted block each, found by bisection.  Every kept
-    vertex keeps its parent and its targets and only loses sources, so
-    the drop keeps every axiom and the result inherits that verdict (it is
-    only peeked at, never computed here).  Otherwise a target need not be
-    an ancestor: one scan of the pairs drops each that names a dropped
-    vertex and strips the dropped targets of each kept source, and a kept
-    vertex that no pair, edge or root would name any more raises
-    :class:`DiagramError`."""
+    On a diagram whose clean verdict is cached, the maps are
+    ``w.diagram``'s, copied, less the dropped vertices' keys; a kept
+    parent's children are filtered once, whatever number of them goes.
+    Every target is an ancestor of its source, so the pairs to go are the
+    dropped vertices' own: one sorted block each, found by bisection.
+    Every kept vertex keeps its parent and its targets and only loses
+    sources, so the drop keeps every axiom and the result inherits that
+    verdict (it is only peeked at, never computed here).  Any other
+    diagram is pruned through the constructor, from its pairs less those
+    that name a dropped vertex, and a kept vertex that no pair, edge or
+    root names any more raises :class:`DiagramError`."""
     d = w.diagram
     dropped = {d.require_vertex(v) for v in drop}
     if w.root in dropped:
         raise DiagramError("cannot remove the root")
-    gone = dropped.__contains__
-    parent = dict(d.parent)
-    children = dict(d.children)
-    targets = dict(d.prox_targets)
-    bereft = set()
     for v in dropped:
         for child in d.children[v]:
             if child not in dropped:
                 raise DiagramError(f"vertex {v} still has successor {child}")
-        del children[v], targets[v]
-        if v in parent:
-            bereft.add(parent.pop(v))
-    for p in bereft - dropped:
-        children[p] = tuple(filterfalse(gone, children[p]))
+    gone = dropped.__contains__
     vertices = tuple(filterfalse(gone, d.vertices))
-    edges = tuple(parent.items())
-    clean = d.__dict__.get("violations") == ()
-    if clean:
-        blocks, at = [], 0
-        for v in sorted(dropped):
-            start = bisect_left(d.proximity, (v,), at)
-            blocks.append(d.proximity[at:start])
-            at = start + len(d.prox_targets[v])
-        blocks.append(d.proximity[at:])
-        pairs = tuple(chain.from_iterable(blocks))
-    else:
-        left, stripped = [], set()
-        for source, target in d.proximity:
-            if not gone(source):
-                if gone(target):
-                    stripped.add(source)
-                else:
-                    left.append((source, target))
-        pairs = tuple(left)
-        for source in stripped:
-            targets[source] = tuple(filterfalse(gone, targets[source]))
-        named = {d.root, *chain.from_iterable(edges), *chain.from_iterable(pairs)}
-        if len(named) < len(vertices):
-            lost = min(set(vertices) - named)
+    weights = tuple(map(w.nu.__getitem__, vertices))
+    if d.__dict__.get("violations") != ():
+        kept = ProximityDiagram(
+            d.root,
+            tuple(edge for edge in d.parent_edges if not gone(edge[0])),
+            tuple(pair for pair in d.proximity if not (gone(pair[0]) or gone(pair[1]))),
+        )
+        if kept.vertices != vertices:
+            lost = min(set(vertices) - set(kept.vertices))
             raise DiagramError(f"removing {sorted(dropped)} leaves vertex {lost} in no pair")
-    kept = _derived(d.root, edges, pairs, vertices, parent, children, targets, clean)
-    return WeightedDiagram(kept, tuple(map(w.nu.__getitem__, vertices)))
+        return WeightedDiagram(kept, weights)
+    parent = dict(d.parent)
+    children = dict(d.children)
+    targets = dict(d.prox_targets)
+    for v in dropped:
+        del children[v], targets[v], parent[v]
+    for p in {d.parent[v] for v in dropped} - dropped:
+        children[p] = tuple(filterfalse(gone, children[p]))
+    blocks, at = [], 0
+    for v in sorted(dropped):
+        start = bisect_left(d.proximity, (v,), at)
+        blocks.append(d.proximity[at:start])
+        at = start + len(d.prox_targets[v])
+    blocks.append(d.proximity[at:])
+    pairs = tuple(chain.from_iterable(blocks))
+    edges = tuple(parent.items())
+    kept = _derived(d.root, edges, pairs, vertices, parent, children, targets, True)
+    return WeightedDiagram(kept, weights)
 
 
 def add_leaf(

@@ -11,9 +11,14 @@ import random
 
 import enriques.diagram
 from enriques import (
+    GeqWitness,
+    InconsistentDiagramError,
     ProximityDiagram,
+    SubdiagramEmbedding,
     WeightedDiagram,
+    is_consistent,
     proximity_diagram,
+    require_valid,
     total_excess,
     weighted_diagram,
 )
@@ -386,3 +391,85 @@ def reference_milnor_numbers(shape, weightings):
     coefficients = [2] + [1 if second < 0 else 0 for _, second, _ in shape[1:]]
     for weights in weightings:
         yield 1 + sum([x * (x - c) for x, c in zip(weights, coefficients)])
+
+
+def reference_geq(upper: WeightedDiagram, lower: WeightedDiagram):
+    """The plain domination search, the oracle for ``geq``'s verdict and
+    witness: for each vertex it tries every candidate image, then
+    exclusion, re-summing the targets' ``ord_kappa`` values for each and
+    checking the inequality after the choice.
+
+    ``upper`` must be a valid consistent diagram; ``lower`` must be valid.
+    Lower vertices are taken in ``lower.diagram.preorder``, each mapped
+    to an unused child of its parent's image with the same kind (a
+    satellite's second target must correspond) or excluded with its
+    subtree.  A constraint at a vertex reads only its ancestors, so any
+    root-first order gives the same verdict.  Images are tried by id
+    before exclusion: the witness is the first in lower preorder with
+    upper children by id, so a relabelling of a branching diagram may
+    pick another valid one.  Returns None when there is no witness.
+    """
+    require_valid(upper.diagram)
+    require_valid(lower.diagram)
+    if not is_consistent(upper):
+        raise InconsistentDiagramError("the dominating diagram must be consistent")
+
+    lo = lower.diagram
+    up = upper.diagram
+    order = lo.preorder
+    ord_nu = lower.orders
+
+    image: dict[int, int] = {}
+    used: set[int] = set()
+    ord_kappa: dict[int, int] = {}
+
+    def candidates(v: int) -> list[int | None]:
+        """Images to try for ``v`` given the choices so far, then exclusion."""
+        out: list[int | None] = []
+        if v == lo.root:
+            out.append(up.root)
+        else:
+            v_targets = lo.prox_targets[v]
+            parent_image = image.get(lo.parent[v])
+            if parent_image is not None:
+                for u in up.children[parent_image]:
+                    if u in used:
+                        continue
+                    u_targets = up.prox_targets[u]
+                    if len(u_targets) != len(v_targets):
+                        continue
+                    if len(v_targets) == 2 and image.get(v_targets[1]) != u_targets[1]:
+                        continue
+                    out.append(u)
+        out.append(None)
+        return out
+
+    # depth-first search with an explicit stack: one iterator of untried
+    # choices per decided vertex of ``order``
+    pending = [iter(candidates(order[0]))]
+    while pending:
+        v = order[len(pending) - 1]
+        if v in ord_kappa:  # a deeper vertex ran out of choices: undo this one
+            used.discard(image.pop(v, None))
+            del ord_kappa[v]
+        v_targets = lo.prox_targets[v]
+        for choice in pending[-1]:
+            value = upper.nu[choice] if choice is not None else 0
+            ord_value = value + sum(ord_kappa[t] for t in v_targets)
+            if ord_nu[v] <= ord_value:
+                break
+        else:
+            pending.pop()
+            continue
+        if choice is not None:
+            image[v] = choice
+            used.add(choice)
+        ord_kappa[v] = ord_value
+        if len(pending) == len(order):
+            return GeqWitness(
+                embedding=SubdiagramEmbedding(pairs=tuple(sorted(image.items()))),
+                kappa=tuple([(v, upper.nu[image[v]] if v in image else 0) for v in lo.vertices]),
+            )
+        pending.append(iter(candidates(order[len(pending)])))
+    return None
+

@@ -1,5 +1,7 @@
 """Domination witnesses, the independent checker, and bounded adjacency."""
 
+import json
+import random
 from dataclasses import replace
 
 import pytest
@@ -20,6 +22,7 @@ from enriques import (
     check_geq_witness,
     construct_adjacent_diagram,
     diagram_type,
+    enumerate_minimal_diagrams,
     geq,
     lambda_lin,
     linear_adjacent,
@@ -31,7 +34,15 @@ from enriques import (
     witness_to_dict,
 )
 from enriques.adjacency import class_representatives
-from helpers import cusp_complete, cusp_minimal, leaning_bamboo, wd
+from helpers import (
+    cusp_complete,
+    cusp_minimal,
+    leaning_bamboo,
+    random_consistent,
+    reference_geq,
+    wd,
+)
+from test_jump import PINS
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +161,77 @@ def test_geq_and_lambda_lin_compute_no_canonical_form(monkeypatch):
     assert geq(single_vertex(2), cusp_minimal()) is None
     lambda_lin(QuasihomogeneousSpec(0, 0, 6, 9))
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the reference search: the plain DFS that tries every image, then
+# exclusion, and re-sums the targets' values for each
+# ---------------------------------------------------------------------------
+
+def same_search(upper, lower):
+    """Assert that ``geq`` and ``reference_geq`` give the same verdict and
+    the same witness, and that a witness passes the checker; True when
+    there is one."""
+    witness = geq(upper, lower)
+    assert witness == reference_geq(upper, lower), (upper, lower)
+    if witness is None:
+        return False
+    assert check_geq_witness(upper, lower, witness), (upper, lower)
+    return True
+
+
+def star(children, root_weight):
+    """A root of weight ``root_weight`` with ``children`` free weight-1
+    children."""
+    kids = range(1, children + 1)
+    weights = {0: root_weight, **dict.fromkeys(kids, 1)}
+    return wd(0, {v: 0 for v in kids}, [(v, 0) for v in kids], weights)
+
+
+def test_geq_matches_the_reference_on_seeded_pairs():
+    rng = random.Random(31)
+    found = 0
+    for _ in range(20_000):
+        upper = random_consistent(rng, 8)
+        found += same_search(upper, random_consistent(rng, 7))
+    assert found == 10_485
+
+
+def test_geq_matches_the_reference_on_the_stars():
+    # k free children above cannot take k + 1 below, and the search tries
+    # every placement first; k below is the identity
+    for k in range(8):
+        assert not same_search(star(k, k + 1), star(k + 1, k + 1))
+        assert same_search(star(k, k + 1), star(k, k + 1))
+
+
+def test_geq_matches_the_reference_on_every_light_candidate_of_the_pins():
+    # each maximal representative at extra_bound 1, 2 and 3 against every
+    # minimal diagram within the pin's bounds that the root weight does not
+    # refute and whose Milnor number is above the threshold: the candidates
+    # verify searches, and the germ's own class, which it skips
+    pins = json.loads(PINS.read_text())
+    enumerated = {}
+    searched = found = 0
+    for pin in pins:
+        jump = lambda_lin(QuasihomogeneousSpec(*map(int, pin["spec"].split(","))))
+        d_min = jump.D_min
+        bounds = (pin["max_vertices"], pin["max_weight"])
+        if bounds not in enumerated:
+            enumerated[bounds] = list(enumerate_minimal_diagrams(*bounds))
+        light = [
+            candidate
+            for candidate in enumerated[bounds]
+            if candidate.nu[candidate.root] <= d_min.nu[d_min.root]
+            and milnor_number(candidate) > jump.mu_D - jump.lambda_lin
+        ]
+        for extra in (1, 2, 3):
+            for upper in class_representatives(diagram_type(d_min), extra):
+                if len(upper) == len(d_min) + extra:
+                    for candidate in light:
+                        found += same_search(upper, candidate)
+                        searched += 1
+    assert (searched, found) == (21_769, 306)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -344,6 +345,21 @@ def test_lambda_lin_semi_only_flags_the_report():
     assert semi.semi and not plain.semi
     assert semi.lambda_lin == plain.lambda_lin
     assert semi.E_D.key == plain.E_D.key
+
+
+def test_lambda_lin_raises_when_its_jump_computations_disagree(monkeypatch):
+    # the exponent case split is one of the three computations it compares
+    spec = QuasihomogeneousSpec(0, 0, 6, 9)
+    monkeypatch.setattr(enriques.jump, "_closed_form", lambda spec: -1)
+    with pytest.raises(RuntimeError, match=re.escape(f"jump computations disagree for {spec}")):
+        lambda_lin(spec)
+
+
+def test_lambda_lin_raises_without_an_adjacency_witness(monkeypatch):
+    spec = QuasihomogeneousSpec(0, 0, 6, 9)
+    monkeypatch.setattr(enriques.jump, "geq", lambda upper, lower: None)
+    with pytest.raises(RuntimeError, match=re.escape(f"no adjacency witness for {spec} against")):
+        lambda_lin(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -529,6 +529,25 @@ def test_build_constructs_one_diagram(monkeypatch):
             assert len(built) == 1, (build.__name__, k, l, p, q)
 
 
+@pytest.mark.parametrize(
+    ("build", "check", "refusal", "message"),
+    [
+        (build_enriques_diagram, "is_complete", lambda w: False, "is not complete"),
+        (build_enriques_diagram, "milnor_orlik", lambda spec: -1, "has the wrong Milnor number"),
+        (minimal_diagram, "is_minimal", lambda w: False, "is not minimal"),
+        (minimal_diagram, "milnor_orlik", lambda spec: -1, "has the wrong Milnor number"),
+    ],
+    ids=["complete", "complete-milnor", "minimal", "minimal-milnor"],
+)
+def test_builders_raise_when_a_self_check_fails(monkeypatch, build, check, refusal, message):
+    # each builder cross-checks its result; a failed check is an
+    # implementation bug and raises instead of returning the diagram
+    spec = QuasihomogeneousSpec(0, 0, 6, 9)
+    monkeypatch.setattr(enriques.quasihomogeneous, check, refusal)
+    with pytest.raises(RuntimeError, match=re.escape(f"constructed diagram for {spec} {message}")):
+        build(spec)
+
+
 def test_build_refuses_exactly_the_germs_above_the_vertex_bound(monkeypatch):
     # the count read off derived_invariants is the built diagram's size
     for build in (build_enriques_diagram, minimal_diagram):
