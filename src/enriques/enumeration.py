@@ -9,9 +9,9 @@ A shape is a diagram record whose weights are all 0: a tuple of
 ``(parent, second_target, 0)`` triples indexed by vertex, root at index
 0, with ``-1`` marking absent entries, the record form read by
 :func:`enriques.diagram.canonical_form`.  Shapes grow one final vertex at
-a time and are folded up to isomorphism by that canonical form.  A shape
-is *live* if it has a minimal weighting in ``[1, max_weight]``, and only
-live shapes are kept.
+a time, and orderly generation (below) makes each isomorphism class once.
+A shape is *live* if it has a minimal weighting in ``[1, max_weight]``,
+and only live shapes are kept.
 
 *Least-weight lemma.*  A shape's least minimal weighting gives a final
 vertex ``c`` = 2 if it is a free non-root vertex and ``c`` = 1 if it is a
@@ -40,6 +40,45 @@ reached through live shapes alone.  The two-vertex chain, for one, is
 live at weight 2 with the weighting ``(2r(2f))``, the minimal diagram of
 ``x^2 + y^4``.
 
+*Orderly generation.*  A shape lists its vertices in canonical preorder:
+the root, then each child's subtree in turn, children in the key order of
+:func:`~enriques.diagram.canonical_form`.  A vertex's *token* is ``3 *
+depth + letter``, with letters f 0, b 1 and a 2.  Two sibling subtrees'
+codes compare as their token runs in preorder compare, the other way
+round: at the first difference, the deeper vertex, or at one depth the
+letter first in ``a < b < f``, opens the smaller code, and a run that is
+a prefix of the other gives the larger code.  So a record is in
+canonical preorder exactly when, at every vertex, the token runs of
+consecutive children do not increase.  These are the canonical level
+sequences of T. Beyer and S. M. Hedetniemi, "Constant time generation of
+rooted trees", *SIAM J. Comput.* 9 (1980), with a letter at each level.
+A vertex appended in preorder is a child of a vertex on the *rightmost
+path*, from the root to the last vertex.  Dropping the last vertex of a
+canonical shape leaves a canonical shape, since each run it shortens
+keeps a prefix (the prefix property), and it leaves a live shape of a
+live one, by the reachability lemma, since that vertex is final.  So, as
+in S. Nakano and T. Uno's generation of rooted trees (WG 2003), each live
+shape is made exactly once, from the one shape without its last vertex,
+with no key and no dictionary.
+
+:func:`_live_children` checks a new vertex ``x`` under ``p`` in
+``O(depth)``.  Its liveness is the constant-time check above, on the
+least minimal root weight that each shape carries.  Siblings
+are sorted by their first tokens, so a satellite ``x`` with the letter of
+``p``'s last child would repeat a second target: at most one ``a`` and
+one ``b`` child per vertex, as axiom 5 asks.  For canonicity, ``x``
+extends the runs of ``p`` and of its non-root ancestors and starts its
+own, compared from the first token of ``p``'s last child.  Each non-root
+vertex of the rightmost path keeps one pointer: while its run equals a
+prefix of its previous sibling's, the index of the sibling's next token,
+which ``x``'s token must not exceed; 0 once the run is already smaller,
+or when it has no previous sibling.  A smaller token sets the pointer to
+0 and an equal one moves it on.  A pointer that reaches its own vertex
+``d`` makes a new twin pair ``(c, d)``, whose runs are the index ranges
+``[c, d)`` and ``[d, 2d - c)``.  No vertex can join ``d``'s subtree after
+that, as a deeper token exceeds ``d``'s own, so a twin pair never
+changes.
+
 The weights of a shape are chosen in index order, so every target comes
 before its sources.  A vertex weighs at least its least weight of the
 lemma, its ``c`` when it is final and else the sum of its sources' least
@@ -61,10 +100,9 @@ they weight one shape and an automorphism of the shape carries one onto
 the other.  Those automorphisms are generated by the swaps of two sibling
 subtrees with equal codes: a swap keeps every parent, and it keeps every
 second target, because a code records a satellite's second target by its
-place among its parent's targets.  List a shape's vertices in canonical
-preorder (root first, children in key order, equal codes in index order).
-Equal-code siblings are then adjacent, their subtrees are adjacent runs
-of one length, and a swap matches the two runs place by place.  In each
+place among its parent's targets.  In a shape's canonical preorder,
+equal-code siblings are adjacent, their subtrees are adjacent runs of
+one length, and a swap matches the two runs place by place.  In each
 orbit exactly one weighting has non-decreasing weight runs on every two
 consecutive equal-code siblings, and it is the orbit's lexicographically
 least weight sequence in this order.  If two such runs decreased,
@@ -74,11 +112,9 @@ least of its orbit, and the runs of each group of equal-code siblings,
 each least, are sorted, which is the least arrangement.  This is the
 orderly test of Read and of B. D. McKay, "Isomorph-free exhaustive
 generation", *J. Algorithms* 26 (1998), applied to weightings.  Each
-live shape's pairs of runs are found once, from the children lists and
-the twins (the consecutive equal-code siblings) that its
-:func:`~enriques.diagram.canonical_form` finds while it sorts siblings;
-a shape without twins has the identity as its only automorphism and
-takes no test.
+live shape's pairs of runs are its twin pairs, found as the shape is
+made and read as two slices of the weight list; a shape without twins
+has the identity as its only automorphism and takes no test.
 The test makes one comparison of two runs per pair, at most ``n - 1``
 of them, and never lists the group, whose order grows factorially with
 equal siblings.  A weight is read at most twice per group of equal-code
@@ -123,7 +159,6 @@ from .diagram import (
     WeightedDiagram,
     _grown,
     _integer,
-    _preorder,
     canonical_form,
     keyed_diagram,
 )
@@ -136,6 +171,9 @@ DEFAULT_MAX_CANDIDATES = 1_000_000
 _Rec = tuple[int, int, int]
 # the weight runs of two consecutive equal-code sibling subtrees
 _Pair = tuple[itemgetter, itemgetter]
+# a canonical shape, the pointers of its rightmost path, its orbit pairs and
+# its least minimal root weight
+_Entry = tuple[tuple[_Rec, ...], tuple[int, ...], tuple[_Pair, ...], int]
 
 
 @dataclass
@@ -182,26 +220,59 @@ def _admit(seen: int, max_candidates: int) -> int:
     return seen
 
 
-def _extensions(shape: tuple[_Rec, ...], max_weight: int) -> Iterator[tuple[_Rec, ...]]:
-    """Every shape one final vertex larger whose least minimal root weight is
-    within bounds."""
-    paths = [1] * len(shape) + [0]  # paths[-1] is 0: "no second target" adds nothing
-    final_weight = [1] + [2 if second < 0 else 1 for _, second, _ in shape[1:]]
-    has_child = [False] * len(shape)
+def _live_children(entry: _Entry, max_weight: int) -> Iterator[_Entry]:
+    """Every canonical shape one final vertex larger than the canonical one
+    of ``entry`` whose least minimal root weight is within bounds, each
+    with its pointers, orbit pairs and least minimal root weight, by the
+    orderly generation in the module docstring.  An entry's pointers are
+    one per non-root vertex of its rightmost path, root side first."""
+    shape, pointers, pairs, least_root = entry
+    n = len(shape)
+    paths = [1] * n + [0]  # paths[-1] is 0: "no second target" adds nothing
+    tokens = [0] * n
     for i, (parent, second, _) in enumerate(shape[1:], 1):
         paths[i] = paths[parent] + paths[second]
-        has_child[parent] = True
-    least_root = sum(p * c for p, c, busy in zip(paths, final_weight, has_child) if not busy)
-    satellite_pairs = {(p, s) for p, s, _ in shape if s >= 0}
-    for parent in range(len(shape)):
-        # the parent stops being final unless it already has a child
-        rest = least_root - (0 if has_child[parent] else paths[parent] * final_weight[parent])
-        for second in (-1, *(t for t in shape[parent][:2] if t >= 0)):
+        # a token is 3 * depth plus the letter (see the module docstring)
+        letter = 0 if second < 0 else 2 if second == shape[parent][0] else 1
+        tokens[i] = tokens[parent] // 3 * 3 + 3 + letter
+    rightmost = [n - 1]
+    while rightmost[0]:
+        rightmost.insert(0, shape[rightmost[0]][0])
+    runs = list(zip(rightmost[1:], pointers))
+    for j, (parent, sibling) in enumerate(zip(rightmost, rightmost[1:] + [0])):
+        # the last vertex is the one final vertex of the rightmost path, and
+        # stops being final: a free one weighs 2 and a satellite or the root 1
+        rest = least_root
+        if not sibling:
+            rest -= paths[parent] * (2 if parent and shape[parent][1] < 0 else 1)
+        # letters f 0, a 2 and b 1: no second target, the parent's parent and
+        # the parent's second target; a root has neither and a free vertex
+        # no second target
+        for letter, second in (0, -1), (2, shape[parent][0]), (1, shape[parent][1]):
+            if second < 0 < letter:
+                break
             # a free final vertex weighs 2 and a satellite one 1
             grown = 2 * paths[parent] if second < 0 else paths[parent] + paths[second]
-            # skip a second vertex proximate to both parent and second
-            if (parent, second) not in satellite_pairs and rest + grown <= max_weight:
-                yield shape + ((parent, second, 0),)
+            token = tokens[parent] // 3 * 3 + 3 + letter
+            # the new vertex follows its sibling, the parent's last child: two
+            # satellite children with one second target break axiom 5
+            if rest + grown > max_weight or sibling and letter and token == tokens[sibling]:
+                continue
+            # the runs the new vertex extends: the parent's and its non-root
+            # ancestors', then its own, compared from its sibling's first token
+            new_pointers, new_pairs = [], pairs
+            for v, at in (*runs[:j], (n, sibling)):
+                if at:
+                    if token > tokens[at]:
+                        break
+                    at = at + 1 if token == tokens[at] else 0
+                    if at == v:
+                        # v's run now equals its sibling's: a new twin pair
+                        c = 2 * v - n - 1
+                        new_pairs += ((itemgetter(slice(c, v)), itemgetter(slice(v, n + 1))),)
+                new_pointers.append(at)
+            else:  # no run grew past its sibling's
+                yield shape + ((parent, second, 0),), tuple(new_pointers), new_pairs, rest + grown
 
 
 def _weightings(shape: tuple[_Rec, ...], max_weight: int) -> Iterator[tuple[list[int], int, int]]:
@@ -213,7 +284,7 @@ def _weightings(shape: tuple[_Rec, ...], max_weight: int) -> Iterator[tuple[list
     root may weigh anything from there to ``max_weight``.  The yielded list
     is reused and the search never reads its root entry, which the caller
     may set.  ``shape`` must be live: the lone root, or a shape
-    :func:`_extensions` yields for ``max_weight``, so that no least weight,
+    :func:`_live_children` yields for ``max_weight``, so that no least weight,
     the root's being the largest, exceeds ``max_weight``."""
     n = len(shape)
     targets = [[t for t in entry[:2] if t >= 0] for entry in shape]
@@ -253,23 +324,6 @@ def _weightings(shape: tuple[_Rec, ...], max_weight: int) -> Iterator[tuple[list
             slack[t] -= 1
 
 
-def _orbit_pairs(children: list[list[int]], twins: list[tuple[int, int]]) -> tuple[_Pair, ...]:
-    """The orbit test of a shape, given its children lists in key order and
-    its twins as :func:`canonical_form` returns them: for every twin pair,
-    the getters of the two subtrees' weight runs in canonical preorder.
-    Empty when the identity is the only automorphism."""
-    if not twins:
-        return ()
-    order = _preorder(children, 0)
-    at = {v: i for i, v in enumerate(order)}
-    # a twin's run directly follows its left sibling's run, and equal codes
-    # give runs of one length
-    return tuple(
-        (itemgetter(*order[at[c] : at[d]]), itemgetter(*order[at[d] : 2 * at[d] - at[c]]))
-        for c, d in twins
-    )
-
-
 def _least_in_orbit(weights: list[int], pairs: tuple[_Pair, ...]) -> bool:
     """Whether ``weights`` is the one weighting of its orbit that the shape's
     non-empty ``pairs`` keep (the orbit lemma in the module docstring)."""
@@ -301,10 +355,10 @@ def _minimal_families(
             raise ValueError(f"{name} must be positive, got {bound}")
 
     light = max_weight if root_bound is None else root_bound
-    level: list[tuple[tuple[_Rec, ...], tuple[_Pair, ...]]] = [(((-1, -1, 0),), ())]
+    level: list[_Entry] = [(((-1, -1, 0),), (), (), 1)]
     seen = 1  # the lone root's shape
     for size in range(1, max_vertices + 1):
-        for i, (shape, pairs) in enumerate(level, 1):
+        for i, (shape, _, pairs, _) in enumerate(level, 1):
             family = _Family(shape, [], [], [], i == len(level))
             for weights, rest, low in _weightings(shape, max_weight):
                 if pairs and not _least_in_orbit(weights, pairs):
@@ -320,16 +374,14 @@ def _minimal_families(
             yield family
         if size == max_vertices:
             return
-        shapes: dict[str, tuple[tuple[_Rec, ...], tuple[_Pair, ...]]] = {}
-        for shape, _ in level:
-            for child in _extensions(shape, max_weight):
-                key, children, twins = canonical_form(child)
-                if key not in shapes:
-                    seen = _admit(seen + 1, max_candidates)
-                    shapes[key] = child, _orbit_pairs(children, twins)
-        if not shapes:
+        grown = []
+        for entry in level:
+            for child in _live_children(entry, max_weight):
+                seen = _admit(seen + 1, max_candidates)
+                grown.append(child)
+        if not grown:
             return
-        level = list(shapes.values())
+        level = grown
 
 
 def enumerate_minimal_diagrams(

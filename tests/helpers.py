@@ -8,6 +8,7 @@ to correspond under the partial map built so far.
 
 import itertools
 import random
+from operator import itemgetter
 
 import enriques.diagram
 from enriques import (
@@ -383,6 +384,46 @@ def reference_weightings(shape, max_weight):
             weights[v] += 1
             for t in targets[v]:
                 slack[t] -= 1
+
+
+def reference_extensions(shape, max_weight):
+    """The shape search's extension step before orderly generation: every
+    shape one final vertex larger whose least minimal root weight is
+    within bounds, in any vertex order, to be folded by ``canonical_form``."""
+    paths = [1] * len(shape) + [0]  # paths[-1] is 0: "no second target" adds nothing
+    final_weight = [1] + [2 if second < 0 else 1 for _, second, _ in shape[1:]]
+    has_child = [False] * len(shape)
+    for i, (parent, second, _) in enumerate(shape[1:], 1):
+        paths[i] = paths[parent] + paths[second]
+        has_child[parent] = True
+    least_root = sum(p * c for p, c, busy in zip(paths, final_weight, has_child) if not busy)
+    satellite_pairs = {(p, s) for p, s, _ in shape if s >= 0}
+    for parent in range(len(shape)):
+        # the parent stops being final unless it already has a child
+        rest = least_root - (0 if has_child[parent] else paths[parent] * final_weight[parent])
+        for second in (-1, *(t for t in shape[parent][:2] if t >= 0)):
+            # a free final vertex weighs 2 and a satellite one 1
+            grown = 2 * paths[parent] if second < 0 else paths[parent] + paths[second]
+            # skip a second vertex proximate to both parent and second
+            if (parent, second) not in satellite_pairs and rest + grown <= max_weight:
+                yield shape + ((parent, second, 0),)
+
+
+def reference_orbit_pairs(children, twins):
+    """The orbit test of a shape in any vertex order, given its children
+    lists in key order and its twins as ``canonical_form`` returns them:
+    for every twin pair, the getters of the two subtrees' weight runs in
+    canonical preorder.  Empty when the identity is the only automorphism."""
+    if not twins:
+        return ()
+    order = enriques.diagram._preorder(children, 0)
+    at = {v: i for i, v in enumerate(order)}
+    # a twin's run directly follows its left sibling's run, and equal codes
+    # give runs of one length
+    return tuple(
+        (itemgetter(*order[at[c] : at[d]]), itemgetter(*order[at[d] : 2 * at[d] - at[c]]))
+        for c, d in twins
+    )
 
 
 def reference_milnor_numbers(shape, weightings):

@@ -19,8 +19,14 @@ from enriques import (
 )
 from enriques.cli import run
 from enriques.diagram import canonical_form
-from enriques.enumeration import _extensions, _least_in_orbit, _orbit_pairs, _weightings
-from helpers import reference_milnor_numbers, reference_weightings, wd
+from enriques.enumeration import _least_in_orbit, _live_children, _weightings
+from helpers import (
+    reference_extensions,
+    reference_milnor_numbers,
+    reference_orbit_pairs,
+    reference_weightings,
+    wd,
+)
 
 
 def keys(max_vertices, max_weight, **kw):
@@ -160,9 +166,9 @@ def test_seeded_key_matches_the_recomputed_one():
 
 
 def test_enumerate_computes_each_canonical_form_once(monkeypatch, capsys):
-    # one call per shape tried and one per diagram yielded: the orbit test,
-    # not a key, drops the weightings that repeat a class; printing the
-    # keys adds none
+    # one call per diagram yielded: the shapes are generated once each with
+    # no key, the orbit test, not a key, drops the weightings that repeat a
+    # class, and printing the keys adds none
     calls = []
 
     def counting(record):
@@ -173,7 +179,7 @@ def test_enumerate_computes_each_canonical_form_once(monkeypatch, capsys):
     monkeypatch.setattr(enriques.diagram, "canonical_form", counting)
     assert run(["enumerate", "--max-vertices", "8", "--max-weight", "6"]) == 0
     assert capsys.readouterr().out.count("\n") == 7351
-    assert len(calls) == 1797 + 7351
+    assert len(calls) == 7351
 
 
 def test_canonical_key_rejects_foreign_second_target():
@@ -272,7 +278,7 @@ def keyed_dedup(max_vertices, max_weight):
         out.extend((size, key, found[key]) for key in sorted(found))
         shapes = {}
         for shape in level:
-            for child in _extensions(shape, max_weight):
+            for child in reference_extensions(shape, max_weight):
                 shapes.setdefault(canonical_form(child)[0], child)
         level = list(shapes.values())
     return out
@@ -318,7 +324,6 @@ def test_orbit_test_keeps_one_weighting_per_class_and_skips_rigid_shapes(monkeyp
     weighed = [0]
     tested = []
     symmetric = {}
-    formed = [None]
 
     def counting_weightings(shape, max_weight):
         for weights, rest, low in _weightings(shape, max_weight):
@@ -326,35 +331,114 @@ def test_orbit_test_keeps_one_weighting_per_class_and_skips_rigid_shapes(monkeyp
             weighed[0] += max_weight + 1 - low
             yield weights, rest, low
 
-    def recording_form(record):
-        formed[0] = record
-        return canonical_form(record)
-
-    def recording_pairs(children, twins):
-        # the shape is the record whose canonical form was just computed
-        pairs = _orbit_pairs(children, twins)
-        symmetric[formed[0]] = bool(pairs)
-        return pairs
+    def recording_children(entry, max_weight):
+        for child in _live_children(entry, max_weight):
+            symmetric[child[0]] = bool(child[2])
+            yield child
 
     def recording_test(weights, pairs):
         tested.append(pairs)
         return _least_in_orbit(weights, pairs)
 
     monkeypatch.setattr(enriques.enumeration, "_weightings", counting_weightings)
-    monkeypatch.setattr(enriques.enumeration, "canonical_form", recording_form)
-    monkeypatch.setattr(enriques.enumeration, "_orbit_pairs", recording_pairs)
+    monkeypatch.setattr(enriques.enumeration, "_live_children", recording_children)
     monkeypatch.setattr(enriques.enumeration, "_least_in_orbit", recording_test)
     assert sum(1 for _ in enumerate_minimal_diagrams(9, 7)) == 45503
     # 46,809 weightings, drawn as 33,650 weightings of the non-root vertices
     assert weighed[0] == 46809
     assert len(tried) == 33650
-    # every shape but the lone root went through _orbit_pairs; a test runs
+    # the generator made every shape but the lone root; a test runs
     # exactly for the non-root weightings of shapes with a non-trivial group
     assert len(symmetric) + 1 == len(set(tried))
     for shape, pairs in symmetric.items():
         assert pairs == has_symmetry(shape), shape
     assert all(tested)
     assert len(tested) == sum(symmetric.get(shape, False) for shape in tried) > 0
+
+
+def generated_levels(max_vertices, max_weight):
+    # the orderly generator's shapes, one list per vertex count
+    level = [(((-1, -1, 0),), (), (), 1)]
+    for _ in range(max_vertices):
+        yield level
+        level = [child for entry in level for child in _live_children(entry, max_weight)]
+
+
+def reference_levels(max_vertices, max_weight):
+    # every live shape by extension, folded by canonical_form
+    level = [((-1, -1, 0),)]
+    for _ in range(max_vertices):
+        yield level
+        grown = {}
+        for shape in level:
+            for child in reference_extensions(shape, max_weight):
+                grown.setdefault(canonical_form(child)[0], child)
+        level = list(grown.values())
+
+
+def runs_of(entry):
+    # the index runs of an entry's twin pairs
+    indices = list(range(len(entry[0])))
+    return [(left(indices), right(indices)) for left, right in entry[2]]
+
+
+ORACLE_BOUNDS = [(13 - w, w) for w in range(1, 13)] + [(9, 7), (11, 3), (6, 10)]
+
+
+@pytest.mark.parametrize("bound", ORACLE_BOUNDS)
+def test_orderly_generation_makes_each_live_shape_once(bound):
+    # each bound with V + W <= 13 is a prefix of the levels of (13 - W, W)
+    shapes = symmetric = 0
+    for grown, expected in zip(generated_levels(*bound), reference_levels(*bound)):
+        made = [canonical_form(entry[0])[0] for entry in grown]
+        assert len(set(made)) == len(made)
+        assert set(made) == {canonical_form(shape)[0] for shape in expected}
+        for entry in grown:
+            # the record lists its vertices in canonical_form's preorder, and
+            # each pair is the two runs of one of canonical_form's twins
+            shape, _, pairs, least_root = entry
+            assert least_root == least_root_weight(shape)
+            _, children, twins = canonical_form(shape)
+            assert children == [sorted(kids) for kids in children], shape
+            assert sorted(runs_of(entry)) == sorted(
+                (list(range(c, d)), list(range(d, 2 * d - c))) for c, d in twins
+            ), shape
+            if bound == (9, 7):
+                assert bool(pairs) == has_symmetry(shape), shape
+            symmetric += bool(pairs)
+        shapes += len(grown)
+    if bound == (9, 7):
+        assert (shapes, symmetric) == (2538, 311)
+
+
+def grown_entry(*appends):
+    # the generator's entry made by appending each (parent, second) in turn,
+    # with no weight bound
+    entry = (((-1, -1, 0),), (), (), 1)
+    for parent, second in appends:
+        children = _live_children(entry, 10**9)
+        entry = next(child for child in children if child[0][-1] == (parent, second, 0))
+    return entry
+
+
+def test_live_children_pointers_twins_and_letters():
+    # a b satellite: vertex 3 leans on 0, the second target of its parent 2
+    shape = grown_entry((0, -1), (1, 0), (2, 0))[0]
+    assert shape[3] == (2, 0, 0)
+    # vertex 3 repeats the root's child 1 and vertex 4 completes the repeat
+    # of 1's subtree: the twin pair (1, 3) is made at 4's parent
+    entry = grown_entry((0, -1), (1, -1), (0, -1), (3, -1))
+    assert entry[1] == (3, 0) and runs_of(entry) == [([1, 2], [3, 4])]
+    # a twin's subtree is closed: every child of the entry hangs at the root
+    assert {child[0][-1][0] for child in _live_children(entry, 10**9)} == {0}
+    # vertex 2 is an a satellite, so the free vertex 4 makes the run of 3
+    # already smaller than the run of 1, and 4 may take any child
+    entry = grown_entry((0, -1), (1, 0), (0, -1), (3, -1))
+    assert entry[1] == (0, 0) and entry[2] == ()
+    assert (4, 3, 0) in {child[0][-1] for child in _live_children(entry, 10**9)}
+    # only a free vertex can repeat its sibling's token: no second a child
+    entry = grown_entry((0, -1), (1, 0))
+    assert (1, 0, 0) not in {child[0][-1] for child in _live_children(entry, 10**9)}
 
 
 def subtree_key(record, children, v):
@@ -421,9 +505,9 @@ def test_constant_time_placement_check_matches_the_least_weighting():
     for _ in range(6):
         grown = {}
         for shape in level.values():
-            children = list(_extensions(shape, unbounded))
+            children = list(reference_extensions(shape, unbounded))
             for max_weight in range(1, 7):
-                kept = list(_extensions(shape, max_weight))
+                kept = list(reference_extensions(shape, max_weight))
                 assert kept == [c for c in children if least_root_weight(c) <= max_weight]
                 checked += len(children)
             for child in children:
@@ -442,7 +526,7 @@ def test_no_placement_lowers_the_least_minimal_root_weight():
         grown = {}
         for shape in level.values():
             before = least_root_weight(shape)
-            for child in _extensions(shape, unbounded):
+            for child in reference_extensions(shape, unbounded):
                 assert least_root_weight(child) >= before, child
                 grown.setdefault(canonical_form(child)[0], child)
                 checked += 1
@@ -452,14 +536,14 @@ def test_no_placement_lowers_the_least_minimal_root_weight():
 
 @pytest.mark.parametrize("bound", [(8, 6), (11, 3), (6, 10)])
 def test_every_extended_shape_has_a_minimal_weighting(monkeypatch, bound):
-    # no dead shape is keyed: each shape the search extends is live
+    # no dead shape is grown: each shape the search extends is live
     extended = []
 
-    def recording(shape, max_weight):
-        extended.append(shape)
-        return _extensions(shape, max_weight)
+    def recording(entry, max_weight):
+        extended.append(entry[0])
+        return _live_children(entry, max_weight)
 
-    monkeypatch.setattr(enriques.enumeration, "_extensions", recording)
+    monkeypatch.setattr(enriques.enumeration, "_live_children", recording)
     for _ in enriques.enumeration._minimal_families(*bound, 10**6):
         pass
     assert extended
@@ -470,7 +554,7 @@ def test_every_extended_shape_has_a_minimal_weighting(monkeypatch, bound):
 def reference_family(shape, max_weight):
     # the root-first search with the orbit test, and the Milnor numbers of
     # the kept weightings computed after it
-    pairs = _orbit_pairs(*canonical_form(shape)[1:])
+    pairs = reference_orbit_pairs(*canonical_form(shape)[1:])
     kept = [
         tuple(weights)
         for weights in reference_weightings(shape, max_weight)

@@ -418,6 +418,18 @@ def test_verify_raises_at_the_candidate_cap(monkeypatch, cap):
     assert verify_maximality(QuasihomogeneousSpec(0, 0, 2, 3)).examined == 325
 
 
+@pytest.mark.parametrize("spec, cap, examined", [((0, 0, 3, 4), 2280, 1990), ((0, 0, 5, 7), 48040, 45289)])
+def test_verify_cap_boundary_counts_every_shape_and_weighting(monkeypatch, spec, cap, examined):
+    # the enumeration holds cap + 1 shapes and weightings, admitted level by
+    # level: one fewer stops verify, and exactly that many lets it finish
+    spec = QuasihomogeneousSpec(*spec)
+    monkeypatch.setattr(enriques.jump, "DEFAULT_MAX_CANDIDATES", cap)
+    with pytest.raises(EnumerationLimitError, match=f"the cap of {cap} candidates"):
+        verify_maximality(spec)
+    monkeypatch.setattr(enriques.jump, "DEFAULT_MAX_CANDIDATES", cap + 1)
+    assert verify_maximality(spec).examined == examined
+
+
 @pytest.mark.parametrize("spec", [(0, 0, 2, 9), (0, 0, 3, 7)])
 def test_root_stage_counts_only_heavy_candidates_above_the_threshold(spec):
     # here some candidates with a heavy root sit at or below the threshold,
