@@ -183,9 +183,11 @@ def check_geq_witness(
     parent, kind and satellite targets, the transported weights, and the
     inequality ord_nu <= ord_kappa at every vertex of ``lower``.  The
     upper excesses and both value systems are derived here from the
-    weights and the pairs that :func:`~enriques.diagram.validate_axioms`
-    has just checked, never read from the diagrams' cached facts.  Any
-    defect, including a tampered or malformed array, returns False.
+    weights and the maps that :func:`~enriques.diagram.validate_axioms`
+    has just checked (each diagram's parent and proximity targets, which
+    it holds from the start), never read from the diagrams' cached facts
+    that the search fills.  Any defect, including a tampered or malformed
+    array, returns False.
     """
     if validate_axioms(upper.diagram) or validate_axioms(lower.diagram):
         return False
@@ -193,8 +195,9 @@ def check_geq_witness(
     up = upper.diagram
     upper_nu = dict(zip(up.vertices, upper.weights))
     upper_excess = dict(upper_nu)
-    for source, target in up.proximity:
-        upper_excess[target] -= upper_nu[source]
+    for source, targets in up.prox_targets.items():
+        for target in targets:
+            upper_excess[target] -= upper_nu[source]
     if min(upper_excess.values()) < 0:
         return False
     image, kappa = _int_pairs(witness.embedding.pairs), _int_pairs(witness.kappa)

@@ -34,7 +34,6 @@ diagram that :func:`validate_axioms` passes has them.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -132,28 +131,44 @@ class ProximityDiagram:
     is built, checks every occurrence of an id and the order, and derives
     the four maps.  That pass is the one path for outside input: the
     adapter :func:`proximity_diagram`, and through it :func:`relabel` and
-    ``diagram_from_dict``, builds a diagram by scanning its pairs.  The
-    two builders that change a diagram they already hold derive the new
-    one's pairs and maps from its source's instead (:func:`_derived`):
-    :func:`_grown` appends vertices, and refuses an entry that names an id
-    not yet made, and :func:`remove_vertices` drops them from a source
-    with a clean verdict (any other source it prunes through this
-    constructor, the one place that derives the maps from pairs).
-    Validity is decided lazily, by :func:`validate_axioms` through
-    ``violations``, for a diagram built from outside input; a diagram that
-    :func:`_grown`, :func:`remove_vertices` or :func:`relabel` derives
-    from one with a clean verdict inherits it instead.
+    ``diagram_from_dict``, builds a diagram by scanning its pairs, and
+    the diagram keeps the tuples it was given.  The two builders that
+    change a diagram they already hold derive the new one's maps from its
+    source's instead (:func:`_derived`), and store no pairs: :func:`_grown`
+    appends vertices, and refuses an entry that names an id not yet made,
+    and :func:`remove_vertices` drops them from a source with a clean
+    verdict (any other source it prunes through this constructor, the one
+    place that derives the maps from pairs).  On such a derived diagram
+    ``parent_edges`` and ``proximity`` are views of the maps, built on
+    first read and cached (``__getattr__``); equality, hashing and the
+    repr read them as fields.  Validity is decided lazily, by
+    :func:`validate_axioms` through ``violations``, for a diagram built
+    from outside input; a diagram that :func:`_grown`,
+    :func:`remove_vertices` or :func:`relabel` derives from one with a
+    clean verdict inherits it instead.
     ``vertices`` holds the sorted ids and ``parent`` maps each child to
-    its parent; ``children`` and ``prox_targets`` are keyed in vertex
-    order, with children sorted and targets listing the immediate
-    predecessor first, then the rest sorted.  The inverse relation, the
-    vertices proximate to each vertex, is not kept: its readers (excess,
-    minimality) walk ``prox_targets``.
+    its parent, keyed in child order; ``children`` and ``prox_targets``
+    are keyed in vertex order, with children sorted and targets listing
+    the immediate predecessor first, then the rest sorted.  The inverse
+    relation, the vertices proximate to each vertex, is not kept: its
+    readers (excess, minimality) walk ``prox_targets``.
     """
 
     root: int
     parent_edges: tuple[tuple[int, int], ...]
     proximity: tuple[tuple[int, int], ...]
+
+    def __getattr__(self, name: str) -> tuple[tuple[int, int], ...]:
+        # reached only for an attribute the instance lacks: the pairs of a
+        # diagram that _derived built from maps
+        if name == "parent_edges":
+            view = tuple(self.parent.items())
+        elif name == "proximity":
+            view = tuple([(v, t) for v, ts in self.prox_targets.items() for t in sorted(ts)])
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.__dict__[name] = view
+        return view
 
     def __post_init__(self) -> None:
         ids = {_integer(self.root, "vertex id")}
@@ -358,7 +373,7 @@ class WeightedDiagram:
             for v in order[1:]
             for t in (targets[v],)
         ]
-        key, children, _ = canonical_form(record)
+        key, children = canonical_form(record)
         return key, dict(zip(map(order.__getitem__, _preorder(children, 0)), range(n)))
 
     @cached_property
@@ -423,25 +438,22 @@ def single_vertex(weight: int) -> WeightedDiagram:
 
 def _derived(
     root: int,
-    parent_edges: tuple[tuple[int, int], ...],
-    proximity: tuple[tuple[int, int], ...],
     vertices: tuple[int, ...],
     parent: dict[int, int],
     children: dict[int, tuple[int, ...]],
     prox_targets: dict[int, tuple[int, ...]],
     clean: bool,
 ) -> ProximityDiagram:
-    """A diagram with the pairs and maps that :func:`_grown` or
+    """A diagram with the maps that :func:`_grown` or
     :func:`remove_vertices` derived from its source's, set as given and
-    seeded with the clean verdict when ``clean``.  It skips the
-    constructor's scan: the builder vouches that the maps are the ones
-    that scan would derive from the pairs, and an oracle test holds them
-    to it."""
+    seeded with the clean verdict when ``clean``.  It stores no pairs:
+    ``parent_edges`` and ``proximity`` are read off the maps on demand.
+    It skips the constructor's scan: the builder vouches that the maps are
+    the ones that scan would derive from those pairs (``parent`` keyed in
+    child order), and an oracle test holds them to it."""
     out = object.__new__(ProximityDiagram)
     out.__dict__.update(
         root=root,
-        parent_edges=parent_edges,
-        proximity=proximity,
         vertices=vertices,
         parent=parent,
         children=children,
@@ -456,17 +468,17 @@ def _grown(d: ProximityDiagram, run: Iterable[tuple[int, int | None]]) -> Proxim
     """``d`` grown by one new final vertex per ``(parent, second)`` of
     ``run``, in order: the one builder that appends vertices.
 
-    Each new vertex takes the next id after the largest, so its parent
-    edge and its proximity pairs go after ``d``'s sorted ones: one pair to
-    ``parent`` when ``second`` is None or ``parent`` (a free vertex), else
-    two, sorted (a satellite).  Each id an entry names must be made
-    already, a vertex of ``d`` or of an earlier entry, else
+    Each new vertex takes the next id after the largest, and is proximate
+    to ``parent`` alone when ``second`` is None or ``parent`` (a free
+    vertex), else to both (a satellite).  Each id an entry names must be
+    made already, a vertex of ``d`` or of an earlier entry, else
     :class:`DiagramError` is raised: a stray id, or a parent the run makes
     after its child.  ``run`` is read once, lazily.  The maps are ``d``'s,
-    copied, with the new vertices keyed last: a new vertex's targets are
-    its parent and its second, and each parent's new children, which
-    carry the largest ids, extend its tuple once, so the work beyond the
-    copies is linear in the run.
+    copied, with the new vertices keyed last, so still in id order: a new
+    vertex's targets are its parent and its second, and each parent's new
+    children, which carry the largest ids, extend its tuple once, so the
+    work beyond the copies is linear in the run.  No pairs are built
+    (:func:`_derived`).
 
     The result inherits ``d``'s verdict when ``d`` already holds a clean
     one (it is only peeked at, never computed here) and the new vertices
@@ -481,8 +493,6 @@ def _grown(d: ProximityDiagram, run: Iterable[tuple[int, int | None]]) -> Proxim
     parent = dict(d.parent)
     children = dict(d.children)
     targets = dict(d.prox_targets)
-    edges: list[tuple[int, int]] = []
-    pairs: list[tuple[int, int]] = []
     born: dict[int, list[int]] = {}
     top = new = d.vertices[-1]
     for p, second in run:
@@ -493,27 +503,20 @@ def _grown(d: ProximityDiagram, run: Iterable[tuple[int, int | None]]) -> Proxim
         children[new] = ()
         born.setdefault(p, []).append(new)
         parent[new] = p
-        edges.append((new, p))
-        if second is None or second == p:
-            targets[new] = (p,)
-            pairs.append((new, p))
-        else:
-            targets[new] = (p, second)
-            pairs += [(new, p), (new, second)] if p < second else [(new, second), (new, p)]
+        targets[new] = (p,) if second is None or second == p else (p, second)
     for p, kids in born.items():
         children[p] += tuple(kids)
+    made = range(top + 1, new + 1)
     clean = d.__dict__.get("violations") == ()
     if clean:
-        for v, p in edges:
-            t = targets[v]
+        for v in made:
+            t, p = targets[v], parent[v]
             if len(t) == 2 and (
                 t[1] not in targets[p] or [targets[c] for c in children[p]].count(t) > 1
             ):
                 clean = False
                 break
-    vertices = d.vertices + tuple(range(top + 1, new + 1))
-    edges_all, pairs_all = d.parent_edges + tuple(edges), d.proximity + tuple(pairs)
-    return _derived(d.root, edges_all, pairs_all, vertices, parent, children, targets, clean)
+    return _derived(d.root, d.vertices + tuple(made), parent, children, targets, clean)
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +572,7 @@ def _axiom_violations(d: ProximityDiagram, reach: list[int]) -> list[Violation]:
         return _structural_violations(d)
 
     # a vertex proximate to its parent alone keeps axioms 0-4
-    odd = [v for v, p in d.parent_edges if prox_targets[v] != (p,)]
+    odd = [v for v, p in parent.items() if prox_targets[v] != (p,)]
     for v in (root, *odd):
         if v in prox_targets[v]:
             violations.append(Violation(0, (v,), f"vertex {v} proximate to itself"))
@@ -614,18 +617,20 @@ def _axiom_violations(d: ProximityDiagram, reach: list[int]) -> list[Violation]:
     if not violations and len(set(map(prox_targets.__getitem__, odd))) == len(odd):
         return violations
     sources: dict[int, set[int]] = {v: set() for v in d.vertices}
-    for source, target in d.proximity:
-        sources[target].add(source)
-    for source, target in d.proximity:
-        both = sources[source] & sources[target]
-        if len(both) > 1:
-            violations.append(
-                Violation(
-                    5,
-                    (target, source, *sorted(both)),
-                    f"{len(both)} vertices proximate to both {target} and {source}",
+    for source, targets in prox_targets.items():
+        for target in targets:
+            sources[target].add(source)
+    for source, targets in prox_targets.items():
+        for target in targets:
+            both = sources[source] & sources[target]
+            if len(both) > 1:
+                violations.append(
+                    Violation(
+                        5,
+                        (target, source, *sorted(both)),
+                        f"{len(both)} vertices proximate to both {target} and {source}",
+                    )
                 )
-            )
     return _sorted_violations(violations)
 
 
@@ -641,9 +646,9 @@ def _structural_violations(d: ProximityDiagram) -> list[Violation]:
     for v in d.vertices:
         if v != d.root and v not in parent:
             violations.append(Violation(0, (v,), f"non-root vertex {v} has no parent"))
-    for source, target in d.proximity:
-        if source == target:
-            violations.append(Violation(0, (source,), f"vertex {source} proximate to itself"))
+    for v, targets in d.prox_targets.items():
+        if v in targets:
+            violations.append(Violation(0, (v,), f"vertex {v} proximate to itself"))
 
     # parent chains must reach the root without cycles; walk_of[u] is the
     # walk that first passed u, so a walk that stops on its own mark cycled
@@ -790,12 +795,12 @@ def remove_vertices(w: WeightedDiagram, drop: Iterable[int]) -> WeightedDiagram:
 
     On a diagram whose clean verdict is cached, the maps are
     ``w.diagram``'s, copied, less the dropped vertices' keys; a kept
-    parent's children are filtered once, whatever number of them goes.
-    Every target is an ancestor of its source, so the pairs to go are the
-    dropped vertices' own: one sorted block each, found by bisection.
-    Every kept vertex keeps its parent and its targets and only loses
-    sources, so the drop keeps every axiom and the result inherits that
-    verdict (it is only peeked at, never computed here).  Any other
+    parent's children are filtered once, whatever number of them goes,
+    and no pairs are built (:func:`_derived`).  Every target is an
+    ancestor of its source, so every kept vertex keeps its parent and its
+    targets and only loses sources: the drop keeps every axiom and the
+    result inherits that verdict (it is only peeked at, never computed
+    here).  Any other
     diagram is pruned through the constructor, from its pairs less those
     that name a dropped vertex, and a kept vertex that no pair, edge or
     root names any more raises :class:`DiagramError`."""
@@ -827,16 +832,7 @@ def remove_vertices(w: WeightedDiagram, drop: Iterable[int]) -> WeightedDiagram:
         del children[v], targets[v], parent[v]
     for p in {d.parent[v] for v in dropped} - dropped:
         children[p] = tuple(filterfalse(gone, children[p]))
-    blocks, at = [], 0
-    for v in sorted(dropped):
-        start = bisect_left(d.proximity, (v,), at)
-        blocks.append(d.proximity[at:start])
-        at = start + len(d.prox_targets[v])
-    blocks.append(d.proximity[at:])
-    pairs = tuple(chain.from_iterable(blocks))
-    edges = tuple(parent.items())
-    kept = _derived(d.root, edges, pairs, vertices, parent, children, targets, True)
-    return WeightedDiagram(kept, weights)
+    return WeightedDiagram(_derived(d.root, vertices, parent, children, targets, True), weights)
 
 
 def add_leaf(
@@ -890,12 +886,9 @@ def minimalize(w: WeightedDiagram) -> WeightedDiagram:
 # canonical form
 # ---------------------------------------------------------------------------
 
-def canonical_form(
-    record: Sequence[tuple[int, int, int]],
-) -> tuple[str, list[list[int]], list[tuple[int, int]]]:
-    """Canonical key of a diagram record, every vertex's children in key
-    order, and the *twins*: each two consecutive children in key order with
-    equal codes.
+def canonical_form(record: Sequence[tuple[int, int, int]]) -> tuple[str, list[list[int]]]:
+    """Canonical key of a diagram record and every vertex's children in
+    key order.
 
     ``record[i]`` is ``(parent, second, weight)`` for vertex ``i``: the
     index of its parent, below ``i`` (``-1`` for the root at index 0), the
@@ -905,12 +898,10 @@ def canonical_form(
     letter (``r`` root, ``f`` free, ``a``/``b`` a satellite whose second
     target is the parent's first/second target) and its children's codes
     in sorted order, all in parentheses.  The key is the root's code;
-    siblings with equal codes keep their index order, and each two of them
-    that are consecutive are a twin pair, listed bottom-up.  This is the one
+    siblings with equal codes keep their index order.  This is the one
     routine that builds or compares subtree codes.
     """
     children: list[list[int]] = [[] for _ in record]
-    twins: list[tuple[int, int]] = []
     for i in range(1, len(record)):
         children[record[i][0]].append(i)
     codes = [""] * len(record)
@@ -933,10 +924,9 @@ def canonical_form(
         else:
             kids.sort(key=codes.__getitem__)
             codes[i] = f"({weight}{letter}{''.join([codes[c] for c in kids])})"
-            twins += [(c, d) for c, d in zip(kids, kids[1:]) if codes[c] == codes[d]]
             for c in kids:
                 codes[c] = ""
-    return codes[0], children, twins
+    return codes[0], children
 
 
 def canonical_key(w: WeightedDiagram) -> str:
@@ -974,8 +964,8 @@ def relabel(w: WeightedDiagram, mapping: Mapping[int, int]) -> WeightedDiagram:
             raise DiagramError(f"relabelling does not map vertex {v!r}")
     if len({mapping[v] for v in d.vertices}) != len(d.vertices):
         raise DiagramError("relabelling must be a bijection on the vertex set")
-    parent = {mapping[v]: mapping[p] for v, p in d.parent_edges}
-    prox = [(mapping[s], mapping[t]) for s, t in d.proximity]
+    parent = {mapping[v]: mapping[p] for v, p in d.parent.items()}
+    prox = [(mapping[s], mapping[t]) for s, targets in d.prox_targets.items() for t in targets]
     nu = {mapping[v]: w.nu[v] for v in d.vertices}
     renamed = proximity_diagram(mapping[d.root], parent, prox)
     if d.__dict__.get("violations") == ():

@@ -350,7 +350,7 @@ def reference_form(w: WeightedDiagram) -> tuple:
         targets = d.prox_targets[v]
         second = position[targets[1]] if len(targets) > 1 else -1
         record.append((position[parent], second, w.nu[v]))
-    key, children, _ = enriques.diagram.canonical_form(record)
+    key, children = enriques.diagram.canonical_form(record)
     return key, {d.preorder[i]: n for n, i in enumerate(reference_preorder(children, 0))}
 
 
@@ -409,9 +409,31 @@ def reference_extensions(shape, max_weight):
                 yield shape + ((parent, second, 0),)
 
 
+def reference_twins(record):
+    """The key of a diagram record, every vertex's children in key order
+    and the *twins*, each two consecutive children in key order with equal
+    subtree codes, by a recursive re-encoding of each subtree apart from
+    ``canonical_form`` (children of equal code keep their index order)."""
+
+    def code(v):
+        parent, second, weight = record[v]
+        letter = "r" if parent < 0 else "f" if second < 0 else "ab"[second != record[parent][0]]
+        return f"({weight}{letter}{''.join(sorted(code(c) for c in children[v]))})"
+
+    children = [[] for _ in record]
+    for v in range(1, len(record)):
+        children[record[v][0]].append(v)
+    codes = [code(v) for v in range(len(record))]
+    twins = []
+    for kids in children:
+        kids.sort(key=codes.__getitem__)
+        twins += [(c, d) for c, d in zip(kids, kids[1:]) if codes[c] == codes[d]]
+    return codes[0], children, twins
+
+
 def reference_orbit_pairs(children, twins):
     """The orbit test of a shape in any vertex order, given its children
-    lists in key order and its twins as ``canonical_form`` returns them:
+    lists in key order and its twins as ``reference_twins`` returns them:
     for every twin pair, the getters of the two subtrees' weight runs in
     canonical preorder.  Empty when the identity is the only automorphism."""
     if not twins:

@@ -24,6 +24,7 @@ from helpers import (
     reference_extensions,
     reference_milnor_numbers,
     reference_orbit_pairs,
+    reference_twins,
     reference_weightings,
     wd,
 )
@@ -395,11 +396,12 @@ def test_orderly_generation_makes_each_live_shape_once(bound):
         assert set(made) == {canonical_form(shape)[0] for shape in expected}
         for entry in grown:
             # the record lists its vertices in canonical_form's preorder, and
-            # each pair is the two runs of one of canonical_form's twins
+            # each pair is the two runs of one twin pair of the re-encoding
             shape, _, pairs, least_root = entry
             assert least_root == least_root_weight(shape)
-            _, children, twins = canonical_form(shape)
+            children = canonical_form(shape)[1]
             assert children == [sorted(kids) for kids in children], shape
+            twins = reference_twins(shape)[2]
             assert sorted(runs_of(entry)) == sorted(
                 (list(range(c, d)), list(range(d, 2 * d - c))) for c, d in twins
             ), shape
@@ -441,27 +443,11 @@ def test_live_children_pointers_twins_and_letters():
     assert (1, 0, 0) not in {child[0][-1] for child in _live_children(entry, 10**9)}
 
 
-def subtree_key(record, children, v):
-    # a recursive re-encoding of the subtree at v, apart from canonical_form
-    parent, second, weight = record[v]
-    letter = "r" if parent < 0 else "f" if second < 0 else "ab"[second != record[parent][0]]
-    kids = sorted(subtree_key(record, children, c) for c in children[v])
-    return f"({weight}{letter}{''.join(kids)})"
-
-
 def assert_twins_are_equal_keyed_neighbours(record):
-    key, children, twins = canonical_form(record)
-    by_index = [[] for _ in record]
-    for v in range(1, len(record)):
-        by_index[record[v][0]].append(v)
-    keys = [subtree_key(record, by_index, v) for v in range(len(record))]
-    assert key == keys[0]
-    expected = []
-    for kids in by_index:
-        kids.sort(key=keys.__getitem__)
-        expected += [(c, d) for c, d in zip(kids, kids[1:]) if keys[c] == keys[d]]
-    assert children == by_index, record
-    assert sorted(twins) == sorted(expected), record
+    # canonical_form's key and children are the re-encoding's, so its
+    # equal-code siblings are adjacent, as the re-encoding's twins
+    key, children, twins = reference_twins(record)
+    assert canonical_form(record) == (key, children), record
     return len(twins)
 
 
@@ -554,7 +540,7 @@ def test_every_extended_shape_has_a_minimal_weighting(monkeypatch, bound):
 def reference_family(shape, max_weight):
     # the root-first search with the orbit test, and the Milnor numbers of
     # the kept weightings computed after it
-    pairs = reference_orbit_pairs(*canonical_form(shape)[1:])
+    pairs = reference_orbit_pairs(*reference_twins(shape)[1:])
     kept = [
         tuple(weights)
         for weights in reference_weightings(shape, max_weight)

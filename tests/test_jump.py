@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import enriques.diagram
 import enriques.jump
 import enriques.quasihomogeneous
 from enriques import (
@@ -42,6 +43,7 @@ from enriques import (
     remove_vertices,
     single_vertex,
     total_excess,
+    validate_axioms,
     verify_maximality,
     weighted_diagram,
 )
@@ -283,6 +285,37 @@ def test_lambda_lin_main_example():
     assert len(report.representative) == 4
     assert not report.semi
     assert check_geq_witness(report.representative, report.E_D, report.adjacency_witness)
+
+
+def test_package_paths_read_no_pair_views(monkeypatch):
+    # a diagram that _grown or remove_vertices derives stores its maps and
+    # no pairs; its parent_edges and proximity views are built only when
+    # read, and no path of the package reads them
+    derived = []
+
+    def recording(*args):
+        derived.append(made(*args))
+        return derived[-1]
+
+    made = enriques.diagram._derived
+    monkeypatch.setattr(enriques.diagram, "_derived", recording)
+    report = lambda_lin(QuasihomogeneousSpec(0, 0, 6, 9))
+    D, E, rep = report.D_min, report.E_D, report.representative
+    assert check_geq_witness(rep, E, report.adjacency_witness)
+    assert validate_axioms(E.diagram) == []
+    assert minimalize(rep).key == D.key
+    diagram_to_json(E)
+    relabelled = relabel(E, {v: v + 1 for v in E.diagram.vertices})
+    assert verify_maximality(QuasihomogeneousSpec(0, 0, 2, 3)).status == "verified"
+    for d in (D.diagram, E.diagram, rep.diagram):
+        assert any(d is out for out in derived)
+    for d in derived:
+        assert not {"parent_edges", "proximity"} & d.__dict__.keys()
+    assert getattr(E.diagram, "no_such_field", None) is None
+    # a read builds each view once, as the constructor would hold it
+    assert E.diagram.proximity is E.diagram.proximity
+    shifted = tuple((v + 1, p + 1) for v, p in E.diagram.parent_edges)
+    assert relabelled.diagram.parent_edges == shifted
 
 
 def test_lambda_lin_equal_exponents_sweep():
