@@ -34,7 +34,7 @@ diagram that :func:`validate_axioms` passes has them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import chain, filterfalse
@@ -119,29 +119,33 @@ class VertexKind:
     final: bool
 
 
+# (child, parent) or (source, target) pairs, sorted
+_Pairs = tuple[tuple[int, int], ...]
+
+
 @dataclass(frozen=True)
 class ProximityDiagram:
     """Immutable rooted tree with a proximity relation.
 
-    ``parent_edges`` holds ``(child, parent)`` pairs and ``proximity``
-    holds distinct ``(source, target)`` pairs, where the source is
-    proximate to the target.  Every id must be an ``int`` (not a bool),
+    Every diagram stores ``root``, the four maps below and the facts it
+    caches, whichever way it was made.  The constructor takes
+    ``parent_edges``, ``(child, parent)`` pairs, and ``proximity``,
+    distinct ``(source, target)`` pairs where the source is proximate to
+    the target, as input only.  Every id must be an ``int`` (not a bool),
     and both tuples must be sorted, each child listed once, else
-    :class:`DiagramError` is raised: one pass over them, when the diagram
-    is built, checks every occurrence of an id and the order, and derives
-    the four maps.  That pass is the one path for outside input: the
-    adapter :func:`proximity_diagram`, and through it :func:`relabel` and
-    ``diagram_from_dict``, builds a diagram by scanning its pairs, and
-    the diagram keeps the tuples it was given.  The two builders that
-    change a diagram they already hold derive the new one's maps from its
-    source's instead (:func:`_derived`), and store no pairs: :func:`_grown`
-    appends vertices, and refuses an entry that names an id not yet made,
-    and :func:`remove_vertices` drops them from a source with a clean
-    verdict (any other source it prunes through this constructor, the one
-    place that derives the maps from pairs).  On such a derived diagram
-    ``parent_edges`` and ``proximity`` are views of the maps, built on
-    first read and cached (``__getattr__``); equality, hashing and the
-    repr read them as fields.  Validity is decided lazily, by
+    :class:`DiagramError` is raised: one pass over them checks every
+    occurrence of an id and the order, and derives the maps.  That pass
+    is the one path for outside input: the adapter
+    :func:`proximity_diagram`, and through it :func:`relabel` and
+    ``diagram_from_dict``, builds a diagram by scanning its pairs.  The
+    two builders that change a diagram they already hold derive the new
+    one's maps from its source's instead (:func:`_derived`):
+    :func:`_grown` appends vertices, and :func:`remove_vertices` drops
+    them.  On every diagram ``parent_edges`` and ``proximity`` are views
+    of the maps, equal to the tuples the constructor would take, built on
+    first read and cached (``__getattr__``).  Equality and hashing read
+    ``root``, ``parent`` and ``prox_targets``, and the repr shows them, so
+    none of them builds a view.  Validity is decided lazily, by
     :func:`validate_axioms` through ``violations``, for a diagram built
     from outside input; a diagram that :func:`_grown`,
     :func:`remove_vertices` or :func:`relabel` derives from one with a
@@ -155,12 +159,19 @@ class ProximityDiagram:
     """
 
     root: int
-    parent_edges: tuple[tuple[int, int], ...]
-    proximity: tuple[tuple[int, int], ...]
+    parent_edges: InitVar[_Pairs]
+    proximity: InitVar[_Pairs]
+    vertices: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    parent: dict[int, int] = field(init=False)
+    children: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    prox_targets: dict[int, tuple[int, ...]] = field(init=False)
 
-    def __getattr__(self, name: str) -> tuple[tuple[int, int], ...]:
-        # reached only for an attribute the instance lacks: the pairs of a
-        # diagram that _derived built from maps
+    def __hash__(self) -> int:
+        # every diagram keys parent in child order, so equal ones list it alike
+        return hash((self.root, tuple(self.parent.items())))
+
+    def __getattr__(self, name: str) -> _Pairs:
+        # reached only for an attribute the instance lacks: the pair views
         if name == "parent_edges":
             view = tuple(self.parent.items())
         elif name == "proximity":
@@ -170,13 +181,13 @@ class ProximityDiagram:
         self.__dict__[name] = view
         return view
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, parent_edges: _Pairs, proximity: _Pairs) -> None:
         ids = {_integer(self.root, "vertex id")}
         parent: dict[int, int] = {}
         children: dict[int, list[int]] = {}
         targets: dict[int, list[int]] = {}
         last = None
-        for child, p in self.parent_edges:
+        for child, p in parent_edges:
             if type(child) is not int or type(p) is not int:
                 _integer(child, "vertex id")
                 _integer(p, "vertex id")
@@ -188,7 +199,7 @@ class ProximityDiagram:
             parent[child] = p
             children.setdefault(p, []).append(child)
         last = None
-        for pair in self.proximity:
+        for pair in proximity:
             source, target = pair
             if type(source) is not int or type(target) is not int:
                 _integer(source, "vertex id")
@@ -335,6 +346,8 @@ class WeightedDiagram:
 
     @cached_property
     def orders(self) -> Mapping[int, int]:
+        """System of values, see :func:`order_of_values`."""
+        require_valid(self.diagram)
         nu = self.nu
         targets = self.diagram.prox_targets
         out: dict[int, int] = {}
@@ -446,11 +459,10 @@ def _derived(
 ) -> ProximityDiagram:
     """A diagram with the maps that :func:`_grown` or
     :func:`remove_vertices` derived from its source's, set as given and
-    seeded with the clean verdict when ``clean``.  It stores no pairs:
-    ``parent_edges`` and ``proximity`` are read off the maps on demand.
-    It skips the constructor's scan: the builder vouches that the maps are
-    the ones that scan would derive from those pairs (``parent`` keyed in
-    child order), and an oracle test holds them to it."""
+    seeded with the clean verdict when ``clean``: the fields the
+    constructor sets, without its scan.  The builder vouches that the maps
+    are the ones that scan would derive from the pair views (``parent``
+    keyed in child order), and an oracle test holds them to it."""
     out = object.__new__(ProximityDiagram)
     out.__dict__.update(
         root=root,
@@ -699,8 +711,9 @@ def order_of_values(w: WeightedDiagram) -> dict[int, int]:
 
     Computed root first; the value at P is the order of vanishing, at the
     point P, of the total transform of a germ whose multiplicities are the
-    weights.  Raises :class:`InvalidDiagramError` when the parent map is not
-    a tree below the root.
+    weights.  Only a valid diagram has them: an axiom violation raises
+    :class:`InvalidDiagramError`, read from the cached
+    ``diagram.violations``.
     """
     return dict(w.orders)
 
@@ -793,17 +806,14 @@ def is_minimal(w: WeightedDiagram) -> bool:
 def remove_vertices(w: WeightedDiagram, drop: Iterable[int]) -> WeightedDiagram:
     """Drop a successor-closed set of vertices (no member may have a kept child).
 
-    On a diagram whose clean verdict is cached, the maps are
-    ``w.diagram``'s, copied, less the dropped vertices' keys; a kept
-    parent's children are filtered once, whatever number of them goes,
-    and no pairs are built (:func:`_derived`).  Every target is an
-    ancestor of its source, so every kept vertex keeps its parent and its
-    targets and only loses sources: the drop keeps every axiom and the
-    result inherits that verdict (it is only peeked at, never computed
-    here).  Any other
-    diagram is pruned through the constructor, from its pairs less those
-    that name a dropped vertex, and a kept vertex that no pair, edge or
-    root names any more raises :class:`DiagramError`."""
+    Only a valid diagram is pruned: an axiom violation raises
+    :class:`InvalidDiagramError`, read from the cached
+    ``diagram.violations``.  The maps are ``w.diagram``'s, copied, less
+    the dropped vertices' keys; a kept parent's children are filtered
+    once, whatever number of them goes (:func:`_derived`).  Every target
+    is an ancestor of its source, so every kept vertex keeps its parent
+    and its targets and only loses sources: the drop keeps every axiom
+    and the result inherits the clean verdict."""
     d = w.diagram
     dropped = {d.require_vertex(v) for v in drop}
     if w.root in dropped:
@@ -812,26 +822,16 @@ def remove_vertices(w: WeightedDiagram, drop: Iterable[int]) -> WeightedDiagram:
         for child in d.children[v]:
             if child not in dropped:
                 raise DiagramError(f"vertex {v} still has successor {child}")
-    gone = dropped.__contains__
-    vertices = tuple(filterfalse(gone, d.vertices))
+    require_valid(d)
+    vertices = tuple(filterfalse(dropped.__contains__, d.vertices))
     weights = tuple(map(w.nu.__getitem__, vertices))
-    if d.__dict__.get("violations") != ():
-        kept = ProximityDiagram(
-            d.root,
-            tuple(edge for edge in d.parent_edges if not gone(edge[0])),
-            tuple(pair for pair in d.proximity if not (gone(pair[0]) or gone(pair[1]))),
-        )
-        if kept.vertices != vertices:
-            lost = min(set(vertices) - set(kept.vertices))
-            raise DiagramError(f"removing {sorted(dropped)} leaves vertex {lost} in no pair")
-        return WeightedDiagram(kept, weights)
     parent = dict(d.parent)
     children = dict(d.children)
     targets = dict(d.prox_targets)
     for v in dropped:
         del children[v], targets[v], parent[v]
     for p in {d.parent[v] for v in dropped} - dropped:
-        children[p] = tuple(filterfalse(gone, children[p]))
+        children[p] = tuple(filterfalse(dropped.__contains__, children[p]))
     return WeightedDiagram(_derived(d.root, vertices, parent, children, targets, True), weights)
 
 

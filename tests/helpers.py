@@ -109,9 +109,9 @@ def count_scans(monkeypatch) -> list:
     scanned = []
     post_init = ProximityDiagram.__post_init__
 
-    def counting(self):
+    def counting(self, parent_edges, proximity):
         scanned.append(self)
-        post_init(self)
+        post_init(self, parent_edges, proximity)
 
     monkeypatch.setattr(ProximityDiagram, "__post_init__", counting)
     return scanned

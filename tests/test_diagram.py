@@ -18,11 +18,16 @@ from enriques import (
     Violation,
     WeightedDiagram,
     add_leaf,
+    bamboo_invariants,
     canonical_key,
     canonical_order,
     classify,
+    diagram_to_dot,
+    diagram_to_json,
+    diagram_to_text,
     diagram_type,
     excesses,
+    geq,
     is_complete,
     is_consistent,
     is_minimal,
@@ -276,6 +281,55 @@ def test_validate_axioms_is_pinned_on_random_maps():
     )
 
 
+def test_every_reader_gives_a_value_or_a_diagram_error_on_random_maps():
+    # each public reader of a weighted diagram meets seeded random maps,
+    # which break the axioms now and then, each time on a fresh copy, so
+    # none reads a fact that another cached; the system of values used to
+    # walk only the tree check and raise KeyError at a target that is not
+    # an ancestor
+    readers = {
+        "orders": order_of_values,
+        "excess": excesses,
+        "milnor_number": milnor_number,
+        "is_complete": is_complete,
+        "is_minimal": is_minimal,
+        "minimalize": minimalize,
+        "key": canonical_key,
+        "canonical_order": canonical_order,
+        "json": diagram_to_json,
+        "dot": diagram_to_dot,
+        "text": diagram_to_text,
+        "classify": lambda w: classify(w.diagram, w.diagram.vertices[-1]),
+        "add_leaf": lambda w: add_leaf(w, w.diagram.vertices[-1], 1, w.root),
+        "remove_vertices": lambda w: remove_vertices(w, [w.diagram.vertices[-1]]),
+        "relabel": lambda w: relabel(w, {v: v + 1 for v in w.diagram.vertices}),
+        "geq": lambda w: geq(w, w),
+        "bamboo_invariants": bamboo_invariants,
+    }
+    rng = random.Random(5)
+    refused = dict.fromkeys(readers, 0)
+    invalid = 0
+    for _ in range(5_000):
+        d = random_map(rng)
+        weights = tuple(rng.randint(0, 3) for _ in d.vertices)
+        invalid += bool(validate_axioms(d))
+        for name, reader in readers.items():
+            w = WeightedDiagram(ProximityDiagram(d.root, d.parent_edges, d.proximity), weights)
+            try:
+                reader(w)
+            except DiagramError:
+                refused[name] += 1
+    # the readers that need only a valid diagram refuse exactly the 3,562
+    # invalid maps; the others refuse inconsistent weights, the lone root
+    # or a fork as well, or nothing
+    assert invalid == 3_562
+    needs_valid = ["orders", "is_complete", "is_minimal", "key", "canonical_order"]
+    needs_valid += ["json", "dot", "text", "classify"]
+    assert {refused[name] for name in needs_valid} == {invalid}, refused
+    assert refused["excess"] == refused["add_leaf"] == refused["relabel"] == 0, refused
+    assert min(set(refused.values()) - {0}) == invalid, refused
+
+
 def perturbed(rng, d):
     """``d`` with one proximity pair added between two of its vertices, or
     one of its pairs dropped: each of axioms 0-5 breaks now and then."""
@@ -443,11 +497,10 @@ def test_a_relabelled_diagram_inherits_its_verdict_exactly_when_it_is_valid():
 def test_a_derived_diagram_starts_no_walk_for_a_source_without_a_verdict():
     d = proximity_diagram(0, {1: 0, 2: 1}, [(1, 0), (2, 1), (2, 0)])
     grown = _grown(d, [(2, 1)])
-    kept = remove_vertices(WeightedDiagram(d, (2, 1, 1)), [2]).diagram
     renamed = relabel(WeightedDiagram(d, (2, 1, 1)), {0: 5, 1: 3, 2: 4}).diagram
-    for diagram in (d, grown, kept, renamed):
+    for diagram in (d, grown, renamed):
         assert "violations" not in diagram.__dict__
-    assert grown.violations == () and kept.violations == () and renamed.violations == ()
+    assert grown.violations == () and renamed.violations == ()
 
 
 def test_structural_maps_match_the_reference_in_values_and_order():
@@ -490,11 +543,12 @@ def successors(d, v):
 def test_derived_maps_equal_the_constructors():
     # valid and invalid sources, half of them with a cached verdict, grown
     # by random runs of made ids; each source and each grown diagram then
-    # drops a random vertex and everything below it.  A drop that would
-    # leave a kept vertex in no pair, edge or root is refused: the
-    # constructor would lose that vertex and its weight
+    # drops a random vertex and everything below it.  An invalid source is
+    # refused; a valid one, with its verdict cached or not, is pruned to
+    # the diagram the constructor builds from its pairs less the dropped
+    # vertices', and the result inherits the clean verdict
     rng = random.Random(28)
-    counts = {"clean": 0, "scanned": 0, "stripped": 0, "lost": 0}
+    counts = {"cached": 0, "walked": 0, "invalid": 0}
     for i in range(20_000):
         d = random_map(rng) if i % 2 else random_proximity(rng)
         if rng.random() < 0.5:
@@ -508,32 +562,28 @@ def test_derived_maps_equal_the_constructors():
             if source.root in drop:
                 continue
             w = WeightedDiagram(source, tuple(range(len(source.vertices))))
-            expected = ProximityDiagram(
+            cached = "violations" in source.__dict__
+            if validate_axioms(source):
+                with pytest.raises(InvalidDiagramError):
+                    remove_vertices(w, drop)
+                counts["invalid"] += 1
+                continue
+            kept = remove_vertices(w, drop)
+            assert kept.diagram == ProximityDiagram(
                 source.root,
                 tuple(edge for edge in source.parent_edges if edge[0] not in drop),
                 tuple(pair for pair in source.proximity if drop.isdisjoint(pair)),
             )
             left = tuple(v for v in source.vertices if v not in drop)
-            if expected.vertices != left:
-                with pytest.raises(DiagramError, match="in no pair"):
-                    remove_vertices(w, drop)
-                counts["lost"] += 1
-                continue
-            kept = remove_vertices(w, drop)
-            assert kept.diagram == expected
+            assert kept.diagram.vertices == left
             assert kept.weights == tuple(source.vertices.index(v) for v in left)
+            assert kept.diagram.__dict__["violations"] == ()
             assert_maps_as_constructed(kept.diagram)
-            if source.__dict__.get("violations") == ():
-                counts["clean"] += 1
-            else:
-                counts["scanned"] += 1
-                counts["stripped"] += any(
-                    s not in drop and t in drop for s, t in source.proximity
-                )
-    # 6,122 removals from a clean verdict, 22,399 by the scan (4,112 of
-    # them strip a kept source's dropped target) and 975 refused
-    assert counts["clean"] >= 5_500 and counts["scanned"] >= 20_000, counts
-    assert counts["stripped"] >= 3_500 and counts["lost"] >= 800, counts
+            counts["cached" if cached else "walked"] += 1
+    # 6,122 removals from a cached clean verdict, 6,265 from a valid source
+    # walked on the spot and 17,109 refused
+    assert counts["cached"] >= 5_500 and counts["walked"] >= 5_500, counts
+    assert counts["invalid"] >= 15_000, counts
 
 
 def test_structural_maps_are_not_fields():
@@ -658,6 +708,15 @@ def test_order_of_values_rejects_root_on_a_parent_cycle():
     w = weighted_diagram(proximity_diagram(0, {0: 1, 1: 0}, [(1, 0)]), {0: 2, 1: 1})
     with pytest.raises(InvalidDiagramError):
         order_of_values(w)
+
+
+@pytest.mark.parametrize("parent", [{0: 1, 1: 0}, {1: 2}])
+def test_preorder_is_the_tree_check(parent):
+    # read before any verdict: a root on a parent cycle, and a vertex off
+    # the root, leave the walk from the root short
+    d = proximity_diagram(0, parent, [(1, parent[1])])
+    with pytest.raises(InvalidDiagramError):
+        d.preorder
 
 
 def test_values_and_milnor_number_reject_a_vertex_off_the_root():

@@ -288,9 +288,10 @@ def test_lambda_lin_main_example():
 
 
 def test_package_paths_read_no_pair_views(monkeypatch):
-    # a diagram that _grown or remove_vertices derives stores its maps and
-    # no pairs; its parent_edges and proximity views are built only when
-    # read, and no path of the package reads them
+    # every diagram stores its maps and no pairs, whether _grown or
+    # remove_vertices derived it or the constructor scanned them; its
+    # parent_edges and proximity views are built only when read, and no
+    # path of the package, nor == or hash, reads them
     derived = []
 
     def recording(*args):
@@ -303,13 +304,15 @@ def test_package_paths_read_no_pair_views(monkeypatch):
     D, E, rep = report.D_min, report.E_D, report.representative
     assert check_geq_witness(rep, E, report.adjacency_witness)
     assert validate_axioms(E.diagram) == []
-    assert minimalize(rep).key == D.key
-    diagram_to_json(E)
+    assert minimalize(rep) == D and minimalize(rep).key == D.key
+    hash(E.diagram)
+    read = diagram_from_json(diagram_to_json(E))
+    assert read.key == E.key
     relabelled = relabel(E, {v: v + 1 for v in E.diagram.vertices})
     assert verify_maximality(QuasihomogeneousSpec(0, 0, 2, 3)).status == "verified"
     for d in (D.diagram, E.diagram, rep.diagram):
         assert any(d is out for out in derived)
-    for d in derived:
+    for d in (*derived, read.diagram, relabelled.diagram):
         assert not {"parent_edges", "proximity"} & d.__dict__.keys()
     assert getattr(E.diagram, "no_such_field", None) is None
     # a read builds each view once, as the constructor would hold it

@@ -4,9 +4,9 @@ against reference recipes that go through the map adapters.
 Each reference unpacks the pairs into a parent map, a proximity list and a
 weight map and hands them to ``proximity_diagram`` and
 ``weighted_diagram``, which sort, dedupe and check them.  The builders
-under test append to or filter the sorted tuples and the source's maps;
-both must give equal diagrams: equal pairs and weights, and the four
-structural maps equal in values and key order.
+under test append to or filter the source's maps and weights; both must
+give equal diagrams: equal pairs and weights, and the four structural
+maps equal in values and key order.
 """
 
 import random
