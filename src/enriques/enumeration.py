@@ -82,10 +82,15 @@ changes.
 The weights of a shape are chosen in index order, so every target comes
 before its sources.  A vertex weighs at least its least weight of the
 lemma, its ``c`` when it is final and else the sum of its sources' least
-weights.  A vertex weighs at most ``max_weight`` and at most what each target can spare
-once the target's unweighted sources take their least weights.  Every
-range is therefore non-empty and every completed weighting is minimal
-and consistent.  The root is held at ``max_weight`` while the other
+weights.  A vertex weighs at most ``max_weight`` and at most what each
+target can spare once the target's unweighted sources take their least
+weights.  Every range is therefore non-empty and every completed
+weighting is minimal and consistent.  Each shape's targets are set up
+once, as a tuple per vertex: ``(parent,)`` for a free vertex and
+``(parent, second)`` for a satellite.  So the search backs up past a
+vertex by reading the slack of its one or two targets in place, and each
+step of the walk does constant work per vertex it passes, with no list
+built.  The root is held at ``max_weight`` while the other
 vertices are weighted, so each weighting of theirs is visited once: the
 root's range, from the sum of its sources' weights (1 for a lone root)
 to ``max_weight``, is read off its slack at the end.  The Milnor number
@@ -287,14 +292,17 @@ def _weightings(shape: tuple[_Rec, ...], max_weight: int) -> Iterator[tuple[list
     :func:`_live_children` yields for ``max_weight``, so that no least weight,
     the root's being the largest, exceeds ``max_weight``."""
     n = len(shape)
-    targets = [[t for t in entry[:2] if t >= 0] for entry in shape]
+    # none for the root, (parent,) for a free vertex, (parent, second) for a
+    # satellite
+    targets = [()] + [(p,) if s < 0 else (p, s) for p, s, _ in shape[1:]]
     # a free vertex's term is x*(x - 1) and a satellite's x*x; the root's
     # term is left out
-    coefficients = [0] + [1 if second < 0 else 0 for _, second, _ in shape[1:]]
+    coefficients = [0] + [2 - len(tv) for tv in targets[1:]]
     owed, least = [0] * n, [0] * n  # owed: the sources' least weights
-    for v in range(n - 1, -1, -1):
-        # a child is a source, so only a final vertex owes nothing
-        least[v] = owed[v] or (2 if len(targets[v]) == 1 else 1)
+    for v in range(n - 1, 0, -1):
+        # a child is a source, so only a final vertex owes nothing: a free
+        # one weighs 2 and a satellite 1; the root's least is never read
+        least[v] = owed[v] or 3 - len(targets[v])
         for t in targets[v]:
             owed[t] += least[v]
     # weights[u] is least[u] for every u after v; slack[t] is what a weighted
@@ -310,17 +318,18 @@ def _weightings(shape: tuple[_Rec, ...], max_weight: int) -> Iterator[tuple[list
             mu[u] = mu[u - 1] + x * (x - coefficients[u])
         yield weights, mu[-1], max_weight - slack[0] or 1
         # back up to the last vertex that can still rise, resetting the rest;
-        # a vertex weighs at most its parent, so the targets' slack bounds it
+        # a vertex weighs at most its parent, so the targets' slack bounds
+        # it: one or two entries, read in place
         v = n - 1
-        while v and 0 in [slack[t] for t in targets[v]]:
-            for t in targets[v]:
+        while v and not (slack[(tv := targets[v])[0]] and (len(tv) == 1 or slack[tv[1]])):
+            for t in tv:
                 slack[t] += weights[v] - least[v]
             weights[v] = least[v]
             v -= 1
         if not v:
             return
         weights[v] += 1
-        for t in targets[v]:
+        for t in tv:
             slack[t] -= 1
 
 

@@ -428,7 +428,11 @@ def minimal_diagram(spec: QuasihomogeneousSpec) -> WeightedDiagram:
 
 
 def is_bamboo(w: WeightedDiagram) -> bool:
-    """True when the diagram is a single chain (every vertex has at most one child)."""
+    """True when the diagram is a single chain (every vertex has at most one
+    child).  An axiom violation raises
+    :class:`~enriques.diagram.InvalidDiagramError`, read from the cached
+    ``diagram.violations``."""
+    require_valid(w.diagram)
     return all(len(children) <= 1 for children in w.diagram.children.values())
 
 
@@ -436,7 +440,10 @@ def bamboo_chain(w: WeightedDiagram) -> list[int]:
     """Vertices of a bamboo from the root to the end of the chain.
 
     ``w`` must be a bamboo (see :func:`is_bamboo`): each vertex's one child
-    follows it in ``diagram.preorder``, so the preorder is the chain."""
+    follows it in ``diagram.preorder``, so the preorder is the chain.  An
+    axiom violation raises :class:`~enriques.diagram.InvalidDiagramError`,
+    as for :func:`is_bamboo`."""
+    require_valid(w.diagram)
     return list(w.diagram.preorder)
 
 
@@ -450,7 +457,6 @@ def bamboo_invariants(w: WeightedDiagram) -> tuple[int, int, int]:
     ``diagram.violations``, and a diagram that is not a bamboo
     :class:`DiagramError`.
     """
-    require_valid(w.diagram)
     if not is_bamboo(w):
         raise DiagramError("diagram is not a bamboo")
     chain = w.diagram.preorder

@@ -28,6 +28,7 @@ from enriques import (
     diagram_type,
     excesses,
     geq,
+    is_bamboo,
     is_complete,
     is_consistent,
     is_minimal,
@@ -44,6 +45,7 @@ from enriques import (
     weighted_diagram,
 )
 from enriques.diagram import _grown, _preorder
+from enriques.quasihomogeneous import bamboo_chain
 from helpers import (
     count_constructions,
     cusp_complete,
@@ -305,6 +307,8 @@ def test_every_reader_gives_a_value_or_a_diagram_error_on_random_maps():
         "relabel": lambda w: relabel(w, {v: v + 1 for v in w.diagram.vertices}),
         "geq": lambda w: geq(w, w),
         "bamboo_invariants": bamboo_invariants,
+        "is_bamboo": is_bamboo,
+        "bamboo_chain": bamboo_chain,
     }
     rng = random.Random(5)
     refused = dict.fromkeys(readers, 0)
@@ -324,7 +328,7 @@ def test_every_reader_gives_a_value_or_a_diagram_error_on_random_maps():
     # or a fork as well, or nothing
     assert invalid == 3_562
     needs_valid = ["orders", "is_complete", "is_minimal", "key", "canonical_order"]
-    needs_valid += ["json", "dot", "text", "classify"]
+    needs_valid += ["json", "dot", "text", "classify", "is_bamboo", "bamboo_chain"]
     assert {refused[name] for name in needs_valid} == {invalid}, refused
     assert refused["excess"] == refused["add_leaf"] == refused["relabel"] == 0, refused
     assert min(set(refused.values()) - {0}) == invalid, refused

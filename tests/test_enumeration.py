@@ -3,6 +3,7 @@
 import hashlib
 import random
 import time
+from itertools import islice
 
 import pytest
 
@@ -15,6 +16,8 @@ from enriques import (
     canonical_key,
     enumerate_minimal_diagrams,
     is_minimal,
+    minimal_diagram,
+    parse_spec,
     validate_axioms,
 )
 from enriques.cli import run
@@ -594,6 +597,69 @@ def test_weighting_search_on_a_deep_free_chain():
     shape = ((-1, -1, 0),) + tuple((i - 1, -1, 0) for i in range(1, 5000))
     found = list(full_weightings(shape, 2))
     assert found == [[2] * 5000]
+
+
+def capped_weightings(shape, max_weight, cap):
+    # full_weightings over at most cap non-root weightings: a walk that lets
+    # a slack go below 0 never stops, and the cap makes it fail instead
+    found = []
+    for weights, _, low in islice(_weightings(shape, max_weight), cap):
+        found += ((root, *weights[1:]) for root in range(low, max_weight + 1))
+    return sorted(found)
+
+
+# shapes with a satellite whose second target runs out of slack before its
+# parent: the lone satellite 2 of (1, 0) at weights (6, 4, 2) leaves the
+# root no slack and vertex 1 a slack of 2, and the satellite 3 of (2, 1) at
+# (6, 6, 4, 2) leaves vertex 1 none and vertex 2 a slack of 2; the walk must
+# back up past a satellite when either of its two targets is spent
+SECOND_TARGET_FIRST = [
+    ((-1, -1, 0), (0, -1, 0), (1, 0, 0)),
+    ((-1, -1, 0), (0, -1, 0), (1, -1, 0), (2, 1, 0)),
+    ((-1, -1, 0), (0, -1, 0), (1, 0, 0), (2, 1, 0), (0, -1, 0)),
+]
+
+
+def test_the_backtrack_reads_both_targets_of_a_satellite():
+    for shape in SECOND_TARGET_FIRST:
+        # a shape is live from its least root weight on
+        least_root = next(reference_weightings(shape, 99))[0]
+        for max_weight in range(least_root, least_root + 7):
+            expected = sorted(tuple(w) for w in reference_weightings(shape, max_weight))
+            assert expected, (shape, max_weight)
+            found = capped_weightings(shape, max_weight, len(expected) + 1)
+            assert found == expected, (shape, max_weight)
+
+
+def test_the_walks_work_at_the_verify_workloads_bounds(monkeypatch):
+    # the ten germs of the verify benchmark at verify_maximality's default
+    # bounds: len(D_min) + 4 vertices, root weight + 2 and a root bound of
+    # D_min's root weight
+    specs = ["1,1,1,1", "0,1,2,4", "1,0,2,4", "1,0,1,3", "0,0,2,3"]
+    specs += ["0,1,1,12", "0,0,4,4", "0,0,2,5", "0,0,2,8", "1,0,1,2"]
+    walked, dropped = [0], [0]
+
+    def counting_weightings(shape, max_weight):
+        for found in _weightings(shape, max_weight):
+            walked[0] += 1
+            yield found
+
+    def counting_test(weights, pairs):
+        kept = _least_in_orbit(weights, pairs)
+        dropped[0] += not kept
+        return kept
+
+    monkeypatch.setattr(enriques.enumeration, "_weightings", counting_weightings)
+    monkeypatch.setattr(enriques.enumeration, "_least_in_orbit", counting_test)
+    shapes = light = heavy = 0
+    for spec in specs:
+        D_min = minimal_diagram(parse_spec(spec))
+        root = D_min.nu[D_min.root]
+        for family in enriques.enumeration._minimal_families(len(D_min) + 4, root + 2, 10**6, root):
+            shapes += 1
+            light += len(family.weightings)
+            heavy += len(family.heavy)
+    assert (shapes, walked[0], dropped[0], light, heavy) == (912, 3182, 44, 343, 3138)
 
 
 @pytest.mark.timed
