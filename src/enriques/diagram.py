@@ -119,10 +119,6 @@ class VertexKind:
     final: bool
 
 
-# (child, parent) or (source, target) pairs, sorted
-_Pairs = tuple[tuple[int, int], ...]
-
-
 @dataclass(frozen=True)
 class ProximityDiagram:
     """Immutable rooted tree with a proximity relation.
@@ -141,13 +137,11 @@ class ProximityDiagram:
     two builders that change a diagram they already hold derive the new
     one's maps from its source's instead (:func:`_derived`):
     :func:`_grown` appends vertices, and :func:`remove_vertices` drops
-    them.  On every diagram ``parent_edges`` and ``proximity`` are views
-    of the maps, equal to the tuples the constructor would take, built on
-    first read and cached (``__getattr__``).  Equality and hashing read
-    ``root``, ``parent`` and ``prox_targets``, and the repr shows them, so
-    none of them builds a view.  Validity is decided lazily, by
-    :func:`validate_axioms` through ``violations``, for a diagram built
-    from outside input; a diagram that :func:`_grown`,
+    them.  The pairs are not kept: a diagram has no ``parent_edges`` or
+    ``proximity`` attribute.  Equality and hashing read ``root``,
+    ``parent`` and ``prox_targets``, and the repr shows them.  Validity is
+    decided lazily, by :func:`validate_axioms` through ``violations``, for
+    a diagram built from outside input; a diagram that :func:`_grown`,
     :func:`remove_vertices` or :func:`relabel` derives from one with a
     clean verdict inherits it instead.
     ``vertices`` holds the sorted ids and ``parent`` maps each child to
@@ -159,8 +153,8 @@ class ProximityDiagram:
     """
 
     root: int
-    parent_edges: InitVar[_Pairs]
-    proximity: InitVar[_Pairs]
+    parent_edges: InitVar[tuple[tuple[int, int], ...]]
+    proximity: InitVar[tuple[tuple[int, int], ...]]
     vertices: tuple[int, ...] = field(init=False, repr=False, compare=False)
     parent: dict[int, int] = field(init=False)
     children: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
@@ -170,18 +164,9 @@ class ProximityDiagram:
         # every diagram keys parent in child order, so equal ones list it alike
         return hash((self.root, tuple(self.parent.items())))
 
-    def __getattr__(self, name: str) -> _Pairs:
-        # reached only for an attribute the instance lacks: the pair views
-        if name == "parent_edges":
-            view = tuple(self.parent.items())
-        elif name == "proximity":
-            view = tuple([(v, t) for v, ts in self.prox_targets.items() for t in sorted(ts)])
-        else:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.__dict__[name] = view
-        return view
-
-    def __post_init__(self, parent_edges: _Pairs, proximity: _Pairs) -> None:
+    def __post_init__(
+        self, parent_edges: tuple[tuple[int, int], ...], proximity: tuple[tuple[int, int], ...]
+    ) -> None:
         ids = {_integer(self.root, "vertex id")}
         parent: dict[int, int] = {}
         children: dict[int, list[int]] = {}

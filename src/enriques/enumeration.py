@@ -145,9 +145,11 @@ root's term, from which the heavy candidates are counted.
 order, and seeds the diagram with that key.  The families come in one
 stream in vertex-count order, and each says whether it is the last of
 its count, so a count is sorted and yielded before the next count's
-shapes are counted against the cap.  A family is admitted to the cap in
-one step, before it is yielded, so the cap stops the stream after the
-same families as one admission per weighting would.
+shapes are counted against the cap.  A family is admitted to the cap
+before it is yielded, and its walk stops at the first weighting that
+takes the count past the cap, so the cap stops the stream after the
+same families as one admission per weighting would, and no weight tuple
+is built past it.
 """
 
 from __future__ import annotations
@@ -288,9 +290,8 @@ def _weightings(shape: tuple[_Rec, ...], max_weight: int) -> Iterator[tuple[list
     least weight, the sum of its sources' weights (1 for a lone root): the
     root may weigh anything from there to ``max_weight``.  The yielded list
     is reused and the search never reads its root entry, which the caller
-    may set.  ``shape`` must be live: the lone root, or a shape
-    :func:`_live_children` yields for ``max_weight``, so that no least weight,
-    the root's being the largest, exceeds ``max_weight``."""
+    may set.  A shape that is not live, whose root's least weight (the
+    largest) exceeds ``max_weight``, has none."""
     n = len(shape)
     # none for the root, (parent,) for a free vertex, (parent, second) for a
     # satellite
@@ -305,6 +306,8 @@ def _weightings(shape: tuple[_Rec, ...], max_weight: int) -> Iterator[tuple[list
         least[v] = owed[v] or 3 - len(targets[v])
         for t in targets[v]:
             owed[t] += least[v]
+    if owed[0] > max_weight:
+        return
     # weights[u] is least[u] for every u after v; slack[t] is what a weighted
     # t can still spare once its sources not yet weighted take their least
     # (a non-root entry is set before it is read); mu[u] is 1 plus the terms
@@ -351,9 +354,10 @@ def _minimal_families(
     shape: by the reachability lemma in the module docstring, no larger
     count has one either.  Arguments and the candidate cap are as for
     :func:`enumerate_minimal_diagrams`; each family is admitted to the cap
-    whole before it is yielded.  A ``root_bound`` of at most ``max_weight``
-    keeps the weightings with a heavier root out of ``weightings``, in
-    :attr:`_Family.heavy` alone.
+    before it is yielded, and its weightings stop as the count passes the
+    cap.  A ``root_bound`` of at most ``max_weight`` keeps the weightings
+    with a heavier root out of ``weightings``, in :attr:`_Family.heavy`
+    alone.
     """
     for name, bound in [
         ("max_vertices", max_vertices),
@@ -373,6 +377,8 @@ def _minimal_families(
                 if pairs and not _least_in_orbit(weights, pairs):
                     continue
                 seen += max_weight + 1 - low
+                if seen > max_candidates:
+                    break
                 for root in range(low, light + 1):
                     weights[0] = root
                     family.weightings.append(tuple(weights))

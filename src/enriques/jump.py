@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from math import gcd
+from math import gcd, isqrt
 
 from .adjacency import GeqWitness, adjacency_verdict, class_representatives, geq
 from .diagram import (
@@ -347,8 +347,9 @@ def verify_maximality(
     maximal = [r for r in class_representatives(diagram_type(D_min), extra_bound) if len(r) == top]
     root_weight = D_min.nu[D_min.root]
     # a weighting's Milnor number is rest + r*(r - 2) = rest - 1 + squares[r]
-    # for root weight r, and squares rises from r = 1 on
-    squares = [(r - 1) ** 2 for r in range(max_weight + 1)]
+    # for root weight r, and squares rises from r = 1 on; rest is at least 1,
+    # so every root weight past the list's end is above the threshold
+    squares = [(r - 1) ** 2 for r in range(min(max_weight, isqrt(max(threshold, 0)) + 2) + 1)]
     refuted_by_root, searched, found = 0, 0, []
     for family in _minimal_families(max_vertices, max_weight, DEFAULT_MAX_CANDIDATES, root_weight):
         for first, rest in family.heavy:

@@ -29,6 +29,14 @@ def wd(root, parent, prox, nu):
     return weighted_diagram(proximity_diagram(root, parent, prox), nu)
 
 
+def constructor_pairs(d: ProximityDiagram) -> tuple:
+    """The ``parent_edges`` and ``proximity`` tuples the constructor takes
+    for ``d``: ``tuple(d.parent.items())``, and each vertex's targets,
+    sorted, in vertex order."""
+    proximity = [(v, t) for v, targets in d.prox_targets.items() for t in sorted(targets)]
+    return tuple(d.parent.items()), tuple(proximity)
+
+
 def cusp_minimal():
     """Weights (2,1,1), the end leaning on the root."""
     return wd(0, {1: 0, 2: 1}, [(1, 0), (2, 1), (2, 0)], {0: 2, 1: 1, 2: 1})
@@ -194,7 +202,7 @@ def random_consistent(rng: random.Random, max_vertices=8, max_excess=2) -> Weigh
     """
     d = random_proximity(rng, max_vertices)
     sources = {v: [] for v in d.vertices}
-    for source, target in d.proximity:
+    for source, target in constructor_pairs(d)[1]:
         sources[target].append(source)
     nu = {}
     for v in reversed(d.preorder):
@@ -210,23 +218,24 @@ def reference_maps(d: ProximityDiagram) -> dict:
     """The four structural maps of ``d``, each derived on its own from the
     pairs and re-sorted: a second opinion on the single pass that builds
     them with the diagram."""
+    parent_edges, proximity = constructor_pairs(d)
     seen = {d.root}
-    for child, parent in d.parent_edges:
+    for child, parent in parent_edges:
         seen.add(child)
         seen.add(parent)
-    for source, target in d.proximity:
+    for source, target in proximity:
         seen.add(source)
         seen.add(target)
     vertices = tuple(sorted(seen))
-    parent = dict(d.parent_edges)
+    parent = dict(parent_edges)
 
     kids = {v: [] for v in vertices}
-    for child, p in d.parent_edges:
+    for child, p in parent_edges:
         kids[p].append(child)
     children = {v: tuple(sorted(k)) for v, k in kids.items()}
 
     out = {v: [] for v in vertices}
-    for source, target in d.proximity:
+    for source, target in proximity:
         out[source].append(target)
     prox_targets = {}
     for v, targets in out.items():
@@ -268,13 +277,14 @@ def reference_validate_axioms(d: ProximityDiagram) -> list:
     Violation = enriques.diagram.Violation
     violations = []
     parent = d.parent
+    proximity = constructor_pairs(d)[1]
 
     if d.root in parent:
         violations.append(Violation(0, (d.root,), f"root {d.root} has a parent"))
     for v in d.vertices:
         if v != d.root and v not in parent:
             violations.append(Violation(0, (v,), f"non-root vertex {v} has no parent"))
-    for source, target in d.proximity:
+    for source, target in proximity:
         if source == target:
             violations.append(Violation(0, (source,), f"vertex {source} proximate to itself"))
 
@@ -323,9 +333,9 @@ def reference_validate_axioms(d: ProximityDiagram) -> list:
                     )
                 )
     sources = {v: set() for v in d.vertices}
-    for source, target in d.proximity:
+    for source, target in proximity:
         sources[target].add(source)
-    for source, target in d.proximity:
+    for source, target in proximity:
         both = sources[source] & sources[target]
         if len(both) > 1:
             violations.append(

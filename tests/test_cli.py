@@ -8,12 +8,14 @@ import pathlib
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
 import enriques.cli
 import enriques.jump
 from enriques import (
+    EnumerationLimitError,
     MaximalityReport,
     QuasihomogeneousSpec,
     construct_adjacent_diagram,
@@ -21,7 +23,9 @@ from enriques import (
     diagram_to_dot,
     diagram_to_json,
     diagram_to_text,
+    enumerate_minimal_diagrams,
     minimal_diagram,
+    verify_maximality,
 )
 from enriques.cli import run
 
@@ -267,6 +271,38 @@ def test_verify_exits_1_at_the_candidate_cap(capsys, monkeypatch):
     code, out, err = invoke(capsys, "verify", "0,0,2,3")
     assert (code, out) == (1, "")
     assert err == "error: enumeration exceeded the cap of 434 candidates\n"
+
+
+# a weight bound far above the cap: 2,000,000 root weights of the lone root
+# alone pass the default cap of 1,000,000 candidates
+HUGE_WEIGHT = {
+    "enumerate": (
+        ["enumerate", "--max-vertices", "1", "--max-weight", "2000000"],
+        lambda: list(enumerate_minimal_diagrams(1, 2_000_000)),
+    ),
+    "verify": (
+        ["verify", "0,0,2,3", "--max-weight", "2000000"],
+        lambda: verify_maximality(QuasihomogeneousSpec(0, 0, 2, 3), max_weight=2_000_000),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(HUGE_WEIGHT))
+def test_a_huge_weight_bound_meets_the_cap_before_it_allocates(capsys, command):
+    argv, call = HUGE_WEIGHT[command]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: enumeration exceeded the cap of 1000000 candidates\n"
+    # neither the root weights' tuples nor verify's table of squared root
+    # weights grows with the bound before the cap is checked
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationLimitError):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_verify_contradiction_exit_code(capsys, monkeypatch):

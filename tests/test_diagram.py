@@ -47,6 +47,7 @@ from enriques import (
 from enriques.diagram import _grown, _preorder
 from enriques.quasihomogeneous import bamboo_chain
 from helpers import (
+    constructor_pairs,
     count_constructions,
     cusp_complete,
     cusp_minimal,
@@ -129,9 +130,10 @@ def test_axiom5_no_two_vertices_share_a_proximity_pair():
 
 def axiom5_reference(d):
     """Axiom 5 by its definition: for each proximity pair, scan every vertex."""
-    prox = set(d.proximity)
+    proximity = constructor_pairs(d)[1]
+    prox = set(proximity)
     out = []
-    for source, target in d.proximity:
+    for source, target in proximity:
         both = [u for u in d.vertices if (u, source) in prox and (u, target) in prox]
         if len(both) > 1:
             message = f"{len(both)} vertices proximate to both {target} and {source}"
@@ -318,7 +320,7 @@ def test_every_reader_gives_a_value_or_a_diagram_error_on_random_maps():
         weights = tuple(rng.randint(0, 3) for _ in d.vertices)
         invalid += bool(validate_axioms(d))
         for name, reader in readers.items():
-            w = WeightedDiagram(ProximityDiagram(d.root, d.parent_edges, d.proximity), weights)
+            w = WeightedDiagram(ProximityDiagram(d.root, *constructor_pairs(d)), weights)
             try:
                 reader(w)
             except DiagramError:
@@ -337,9 +339,10 @@ def test_every_reader_gives_a_value_or_a_diagram_error_on_random_maps():
 def perturbed(rng, d):
     """``d`` with one proximity pair added between two of its vertices, or
     one of its pairs dropped: each of axioms 0-5 breaks now and then."""
-    pairs = set(d.proximity)
+    proximity = constructor_pairs(d)[1]
+    pairs = set(proximity)
     if pairs and rng.random() < 0.3:
-        pairs.remove(rng.choice(d.proximity))
+        pairs.remove(rng.choice(proximity))
     else:
         pairs.add((rng.choice(d.vertices), rng.choice(d.vertices)))
     return proximity_diagram(d.root, d.parent, pairs)
@@ -419,7 +422,7 @@ def constructed_growth(d, run):
     """``d`` grown by ``run`` as the constructor builds it from the pairs:
     each entry's new vertex takes the next id, with its parent edge and one
     pair to its parent, or two sorted pairs with a distinct ``second``."""
-    edges, pairs = list(d.parent_edges), list(d.proximity)
+    edges, pairs = map(list, constructor_pairs(d))
     for new, (parent, second) in enumerate(run, d.vertices[-1] + 1):
         edges.append((new, parent))
         pairs += sorted({(new, parent), (new, parent if second is None else second)})
@@ -525,7 +528,7 @@ def test_structural_maps_match_the_reference_in_values_and_order():
 def assert_maps_as_constructed(d):
     """``d``'s four maps equal, in values and key order, the ones the
     constructor derives from ``d``'s own pairs."""
-    built = ProximityDiagram(d.root, d.parent_edges, d.proximity)
+    built = ProximityDiagram(d.root, *constructor_pairs(d))
     for name in ("vertices", "parent", "children", "prox_targets"):
         got, expected = getattr(d, name), getattr(built, name)
         assert got == expected, (d, name)
@@ -573,10 +576,11 @@ def test_derived_maps_equal_the_constructors():
                 counts["invalid"] += 1
                 continue
             kept = remove_vertices(w, drop)
+            edges, pairs = constructor_pairs(source)
             assert kept.diagram == ProximityDiagram(
                 source.root,
-                tuple(edge for edge in source.parent_edges if edge[0] not in drop),
-                tuple(pair for pair in source.proximity if drop.isdisjoint(pair)),
+                tuple(edge for edge in edges if edge[0] not in drop),
+                tuple(pair for pair in pairs if drop.isdisjoint(pair)),
             )
             left = tuple(v for v in source.vertices if v not in drop)
             assert kept.diagram.vertices == left
@@ -617,7 +621,7 @@ def test_proximity_diagram_output_rebuilds_as_is():
     rng = random.Random(2024)
     diagrams += [random_proximity(rng) for _ in range(500)]
     for d in diagrams:
-        assert ProximityDiagram(d.root, d.parent_edges, d.proximity) == d
+        assert ProximityDiagram(d.root, *constructor_pairs(d)) == d
 
 
 @pytest.mark.parametrize("items", [(2, 1), (2, 1, 1, 1)])

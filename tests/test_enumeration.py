@@ -24,6 +24,7 @@ from enriques.cli import run
 from enriques.diagram import canonical_form
 from enriques.enumeration import _least_in_orbit, _live_children, _weightings
 from helpers import (
+    constructor_pairs,
     reference_extensions,
     reference_milnor_numbers,
     reference_orbit_pairs,
@@ -154,7 +155,7 @@ def test_enumerate_output_is_pinned_byte_for_byte(capsys):
 
 def test_diagrams_of_one_shape_share_one_proximity_structure():
     yielded = list(enumerate_minimal_diagrams(6, 4))
-    shapes = {(w.diagram.parent_edges, w.diagram.proximity) for w in yielded}
+    shapes = {constructor_pairs(w.diagram) for w in yielded}
     assert len({id(w.diagram) for w in yielded}) == len(shapes) < len(yielded)
     assert all(w.diagram.violations == () for w in yielded)
 
@@ -629,6 +630,15 @@ def test_the_backtrack_reads_both_targets_of_a_satellite():
             assert expected, (shape, max_weight)
             found = capped_weightings(shape, max_weight, len(expected) + 1)
             assert found == expected, (shape, max_weight)
+
+
+def test_a_shape_that_is_not_live_has_no_weighting():
+    # the least weighting is (5, 2, 1, 1, 2): the root owes free vertex 1's
+    # 2, satellite 2's 1 and free vertex 4's 2, so below weight 5 the walk,
+    # capped at ten weightings, must be empty rather than endless
+    shape = ((-1, -1, 0), (0, -1, 0), (1, 0, 0), (2, 1, 0), (0, -1, 0))
+    assert list(islice(_weightings(shape, 4), 10)) == []
+    assert capped_weightings(shape, 5, 10) == [(5, 2, 1, 1, 2)]
 
 
 def test_the_walks_work_at_the_verify_workloads_bounds(monkeypatch):

@@ -51,6 +51,7 @@ from enriques.adjacency import adjacency_verdict
 from enriques.enumeration import DEFAULT_MAX_CANDIDATES, _minimal_families
 from enriques.quasihomogeneous import bamboo_chain, is_bamboo
 from helpers import (
+    constructor_pairs,
     count_constructions,
     count_scans,
     count_validations,
@@ -289,9 +290,8 @@ def test_lambda_lin_main_example():
 
 def test_package_paths_read_no_pair_views(monkeypatch):
     # every diagram stores its maps and no pairs, whether _grown or
-    # remove_vertices derived it or the constructor scanned them; its
-    # parent_edges and proximity views are built only when read, and no
-    # path of the package, nor == or hash, reads them
+    # remove_vertices derived it or the constructor scanned them, and no
+    # path of the package, nor == or hash, needs the pairs
     derived = []
 
     def recording(*args):
@@ -313,12 +313,9 @@ def test_package_paths_read_no_pair_views(monkeypatch):
     for d in (D.diagram, E.diagram, rep.diagram):
         assert any(d is out for out in derived)
     for d in (*derived, read.diagram, relabelled.diagram):
-        assert not {"parent_edges", "proximity"} & d.__dict__.keys()
-    assert getattr(E.diagram, "no_such_field", None) is None
-    # a read builds each view once, as the constructor would hold it
-    assert E.diagram.proximity is E.diagram.proximity
-    shifted = tuple((v + 1, p + 1) for v, p in E.diagram.parent_edges)
-    assert relabelled.diagram.parent_edges == shifted
+        assert not hasattr(d, "parent_edges") and not hasattr(d, "proximity")
+    shifted = tuple((v + 1, p + 1) for v, p in E.diagram.parent.items())
+    assert tuple(relabelled.diagram.parent.items()) == shifted
 
 
 def test_lambda_lin_equal_exponents_sweep():
@@ -441,6 +438,21 @@ def test_root_stage_counts_are_pinned_at_a_wide_bound():
     # the root stage is counted per non-root weighting, by arithmetic
     report = verify_maximality(QuasihomogeneousSpec(0, 0, 5, 7))
     assert (report.examined, report.refuted, report.refuted_by_root) == (45289, 45289, 42385)
+
+
+@pytest.mark.parametrize(
+    "spec, bounds, counts",
+    [
+        ((0, 0, 2, 3), (4, 20), (31855, 31851)),
+        ((0, 0, 3, 4), (6, 10), (37235, 37192)),
+        ((1, 1, 2, 3), (5, 14), (50973, 50874)),
+    ],
+)
+def test_root_stage_counts_are_pinned_at_raised_weights(spec, bounds, counts):
+    # the table of squared root weights ends well below max_weight here, so
+    # every heavy root weight past its end must still be counted as refuted
+    report = verify_maximality(QuasihomogeneousSpec(*spec), *bounds)
+    assert (report.examined, report.refuted_by_root) == counts
 
 
 @pytest.mark.parametrize("cap", [1, 100, 434])
@@ -606,7 +618,7 @@ def light_candidates(spec):
     jump = lambda_lin(spec)
     root_weight = jump.D_min.nu[jump.D_min.root]
     return [
-        (w.diagram.parent_edges, w.diagram.proximity)
+        constructor_pairs(w.diagram)
         for w in enumerate_minimal_diagrams(report.max_vertices, report.max_weight)
         if w.nu[w.root] <= root_weight
         and w.key != jump.D_min.key

@@ -39,7 +39,7 @@ from enriques import (
     witness_to_dict,
 )
 from enriques.serialize import _jump_report_json
-from helpers import cusp_minimal, random_consistent, wd
+from helpers import constructor_pairs, cusp_minimal, random_consistent, wd
 from test_acceptance import all_specs
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -413,7 +413,7 @@ def test_the_witness_check_seeds_no_cache():
 
     def fresh(w):
         d = w.diagram
-        return WeightedDiagram(ProximityDiagram(d.root, d.parent_edges, d.proximity), w.weights)
+        return WeightedDiagram(ProximityDiagram(d.root, *constructor_pairs(d)), w.weights)
 
     upper, lower = fresh(report.representative), fresh(report.E_D)
     assert check_geq_witness(upper, lower, report.adjacency_witness)

@@ -1,7 +1,7 @@
-"""Builders that derive diagrams from the sorted pairs and maps they hold,
-against reference recipes that go through the map adapters.
+"""Builders that derive diagrams from the maps they hold, against
+reference recipes that go through the map adapters.
 
-Each reference unpacks the pairs into a parent map, a proximity list and a
+Each reference unpacks the pairs the constructor takes into a parent map, a proximity list and a
 weight map and hands them to ``proximity_diagram`` and
 ``weighted_diagram``, which sort, dedupe and check them.  The builders
 under test append to or filter the source's maps and weights; both must
@@ -27,16 +27,17 @@ from enriques import (
 )
 from enriques.enumeration import DEFAULT_MAX_CANDIDATES, _minimal_families
 from enriques.quasihomogeneous import _chain_length
-from helpers import cusp_minimal, random_consistent
+from helpers import constructor_pairs, cusp_minimal, random_consistent
 from test_acceptance import all_specs
 
 
 def reference_add_leaf(w, at, weight, second=None):
     d = w.diagram
     new = max(d.vertices) + 1
-    parent = dict(d.parent_edges)
+    parent_edges, proximity = constructor_pairs(d)
+    parent = dict(parent_edges)
     parent[new] = at
-    prox = list(d.proximity)
+    prox = list(proximity)
     prox.append((new, at))
     if second is not None:
         prox.append((new, second))
@@ -48,8 +49,9 @@ def reference_add_leaf(w, at, weight, second=None):
 def reference_remove_vertices(w, drop):
     dropped = set(drop)
     d = w.diagram
-    parent = {v: p for v, p in d.parent_edges if v not in dropped}
-    prox = [(s, t) for s, t in d.proximity if s not in dropped and t not in dropped]
+    parent_edges, proximity = constructor_pairs(d)
+    parent = {v: p for v, p in parent_edges if v not in dropped}
+    prox = [(s, t) for s, t in proximity if s not in dropped and t not in dropped]
     nu = {v: w.nu[v] for v in d.vertices if v not in dropped}
     return weighted_diagram(proximity_diagram(d.root, parent, prox), nu)
 
