@@ -1,12 +1,12 @@
 """Builders that derive diagrams from the maps they hold, against
 reference recipes that go through the map adapters.
 
-Each reference unpacks the pairs the constructor takes into a parent map, a proximity list and a
-weight map and hands them to ``proximity_diagram`` and
-``weighted_diagram``, which sort, dedupe and check them.  The builders
-under test append to or filter the source's maps and weights; both must
-give equal diagrams: equal pairs and weights, and the four structural
-maps equal in values and key order.
+Each reference unpacks the pairs the constructor takes into a parent
+map, a proximity list and a weight map and hands them to
+``proximity_diagram`` and ``weighted_diagram``, which sort, dedupe and
+check them.  The builders under test append to or filter the source's
+maps and weights; both must give equal diagrams: equal pairs and
+weights, and the four structural maps equal in values and key order.
 """
 
 import random
