@@ -164,9 +164,11 @@ def _cmd_jump(args: argparse.Namespace) -> int:
         return 0
     print(f"spec {spec.k},{spec.l},{spec.p},{spec.q}")
     print(f"polynomial {spec.polynomial}")
-    for field in ("d", "t", "w", "mu_D", "mu_E", "lambda_lin"):
-        label = {"mu_D": "mu", "mu_E": "mu_E"}.get(field, field)
-        print(f"{label} {getattr(report, field)}")
+    for label, value in (
+        ("d", report.d), ("t", report.t), ("w", report.w), ("mu", report.mu_D),
+        ("mu_E", report.mu_E), ("lambda_lin", report.lambda_lin),
+    ):
+        print(f"{label} {value}")
     print("E_D:")
     sys.stdout.write(diagram_to_text(report.E_D, indent="  "))
     _print_witness(report.representative, report.E_D, report.adjacency_witness)

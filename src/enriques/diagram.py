@@ -34,10 +34,10 @@ diagram that :func:`validate_axioms` passes has them.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import chain, filterfalse
+from itertools import filterfalse
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -124,80 +124,76 @@ class ProximityDiagram:
     """Immutable rooted tree with a proximity relation.
 
     Every diagram stores ``root``, the four maps below and the facts it
-    caches, whichever way it was made.  The constructor takes
-    ``parent_edges``, ``(child, parent)`` pairs, and ``proximity``,
-    distinct ``(source, target)`` pairs where the source is proximate to
-    the target, as input only.  Every id must be an ``int`` (not a bool),
-    and both tuples must be sorted, each child listed once, else
-    :class:`DiagramError` is raised: one pass over them checks every
-    occurrence of an id and the order, and derives the maps.  That pass
-    is the one path for outside input: the adapter
-    :func:`proximity_diagram`, and through it :func:`relabel` and
-    ``diagram_from_dict``, builds a diagram by scanning its pairs.  The
-    two builders that change a diagram they already hold derive the new
-    one's maps from its source's instead (:func:`_derived`):
-    :func:`_grown` appends vertices, and :func:`remove_vertices` drops
-    them.  The pairs are not kept: a diagram has no ``parent_edges`` or
-    ``proximity`` attribute.  Equality and hashing read ``root``,
-    ``parent`` and ``prox_targets``, and the repr shows them.  Validity is
-    decided lazily, by :func:`validate_axioms` through ``violations``, for
-    a diagram built from outside input; a diagram that :func:`_grown`,
-    :func:`remove_vertices` or :func:`relabel` derives from one with a
-    clean verdict inherits it instead.
+    caches, whichever way it was made.  The constructor takes the two maps
+    it stores: ``parent``, each child's parent, and ``prox_targets``, each
+    source's targets (the vertices it is proximate to), a list or tuple in
+    any order, repeats allowed.  Every id must be an ``int`` (not a bool),
+    else :class:`DiagramError` is raised.  One scan checks every id, child
+    then parent, then source and each target, and derives fresh maps: the
+    caller's dicts and lists are never kept.  The vertices are the root
+    and the ids ``parent`` and the non-empty target lists name.  That scan
+    is the one path for outside input: :func:`relabel`, ``diagram_from_dict``
+    and the adapter :func:`proximity_diagram`, for callers that hold
+    ``(source, target)`` pairs, all build through it.  The two builders
+    that change a diagram they already hold derive the new one's maps from
+    its source's instead (:func:`_derived`): :func:`_grown` appends
+    vertices, and :func:`remove_vertices` drops them.  Equality and hashing
+    read ``root``, ``parent`` and ``prox_targets``, and the repr shows
+    them.  Validity is decided lazily, by :func:`validate_axioms` through
+    ``violations``, for a diagram built from outside input; a diagram that
+    :func:`_grown`, :func:`remove_vertices` or :func:`relabel` derives
+    from one with a clean verdict inherits it instead.
     ``vertices`` holds the sorted ids and ``parent`` maps each child to
     its parent, keyed in child order; ``children`` and ``prox_targets``
     are keyed in vertex order, with children sorted and targets listing
-    the immediate predecessor first, then the rest sorted.  The inverse
-    relation, the vertices proximate to each vertex, is not kept: its
-    readers (excess, minimality) walk ``prox_targets``.
+    the immediate predecessor first, then the rest sorted, each once.  The
+    inverse relation, the vertices proximate to each vertex, is not kept:
+    its readers (excess, minimality) walk ``prox_targets``.
     """
 
     root: int
-    parent_edges: InitVar[tuple[tuple[int, int], ...]]
-    proximity: InitVar[tuple[tuple[int, int], ...]]
+    parent: dict[int, int]
+    prox_targets: dict[int, tuple[int, ...]]
     vertices: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    parent: dict[int, int] = field(init=False)
     children: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
-    prox_targets: dict[int, tuple[int, ...]] = field(init=False)
 
     def __hash__(self) -> int:
         # every diagram keys parent in child order, so equal ones list it alike
         return hash((self.root, tuple(self.parent.items())))
 
-    def __post_init__(
-        self, parent_edges: tuple[tuple[int, int], ...], proximity: tuple[tuple[int, int], ...]
-    ) -> None:
+    def __post_init__(self) -> None:
         ids = {_integer(self.root, "vertex id")}
-        parent: dict[int, int] = {}
-        children: dict[int, list[int]] = {}
-        targets: dict[int, list[int]] = {}
-        last = None
-        for child, p in parent_edges:
+        given = self.parent
+        for child, p in given.items():
             if type(child) is not int or type(p) is not int:
                 _integer(child, "vertex id")
                 _integer(p, "vertex id")
             ids.add(child)
             ids.add(p)
-            if last is not None and child <= last:
-                raise DiagramError("parent_edges must list each child once, sorted")
-            last = child
-            parent[child] = p
+        parent = {child: given[child] for child in sorted(given)}
+        children: dict[int, list[int]] = {}
+        for child, p in parent.items():
             children.setdefault(p, []).append(child)
-        last = None
-        for pair in proximity:
-            source, target = pair
-            if type(source) is not int or type(target) is not int:
+        targets: dict[int, tuple[int, ...]] = {}
+        for source, listed in self.prox_targets.items():
+            if type(source) is not int:
                 _integer(source, "vertex id")
-                _integer(target, "vertex id")
+            for t in listed:
+                if type(t) is not int:
+                    _integer(t, "vertex id")
+            if not listed:
+                continue
             ids.add(source)
-            ids.add(target)
-            if last is not None and pair <= last:
-                raise DiagramError("proximity must list distinct pairs, sorted")
-            last = pair
-            if parent.get(source) == target:
-                targets.setdefault(source, []).insert(0, target)
-            else:
-                targets.setdefault(source, []).append(target)
+            ids.update(listed)
+            if len(listed) > 1:
+                p = parent.get(source)
+                # the parent first, then the rest sorted, each once; a lone
+                # target and a distinct pair led by the parent, as a free
+                # vertex and a satellite are written out, are kept as they are
+                if len(listed) > 2 or listed[0] != p or listed[1] == p:
+                    rest = set(listed)
+                    listed = (p, *sorted(rest - {p})) if p in rest else sorted(rest)
+            targets[source] = tuple(listed)
         vertices = tuple(sorted(ids))
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "parent", parent)
@@ -244,19 +240,14 @@ def proximity_diagram(
     parent: Mapping[int, int],
     proximity: Iterable[tuple[int, int]],
 ) -> ProximityDiagram:
-    """Build a :class:`ProximityDiagram` from a parent map and proximity
-    pairs in any order, repeats allowed: the adapter for callers that hold
-    a map.  It sorts and dedupes them and names a non-integer id when they
-    cannot be sorted; the diagram makes every other check."""
-    edges, pairs = tuple(parent.items()), tuple(set(proximity))
-    try:
-        edges, pairs = tuple(sorted(edges)), tuple(sorted(pairs))
-    except TypeError:
-        # ids that do not compare are not all ints: name one before the
-        # diagram meets the unsorted pairs and reports those instead
-        for v in chain(*edges, *pairs):
-            _integer(v, "vertex id")
-    return ProximityDiagram(root=root, parent_edges=edges, proximity=pairs)
+    """Build a :class:`ProximityDiagram` from a parent map and
+    ``(source, target)`` pairs in any order, repeats allowed: the adapter
+    for callers that hold pairs.  It groups the targets by source; the
+    diagram makes every check."""
+    targets: dict[int, list[int]] = {}
+    for source, target in proximity:
+        targets.setdefault(source, []).append(target)
+    return ProximityDiagram(root, parent, targets)
 
 
 def _frozen(lists: dict[int, list[int]], keys: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
@@ -425,7 +416,7 @@ def keyed_diagram(diagram: ProximityDiagram, weights: tuple[int, ...], key: str)
 
 # the lone root, vertex id 0, that every diagram grown from nothing starts
 # at; it is valid, so every diagram grown from it inherits its verdict
-_ROOT = ProximityDiagram(0, (), ())
+_ROOT = ProximityDiagram(0, {}, {})
 _ROOT.__dict__["violations"] = ()
 
 
@@ -446,8 +437,9 @@ def _derived(
     :func:`remove_vertices` derived from its source's, set as given and
     seeded with the clean verdict when ``clean``: the fields the
     constructor sets, without its scan.  The builder vouches that the maps
-    are the ones that scan would derive from the pair views (``parent``
-    keyed in child order), and an oracle test holds them to it."""
+    are the ones that scan would derive from ``parent`` and
+    ``prox_targets`` themselves (``parent`` keyed in child order), and an
+    oracle test holds them to it."""
     out = object.__new__(ProximityDiagram)
     out.__dict__.update(
         root=root,
@@ -474,7 +466,7 @@ def _grown(d: ProximityDiagram, run: Iterable[tuple[int, int | None]]) -> Proxim
     copied, with the new vertices keyed last, so still in id order: a new
     vertex's targets are its parent and its second, and each parent's new
     children, which carry the largest ids, extend its tuple once, so the
-    work beyond the copies is linear in the run.  No pairs are built
+    work beyond the copies is linear in the run, with no constructor scan
     (:func:`_derived`).
 
     The result inherits ``d``'s verdict when ``d`` already holds a clean
@@ -950,9 +942,9 @@ def relabel(w: WeightedDiagram, mapping: Mapping[int, int]) -> WeightedDiagram:
     if len({mapping[v] for v in d.vertices}) != len(d.vertices):
         raise DiagramError("relabelling must be a bijection on the vertex set")
     parent = {mapping[v]: mapping[p] for v, p in d.parent.items()}
-    prox = [(mapping[s], mapping[t]) for s, targets in d.prox_targets.items() for t in targets]
+    targets = {mapping[v]: [mapping[t] for t in ts] for v, ts in d.prox_targets.items()}
     nu = {mapping[v]: w.nu[v] for v in d.vertices}
-    renamed = proximity_diagram(mapping[d.root], parent, prox)
+    renamed = ProximityDiagram(mapping[d.root], parent, targets)
     if d.__dict__.get("violations") == ():
         renamed.__dict__["violations"] = ()
     return weighted_diagram(renamed, nu)

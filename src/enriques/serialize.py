@@ -37,9 +37,9 @@ from typing import Any, Mapping
 from .adjacency import GeqWitness
 from .diagram import (
     DiagramError,
+    ProximityDiagram,
     WeightedDiagram,
     _integer,
-    proximity_diagram,
     require_valid,
     weighted_diagram,
 )
@@ -142,7 +142,7 @@ def diagram_from_dict(data: Mapping[str, Any]) -> WeightedDiagram:
             f"more than the bound of {MAX_DIAGRAM_VERTICES}"
         )
     parent: dict[int, int] = {}
-    prox: list[tuple[int, int]] = []
+    prox: dict[int, list[int]] = {}
     nu: dict[int, int] = {}
     try:
         for row in rows:
@@ -156,13 +156,12 @@ def diagram_from_dict(data: Mapping[str, Any]) -> WeightedDiagram:
             nu[vid] = row["weight"]
             if row["parent"] is not None:
                 parent[vid] = _integer(row["parent"], "parent")
-            for target in row["proximate_to"]:
-                prox.append((vid, _integer(target, "proximity target")))
+            prox[vid] = [_integer(t, "proximity target") for t in row["proximate_to"]]
     except (KeyError, TypeError) as exc:
         raise DiagramError(f"malformed vertex row: {exc}") from None
     if _integer(root, "root") not in nu:
         raise DiagramError(f"root {root!r} is not among the vertex ids")
-    diagram = proximity_diagram(root, parent, prox)
+    diagram = ProximityDiagram(root, parent, prox)
     require_valid(diagram)
     return weighted_diagram(diagram, nu)
 

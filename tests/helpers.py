@@ -29,12 +29,11 @@ def wd(root, parent, prox, nu):
     return weighted_diagram(proximity_diagram(root, parent, prox), nu)
 
 
-def constructor_pairs(d: ProximityDiagram) -> tuple:
-    """The ``parent_edges`` and ``proximity`` tuples the constructor takes
-    for ``d``: ``tuple(d.parent.items())``, and each vertex's targets,
-    sorted, in vertex order."""
-    proximity = [(v, t) for v, targets in d.prox_targets.items() for t in sorted(targets)]
-    return tuple(d.parent.items()), tuple(proximity)
+def proximity_pairs(d: ProximityDiagram) -> tuple:
+    """The proximity relation of ``d`` as ``(source, target)`` pairs, the
+    form the references read it in: each vertex's targets, sorted, in
+    vertex order."""
+    return tuple((v, t) for v, targets in d.prox_targets.items() for t in sorted(targets))
 
 
 def cusp_minimal():
@@ -56,7 +55,7 @@ def zero_satellite_chain():
     """Valid and consistent 3-vertex chain (2, 1, 0) whose weight-0
     satellite end leans on the free weight-1 vertex and the root: in a
     class with no minimal member."""
-    d = ProximityDiagram(0, ((1, 0), (2, 1)), ((1, 0), (2, 0), (2, 1)))
+    d = ProximityDiagram(0, {1: 0, 2: 1}, {1: [0], 2: [0, 1]})
     return WeightedDiagram(d, (2, 1, 0))
 
 
@@ -112,14 +111,14 @@ def count_validations(monkeypatch) -> list:
 
 def count_scans(monkeypatch) -> list:
     """The list every diagram that ``ProximityDiagram.__post_init__`` scans
-    from here on is appended to: each one built from pairs rather than
-    derived from a source's maps."""
+    from here on is appended to: each one built by the constructor rather
+    than derived from a source's maps."""
     scanned = []
     post_init = ProximityDiagram.__post_init__
 
-    def counting(self, parent_edges, proximity):
+    def counting(self):
         scanned.append(self)
-        post_init(self, parent_edges, proximity)
+        post_init(self)
 
     monkeypatch.setattr(ProximityDiagram, "__post_init__", counting)
     return scanned
@@ -202,7 +201,7 @@ def random_consistent(rng: random.Random, max_vertices=8, max_excess=2) -> Weigh
     """
     d = random_proximity(rng, max_vertices)
     sources = {v: [] for v in d.vertices}
-    for source, target in constructor_pairs(d)[1]:
+    for source, target in proximity_pairs(d):
         sources[target].append(source)
     nu = {}
     for v in reversed(d.preorder):
@@ -216,9 +215,9 @@ def random_consistent(rng: random.Random, max_vertices=8, max_excess=2) -> Weigh
 
 def reference_maps(d: ProximityDiagram) -> dict:
     """The four structural maps of ``d``, each derived on its own from the
-    pairs and re-sorted: a second opinion on the single pass that builds
-    them with the diagram."""
-    parent_edges, proximity = constructor_pairs(d)
+    parent edges and proximity pairs and re-sorted: a second opinion on
+    the single pass that builds them with the diagram."""
+    parent_edges, proximity = tuple(d.parent.items()), proximity_pairs(d)
     seen = {d.root}
     for child, parent in parent_edges:
         seen.add(child)
@@ -277,7 +276,7 @@ def reference_validate_axioms(d: ProximityDiagram) -> list:
     Violation = enriques.diagram.Violation
     violations = []
     parent = d.parent
-    proximity = constructor_pairs(d)[1]
+    proximity = proximity_pairs(d)
 
     if d.root in parent:
         violations.append(Violation(0, (d.root,), f"root {d.root} has a parent"))

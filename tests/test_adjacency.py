@@ -14,6 +14,7 @@ from enriques import (
     GeqWitness,
     InconsistentDiagramError,
     InvalidDiagramError,
+    ProximityDiagram,
     QuasihomogeneousSpec,
     SubdiagramEmbedding,
     add_leaf,
@@ -35,10 +36,10 @@ from enriques import (
 )
 from enriques.adjacency import class_representatives
 from helpers import (
-    constructor_pairs,
     cusp_complete,
     cusp_minimal,
     leaning_bamboo,
+    proximity_pairs,
     random_consistent,
     reference_geq,
     wd,
@@ -295,7 +296,7 @@ def with_pairs(witness, *pairs):
 def tampered(w, proximity=(), weights=()):
     """``w`` with proximity pairs added and weights replaced."""
     nu = {**w.nu, **dict(weights)}
-    return wd(w.root, w.diagram.parent, [*constructor_pairs(w.diagram)[1], *proximity], nu)
+    return wd(w.root, w.diagram.parent, [*proximity_pairs(w.diagram), *proximity], nu)
 
 
 # each case tampers the x^6+y^9 jump witness (vertex 2 is a satellite on
@@ -359,7 +360,7 @@ def test_checker_walks_no_cached_preorder():
     # checker orders the values from the parent map and still accepts
     report = lambda_lin(QuasihomogeneousSpec(0, 0, 6, 9))
     d = report.E_D.diagram
-    copy = proximity_diagram(d.root, d.parent, constructor_pairs(d)[1])
+    copy = ProximityDiagram(d.root, d.parent, d.prox_targets)
     copy.__dict__["preorder"] = tuple(reversed(d.preorder))
     lower = weighted_diagram(copy, report.E_D.nu)
     assert check_geq_witness(report.representative, lower, report.adjacency_witness)

@@ -47,12 +47,12 @@ from enriques import (
 from enriques.diagram import _grown, _preorder
 from enriques.quasihomogeneous import bamboo_chain
 from helpers import (
-    constructor_pairs,
     count_constructions,
     cusp_complete,
     cusp_minimal,
     isomorphic,
     leaning_bamboo,
+    proximity_pairs,
     random_consistent,
     random_proximity,
     reference_form,
@@ -130,7 +130,7 @@ def test_axiom5_no_two_vertices_share_a_proximity_pair():
 
 def axiom5_reference(d):
     """Axiom 5 by its definition: for each proximity pair, scan every vertex."""
-    proximity = constructor_pairs(d)[1]
+    proximity = proximity_pairs(d)
     prox = set(proximity)
     out = []
     for source, target in proximity:
@@ -174,13 +174,10 @@ def hub_over_a_chain(n, free_children):
     vertex, with ``free_children`` free children of the hub."""
     hub = n
     kids = range(hub + 1, hub + 1 + free_children)
-    edges = (*((i, i - 1) for i in range(1, n)), (hub, n - 1), *((c, hub) for c in kids))
-    pairs = (
-        *((i, i - 1) for i in range(1, n)),
-        *((hub, t) for t in range(n)),
-        *((c, hub) for c in kids),
-    )
-    return ProximityDiagram(0, edges, pairs)
+    parent = {**{i: i - 1 for i in range(1, n)}, hub: n - 1, **dict.fromkeys(kids, hub)}
+    targets = {**{i: [i - 1] for i in range(1, n)}, hub: list(range(n))}
+    targets.update((c, [hub]) for c in kids)
+    return ProximityDiagram(0, parent, targets)
 
 
 @pytest.mark.parametrize("free_children", [0, 300])
@@ -205,14 +202,10 @@ def hub_with_satellites(n, strays=0):
     hub = n
     kids = range(hub + 1, 2 * n + 1)
     seconds = [*range(n - strays), *kids[:strays]]
-    edges = (*((i, i - 1) for i in range(1, n)), (hub, n - 1), *((c, hub) for c in kids))
-    pairs = {
-        *((i, i - 1) for i in range(1, n)),
-        *((hub, t) for t in range(n)),
-        *((c, hub) for c in kids),
-        *zip(kids, seconds),
-    }
-    return ProximityDiagram(0, edges, tuple(sorted(pairs)))
+    parent = {**{i: i - 1 for i in range(1, n)}, hub: n - 1, **dict.fromkeys(kids, hub)}
+    targets = {**{i: [i - 1] for i in range(1, n)}, hub: list(range(n))}
+    targets.update((c, [hub, t]) for c, t in zip(kids, seconds))
+    return ProximityDiagram(0, parent, targets)
 
 
 @pytest.mark.timed
@@ -320,7 +313,7 @@ def test_every_reader_gives_a_value_or_a_diagram_error_on_random_maps():
         weights = tuple(rng.randint(0, 3) for _ in d.vertices)
         invalid += bool(validate_axioms(d))
         for name, reader in readers.items():
-            w = WeightedDiagram(ProximityDiagram(d.root, *constructor_pairs(d)), weights)
+            w = WeightedDiagram(ProximityDiagram(d.root, d.parent, d.prox_targets), weights)
             try:
                 reader(w)
             except DiagramError:
@@ -339,7 +332,7 @@ def test_every_reader_gives_a_value_or_a_diagram_error_on_random_maps():
 def perturbed(rng, d):
     """``d`` with one proximity pair added between two of its vertices, or
     one of its pairs dropped: each of axioms 0-5 breaks now and then."""
-    proximity = constructor_pairs(d)[1]
+    proximity = proximity_pairs(d)
     pairs = set(proximity)
     if pairs and rng.random() < 0.3:
         pairs.remove(rng.choice(proximity))
@@ -419,14 +412,14 @@ def random_run(rng, d, stray=0.0):
 
 
 def constructed_growth(d, run):
-    """``d`` grown by ``run`` as the constructor builds it from the pairs:
-    each entry's new vertex takes the next id, with its parent edge and one
-    pair to its parent, or two sorted pairs with a distinct ``second``."""
-    edges, pairs = map(list, constructor_pairs(d))
-    for new, (parent, second) in enumerate(run, d.vertices[-1] + 1):
-        edges.append((new, parent))
-        pairs += sorted({(new, parent), (new, parent if second is None else second)})
-    return ProximityDiagram(d.root, tuple(edges), tuple(pairs))
+    """``d`` grown by ``run`` as the constructor builds it from the maps:
+    each entry's new vertex takes the next id, with its parent and, as its
+    sorted targets, the parent alone or with a distinct ``second``."""
+    parent, targets = dict(d.parent), dict(d.prox_targets)
+    for new, (p, second) in enumerate(run, d.vertices[-1] + 1):
+        parent[new] = p
+        targets[new] = sorted({p, p if second is None else second})
+    return ProximityDiagram(d.root, parent, targets)
 
 
 def test_a_derived_diagram_inherits_its_verdict_exactly_when_it_is_valid():
@@ -527,8 +520,8 @@ def test_structural_maps_match_the_reference_in_values_and_order():
 
 def assert_maps_as_constructed(d):
     """``d``'s four maps equal, in values and key order, the ones the
-    constructor derives from ``d``'s own pairs."""
-    built = ProximityDiagram(d.root, *constructor_pairs(d))
+    constructor derives from ``d``'s own ``parent`` and ``prox_targets``."""
+    built = ProximityDiagram(d.root, d.parent, d.prox_targets)
     for name in ("vertices", "parent", "children", "prox_targets"):
         got, expected = getattr(d, name), getattr(built, name)
         assert got == expected, (d, name)
@@ -576,11 +569,14 @@ def test_derived_maps_equal_the_constructors():
                 counts["invalid"] += 1
                 continue
             kept = remove_vertices(w, drop)
-            edges, pairs = constructor_pairs(source)
             assert kept.diagram == ProximityDiagram(
                 source.root,
-                tuple(edge for edge in edges if edge[0] not in drop),
-                tuple(pair for pair in pairs if drop.isdisjoint(pair)),
+                {v: p for v, p in source.parent.items() if v not in drop},
+                {
+                    v: [t for t in targets if t not in drop]
+                    for v, targets in source.prox_targets.items()
+                    if v not in drop
+                },
             )
             left = tuple(v for v in source.vertices if v not in drop)
             assert kept.diagram.vertices == left
@@ -601,18 +597,28 @@ def test_structural_maps_are_not_fields():
     assert "children" not in repr(a)
 
 
-@pytest.mark.parametrize(
-    "edges,proximity",
-    [
-        (((2, 0), (1, 0)), ((2, 0), (1, 0))),  # both unsorted
-        (((1, 0), (2, 0)), ((2, 0), (1, 0))),  # unsorted proximity
-        (((1, 0), (2, 0)), ((1, 0), (1, 0), (2, 0))),  # a repeated pair
-        (((1, 0), (1, 2), (2, 0)), ((1, 0), (2, 0))),  # a child with two parents
-    ],
-)
-def test_proximity_diagram_refuses_unsorted_or_repeated_pairs(edges, proximity):
-    with pytest.raises(DiagramError, match="sorted"):
-        ProximityDiagram(0, edges, proximity)
+def test_the_constructor_keeps_none_of_its_callers_objects():
+    # the caller's maps and target lists, changed after the build, change
+    # neither the diagram nor its hash
+    parent, targets = {1: 0, 2: 1}, {1: [0], 2: [0, 1]}
+    d = ProximityDiagram(0, parent, targets)
+    expected = hash(d)
+    parent[1] = 2
+    parent[3] = 2
+    targets[1].append(2)
+    targets[2].clear()
+    targets[3] = [2]
+    assert d == ProximityDiagram(0, {1: 0, 2: 1}, {1: [0], 2: [0, 1]})
+    assert hash(d) == expected
+    assert (d.vertices, d.parent) == ((0, 1, 2), {1: 0, 2: 1})
+    assert d.prox_targets == {0: (), 1: (0,), 2: (1, 0)}
+
+
+def test_proximity_diagram_reads_a_repeated_pair_once():
+    d = proximity_diagram(0, {1: 0, 2: 1}, [(2, 0), (1, 0), (2, 1), (1, 0), (2, 0)])
+    assert d == proximity_diagram(0, {1: 0, 2: 1}, [(1, 0), (2, 1), (2, 0)])
+    assert d.prox_targets == {0: (), 1: (0,), 2: (1, 0)}
+    assert validate_axioms(d) == []
 
 
 def test_proximity_diagram_output_rebuilds_as_is():
@@ -621,7 +627,8 @@ def test_proximity_diagram_output_rebuilds_as_is():
     rng = random.Random(2024)
     diagrams += [random_proximity(rng) for _ in range(500)]
     for d in diagrams:
-        assert ProximityDiagram(d.root, *constructor_pairs(d)) == d
+        assert ProximityDiagram(d.root, d.parent, d.prox_targets) == d
+        assert_maps_as_constructed(d)
 
 
 @pytest.mark.parametrize("items", [(2, 1), (2, 1, 1, 1)])
@@ -1037,8 +1044,8 @@ def test_relabel_refuses_ids_that_are_not_integers(mapping):
 
 
 def test_relabel_names_the_id_that_is_not_an_integer():
-    # the renamed pairs cannot be sorted, and the first two edges are out
-    # of order: the string id is what is reported
+    # the renamed parent map names the children 2, 1 and 'x': the string id
+    # is what is reported
     w = wd(0, {1: 0, 2: 1, 3: 2}, [(1, 0), (2, 1), (3, 2)], {0: 4, 1: 2, 2: 1, 3: 1})
     with pytest.raises(DiagramError, match="vertex id must be an integer, got 'x'"):
         relabel(w, {0: 0, 1: 2, 2: 1, 3: "x"})
@@ -1047,31 +1054,35 @@ def test_relabel_names_the_id_that_is_not_an_integer():
 @pytest.mark.parametrize(
     "root, edges, pairs",
     [
-        (0, (("1", 0),), (("1", 0),)),
-        (0.0, ((1, 0.0),), ((1, 0.0),)),
-        (0, ((True, 0),), ((True, 0),)),
-        # True equals the id 1 listed before it, so a set of the ids hides it
-        (0, ((1, 0),), ((True, 0),)),
+        (0, {"1": 0}, {"1": [0]}),
+        (0.0, {1: 0.0}, {1: [0.0]}),
+        (0, {True: 0}, {True: [0]}),
+        # True equals the id 1 named before it, so a set of the ids hides it
+        (0, {1: 0}, {True: [0]}),
     ],
 )
 def test_diagram_refuses_ids_that_are_not_integers(root, edges, pairs):
+    # edges is the parent map, pairs the map of targets
     with pytest.raises(DiagramError, match="vertex id must be an integer"):
-        ProximityDiagram(root=root, parent_edges=edges, proximity=pairs)
+        ProximityDiagram(root=root, parent=edges, prox_targets=pairs)
 
 
 @pytest.mark.parametrize(
     "edges, pairs, named",
     [
-        ((("c", "p"),), (("c", "p"),), "'c'"),
-        (((1, "p"),), ((1, "t"),), "'p'"),
-        (((1, 0),), (("s", "t"),), "'s'"),
-        (((1, 0),), ((1, "t"),), "'t'"),
+        ({"c": "p"}, {"c": ["p"]}, "'c'"),
+        ({1: "p"}, {1: ["t"]}, "'p'"),
+        ({1: 0}, {"s": ["t"]}, "'s'"),
+        ({1: 0}, {1: ["t"]}, "'t'"),
+        # a source with no targets names no vertex, but it is still checked
+        ({1: 0}, {1: [0], "s": []}, "'s'"),
     ],
 )
 def test_diagram_names_the_first_id_that_is_not_an_integer(edges, pairs, named):
-    # ids are checked child, parent, then source, target, pair by pair
+    # ids are checked child, parent, then source and each target, vertex by
+    # vertex; edges is the parent map, pairs the map of targets
     with pytest.raises(DiagramError, match=f"vertex id must be an integer, got {named}$"):
-        ProximityDiagram(root=0, parent_edges=edges, proximity=pairs)
+        ProximityDiagram(root=0, parent=edges, prox_targets=pairs)
 
 
 def test_relabel_names_a_vertex_the_mapping_misses():

@@ -24,7 +24,6 @@ from enriques.cli import run
 from enriques.diagram import canonical_form
 from enriques.enumeration import _least_in_orbit, _live_children, _weightings
 from helpers import (
-    constructor_pairs,
     reference_extensions,
     reference_milnor_numbers,
     reference_orbit_pairs,
@@ -155,7 +154,7 @@ def test_enumerate_output_is_pinned_byte_for_byte(capsys):
 
 def test_diagrams_of_one_shape_share_one_proximity_structure():
     yielded = list(enumerate_minimal_diagrams(6, 4))
-    shapes = {constructor_pairs(w.diagram) for w in yielded}
+    shapes = {w.diagram for w in yielded}
     assert len({id(w.diagram) for w in yielded}) == len(shapes) < len(yielded)
     assert all(w.diagram.violations == () for w in yielded)
 

@@ -51,7 +51,6 @@ from enriques.adjacency import adjacency_verdict
 from enriques.enumeration import DEFAULT_MAX_CANDIDATES, _minimal_families
 from enriques.quasihomogeneous import bamboo_chain, is_bamboo
 from helpers import (
-    constructor_pairs,
     count_constructions,
     count_scans,
     count_validations,
@@ -132,8 +131,8 @@ def test_adjacent_requires_minimal_bamboo():
 def test_adjacent_refuses_an_invalid_bamboo():
     # parent 2 of satellite 3 is not proximate to 0, yet the diagram is a
     # minimal chain by weights alone; the minimality check refuses it too
-    edges, pairs = ((1, 0), (2, 1), (3, 2)), ((1, 0), (2, 1), (3, 0), (3, 2))
-    D = WeightedDiagram(ProximityDiagram(0, edges, pairs), (3, 2, 1, 1))
+    parent, targets = {1: 0, 2: 1, 3: 2}, {1: [0], 2: [1], 3: [0, 2]}
+    D = WeightedDiagram(ProximityDiagram(0, parent, targets), (3, 2, 1, 1))
     for check in (is_minimal, construct_adjacent_diagram):
         with pytest.raises(InvalidDiagramError, match="parent 2 of satellite 3") as caught:
             check(D)
@@ -611,14 +610,14 @@ def test_diagram_type_of_e_differs_from_source():
 
 
 def light_candidates(spec):
-    """Shapes (parent edges and proximity pairs) of the candidates that
+    """The proximity diagrams, or shapes, of the candidates that
     verify_maximality must search: minimal diagrams within its bounds, other
     than D_min, above the threshold and no heavier at the root than D_min."""
     report = verify_maximality(spec)
     jump = lambda_lin(spec)
     root_weight = jump.D_min.nu[jump.D_min.root]
     return [
-        constructor_pairs(w.diagram)
+        w.diagram
         for w in enumerate_minimal_diagrams(report.max_vertices, report.max_weight)
         if w.nu[w.root] <= root_weight
         and w.key != jump.D_min.key
@@ -656,7 +655,7 @@ def test_verify_builds_diagrams_only_for_light_candidates(monkeypatch, spec, sea
 def test_jumps_and_verification_walk_no_diagram(monkeypatch):
     # every diagram they make is grown or pruned from the lone root, so it
     # inherits its verdict and derives its maps from its source's; only a
-    # diagram read from outside is walked, and built by scanning its pairs
+    # diagram read from outside is walked, and built by scanning its maps
     text = diagram_to_json(lambda_lin(QuasihomogeneousSpec(0, 0, 6, 9)).E_D)
     walked = count_validations(monkeypatch)
     scanned = count_scans(monkeypatch)

@@ -28,7 +28,7 @@ from enriques import (
     witness_to_dict,
 )
 from enriques.quasihomogeneous import bamboo_invariants, is_bamboo
-from helpers import constructor_pairs, isomorphic, random_consistent, random_proximity
+from helpers import isomorphic, proximity_pairs, random_consistent, random_proximity
 
 
 def test_generated_diagrams_satisfy_the_axioms():
@@ -76,7 +76,7 @@ def test_excess_consistency_and_minimality_match_references_from_the_pairs():
             w = weighted_diagram(w.diagram, nu)
         d = w.diagram
         excess = {v: w.nu[v] for v in d.vertices}
-        proximity = constructor_pairs(d)[1]
+        proximity = proximity_pairs(d)
         satellites = {s for s, _ in proximity if sum(a == s for a, _ in proximity) == 2}
         pinned = set()
         for source, target in proximity:
@@ -122,7 +122,7 @@ def test_is_minimal_matches_the_pinned_rule_unless_a_satellite_weighs_zero():
     for case in range(6000):
         d = random_proximity(rng)
         sources = {v: [] for v in d.vertices}
-        for source, target in constructor_pairs(d)[1]:
+        for source, target in proximity_pairs(d):
             sources[target].append(source)
         nu = {}
         for v in reversed(d.preorder):
@@ -262,7 +262,7 @@ def values_from_pairs(d, weight):
     """System of values of ``weight`` read off the proximity pairs alone:
     a vertex's value is its weight plus its targets' values, found once
     every target's value is known."""
-    proximity = constructor_pairs(d)[1]
+    proximity = proximity_pairs(d)
     targets = {v: [t for s, t in proximity if s == v] for v in d.vertices}
     out = {}
     while len(out) < len(targets):

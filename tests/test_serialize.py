@@ -39,7 +39,7 @@ from enriques import (
     witness_to_dict,
 )
 from enriques.serialize import _jump_report_json
-from helpers import constructor_pairs, cusp_minimal, random_consistent, wd
+from helpers import cusp_minimal, random_consistent, wd
 from test_acceptance import all_specs
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -245,6 +245,19 @@ def test_from_dict_refuses_a_row_no_edge_reaches():
         diagram_from_dict(data)
 
 
+def test_from_dict_reads_a_repeated_target_once():
+    data = {
+        "root": 0,
+        "vertices": [
+            {"id": 0, "weight": 2, "parent": None, "proximate_to": []},
+            {"id": 1, "weight": 1, "parent": 0, "proximate_to": [0, 0]},
+        ],
+    }
+    w = diagram_from_dict(data)
+    assert w.diagram.prox_targets == {0: (), 1: (0,)}
+    assert w == wd(0, {1: 0}, [(1, 0)], {0: 2, 1: 1})
+
+
 def test_from_dict_validates_axioms():
     data = {
         "root": 0,
@@ -413,7 +426,7 @@ def test_the_witness_check_seeds_no_cache():
 
     def fresh(w):
         d = w.diagram
-        return WeightedDiagram(ProximityDiagram(d.root, *constructor_pairs(d)), w.weights)
+        return WeightedDiagram(ProximityDiagram(d.root, d.parent, d.prox_targets), w.weights)
 
     upper, lower = fresh(report.representative), fresh(report.E_D)
     assert check_geq_witness(upper, lower, report.adjacency_witness)

@@ -27,17 +27,16 @@ from enriques import (
 )
 from enriques.enumeration import DEFAULT_MAX_CANDIDATES, _minimal_families
 from enriques.quasihomogeneous import _chain_length
-from helpers import constructor_pairs, cusp_minimal, random_consistent
+from helpers import cusp_minimal, proximity_pairs, random_consistent
 from test_acceptance import all_specs
 
 
 def reference_add_leaf(w, at, weight, second=None):
     d = w.diagram
     new = max(d.vertices) + 1
-    parent_edges, proximity = constructor_pairs(d)
-    parent = dict(parent_edges)
+    parent = dict(d.parent)
     parent[new] = at
-    prox = list(proximity)
+    prox = list(proximity_pairs(d))
     prox.append((new, at))
     if second is not None:
         prox.append((new, second))
@@ -49,9 +48,8 @@ def reference_add_leaf(w, at, weight, second=None):
 def reference_remove_vertices(w, drop):
     dropped = set(drop)
     d = w.diagram
-    parent_edges, proximity = constructor_pairs(d)
-    parent = {v: p for v, p in parent_edges if v not in dropped}
-    prox = [(s, t) for s, t in proximity if s not in dropped and t not in dropped]
+    parent = {v: p for v, p in d.parent.items() if v not in dropped}
+    prox = [(s, t) for s, t in proximity_pairs(d) if s not in dropped and t not in dropped]
     nu = {v: w.nu[v] for v in d.vertices if v not in dropped}
     return weighted_diagram(proximity_diagram(d.root, parent, prox), nu)
 
